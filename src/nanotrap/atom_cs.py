@@ -200,14 +200,17 @@ def _as_ground(state) -> HyperfineState:
     return ground_state(int(f), int(mf))
 
 
-def breit_rabi_energy(state, b_gauss: float, data: AtomicData | None = None) -> float:
+def breit_rabi_energy(state, b_gauss, data: AtomicData | None = None):
     """Exact ground-manifold hyperfine/Zeeman eigenvalue in Hz.
 
     Energies are referenced so that the zero-field F=4/F=3 difference equals
     the hyperfine splitting; stretched states follow the closed linear branch.
+    ``b_gauss`` may be an array (element-wise energies); a scalar field gives
+    a float.
     """
     data = data or default_atomic_data()
     state = _as_ground(state)
+    b_gauss = np.asarray(b_gauss, dtype=float)
     # negative values mean a reversed field; the spectrum is even in B
     i = data.nuclear_spin
     dehf = data.hyperfine_splitting_hz
@@ -219,7 +222,8 @@ def breit_rabi_energy(state, b_gauss: float, data: AtomicData | None = None) -> 
         root = abs(1.0 + np.sign(state.mf) * x)
     else:
         root = np.sqrt(1.0 + 4.0 * state.mf * x / (2 * i + 1) + x * x)
-    return float(base + sign * 0.5 * dehf * root)
+    energy = base + sign * 0.5 * dehf * root
+    return float(energy) if energy.ndim == 0 else energy
 
 
 def zeeman_shift_excited(state, b_gauss: float, data: AtomicData | None = None) -> float:

@@ -122,10 +122,10 @@ def _parse_value(key: str, raw: str) -> float:
 class RunConfig:
     """Resolved configuration: every schema key in SI units."""
 
-    def __init__(self, values: dict, data_file: str | None):
+    def __init__(self, values: dict, data_file: str | None, data: AtomicData):
         self.values = values
         self.data_file = data_file
-        self.data = AtomicData.from_file(data_file)
+        self.data = data
         self._modes: dict[tuple[float, float], object] = {}
 
     def __getitem__(self, key: str) -> float:
@@ -182,8 +182,7 @@ class RunConfig:
                     values[key] = values[default]
             else:
                 values[key] = float(default)
-        cfg = cls(values, data_file)
-        return cfg
+        return cls(values, data_file, data)
 
     def echo_lines(self) -> list[str]:
         lines = [f"{key} = {repr(self.values[key])}" for key in sorted(self.values)]
@@ -371,13 +370,7 @@ def cmd_trap(cfg: RunConfig, args, out: Path) -> None:
     boff = cfg["magnetics.offset_field"]
     minimum = light_matter.find_trap_minimum(trap, data=cfg.data)
     freqs = light_matter.trap_frequencies(trap, minimum=minimum, data=cfg.data)
-    env = light_matter.site_fields(
-        trap,
-        boff,
-        phi_b=cfg["scheme.phi_b"],
-        red_imbalance=cfg["scheme.red_imbalance"],
-        data=cfg.data,
-    )
+    env = light_matter.site_environment(trap, boff, minimum, data=cfg.data)
     split = light_matter.clock_splitting(env, cfg.data)
     payload = {
         "minimum_position": {

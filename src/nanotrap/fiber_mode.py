@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import constants as cst
@@ -144,6 +145,13 @@ class GuidedMode:
     def guided_wavelength(self) -> float:
         return 2 * np.pi / self.beta
 
+    @cached_property
+    def exterior_scale(self) -> float:
+        """J1(ha)/K1(qa): scales the cladding (K) solution to meet the core one at r = a."""
+        a = self.fiber.radius
+        u, w = self.interior_parameter * a, self.exterior_parameter * a
+        return special.jv(1, u) / special.kv(1, w)
+
 
 def solve_he11(fiber: FiberSpec, wavelength_m: float) -> GuidedMode:
     """Solve the exact HE11 characteristic equation and normalize the mode.
@@ -217,29 +225,37 @@ def solve_he11(fiber: FiberSpec, wavelength_m: float) -> GuidedMode:
 
 
 def _radial_profiles_e(mode: GuidedMode, r: np.ndarray):
-    """Radial E-field profiles (e_r, e_phi, e_z) of the unit-amplitude p=+1 mode."""
+    """Radial E-field profiles (e_r, e_phi, e_z) of the unit-amplitude p=+1 mode.
+
+    Each branch (Bessel J inside the core, K outside) is evaluated only at
+    the radii it applies to.
+    """
     a = mode.fiber.radius
     beta, h, q, s = mode.beta, mode.interior_parameter, mode.exterior_parameter, mode.s_parameter
     r = np.asarray(r, dtype=float)
     inside = r < a
 
-    hr = h * np.where(inside, r, a)
-    j0, j2 = special.jv(0, hr), special.jv(2, hr)
-    er_in = 1j * beta / (2 * h) * ((1 - s) * j0 - (1 + s) * j2)
-    ephi_in = -beta / (2 * h) * ((1 - s) * j0 + (1 + s) * j2)
-    ez_in = special.jv(1, hr)
+    def interior(rr):
+        hr = h * rr
+        j0, j2 = special.jv(0, hr), special.jv(2, hr)
+        er_in = 1j * beta / (2 * h) * ((1 - s) * j0 - (1 + s) * j2)
+        ephi_in = -beta / (2 * h) * ((1 - s) * j0 + (1 + s) * j2)
+        return er_in, ephi_in, special.jv(1, hr)
 
-    u, w = h * a, q * a
-    c_out = special.jv(1, u) / special.kv(1, w)
-    qr = q * np.where(inside, a, r)
-    k0, k2 = special.kv(0, qr), special.kv(2, qr)
-    er_out = 1j * c_out * beta / (2 * q) * ((1 - s) * k0 + (1 + s) * k2)
-    ephi_out = -c_out * beta / (2 * q) * ((1 - s) * k0 - (1 + s) * k2)
-    ez_out = c_out * special.kv(1, qr)
+    def exterior(rr):
+        c_out = mode.exterior_scale
+        qr = q * rr
+        k0, k2 = special.kv(0, qr), special.kv(2, qr)
+        er_out = 1j * c_out * beta / (2 * q) * ((1 - s) * k0 + (1 + s) * k2)
+        ephi_out = -c_out * beta / (2 * q) * ((1 - s) * k0 - (1 + s) * k2)
+        return er_out, ephi_out, c_out * special.kv(1, qr)
 
-    e_r = np.where(inside, er_in, er_out)
-    e_phi = np.where(inside, ephi_in, ephi_out)
-    e_z = np.where(inside, ez_in, ez_out)
+    e_r = np.empty(r.shape, dtype=complex)
+    e_phi = np.empty(r.shape)
+    e_z = np.empty(r.shape)
+    for mask, branch in ((inside, interior), (~inside, exterior)):
+        if mask.any():
+            e_r[mask], e_phi[mask], e_z[mask] = branch(r[mask])
     return e_r, e_phi, e_z
 
 
@@ -351,7 +367,7 @@ def field_at(light: LightField, r, phi, z):
     r, phi, z = np.broadcast_arrays(
         np.asarray(r, dtype=float), np.asarray(phi, dtype=float), np.asarray(z, dtype=float)
     )
-    if np.any(r < 0):
+    if (r < 0).any():
         raise DomainError("radius must be non-negative")
     theta0 = light.polarization_angle
     e_r, e_phi, e_z = _radial_profiles_e(mode, r)

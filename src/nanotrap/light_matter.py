@@ -37,6 +37,7 @@ __all__ = [
     "find_trap_minimum",
     "trap_frequencies",
     "site_fields",
+    "site_environment",
     "clock_splitting",
     "mw_splitting",
 ]
@@ -58,7 +59,12 @@ def ellipticity(e_field) -> EllipticityVector:
     norm = np.sum(np.abs(e) ** 2, axis=-1)
     if np.any(norm == 0.0):
         raise DomainError("ellipticity undefined at a zero of the field")
-    return np.real(1j * np.cross(e, np.conj(e))) / norm[..., None]
+    return _spin_density(e) / norm[..., None]
+
+
+def _spin_density(e):
+    """i(E x E*) = |E|^2 eps of a complex field array (trailing axis)."""
+    return np.real(1j * np.cross(e, np.conj(e)))
 
 
 def _orthonormal_triad(axis: np.ndarray):
@@ -97,14 +103,17 @@ def fictitious_field(e_field, wavelength_m: float, f: int = 4, data: AtomicData 
     data = data or default_atomic_data()
     e = np.asarray(e_field, dtype=complex)
     beta_v = atom_cs.vector_shift_coefficient_g_per_v2m2(wavelength_m, f, data)
-    return beta_v * np.real(1j * np.cross(e, np.conj(e)))
+    return beta_v * _spin_density(e)
 
 
 def scalar_shift(e_field, wavelength_m: float, data: AtomicData | None = None):
     """Scalar AC Stark shift -(1/4) alpha_s |E|^2 in Hz."""
     data = data or default_atomic_data()
     alpha_s = atom_cs.scalar_polarizability(wavelength_m, data)
-    e = np.asarray(e_field, dtype=complex)
+    return _scalar_shift(np.asarray(e_field, dtype=complex), alpha_s)
+
+
+def _scalar_shift(e, alpha_s: float):
     intensity = np.sum(np.abs(e) ** 2, axis=-1)
     return -0.25 * alpha_s * intensity / H_PLANCK
 
@@ -128,8 +137,7 @@ def vector_shift(
     e = np.asarray(e_field, dtype=complex)
     alpha_v = atom_cs.vector_polarizability(wavelength_m, state.f, data)
     _, _, e3 = _orthonormal_triad(axis)
-    spin_density = np.real(1j * np.cross(e, np.conj(e)))  # |E|^2 * eps
-    projection = spin_density @ e3
+    projection = _spin_density(e) @ e3
     return -0.25 * alpha_v * projection * state.mf / (2.0 * state.f) / H_PLANCK
 
 
@@ -197,34 +205,54 @@ def trap_potential(
     shifts plus surface term only).  Positions inside the fiber are
     rejected.
     """
-    data = data or default_atomic_data()
     r, phi, z = position
+    return _potential(config, state, boff, data or default_atomic_data())(r, phi, z)
+
+
+def _potential(config: TrapConfig, state: HyperfineState | None, boff, data: AtomicData):
+    """The trap potential of one configuration and sublevel as ``u(r, phi, z)``.
+
+    Everything that does not depend on the position is computed here once:
+    each field's scalar polarizability and, for a resolved sublevel, its
+    vector coefficient beta_v, the offset vector and the zero-field
+    Breit-Rabi reference.  ``u`` is the potential ``trap_potential``
+    documents, in Hz.
+    """
     a = config.fiber.radius
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= a):
-        raise DomainError("trap potential is defined outside the fiber surface")
-
-    total = np.zeros(np.broadcast(r_arr, np.asarray(phi), np.asarray(z)).shape)
-    bfict = np.zeros(total.shape + (3,))
-    for field in config.fields():
-        e = field_at(field, r, phi, z)
-        total = total + scalar_shift(e, field.mode.wavelength, data)
-        if state is not None:
-            bfict = bfict + fictitious_field(e, field.mode.wavelength, state.f, data)
-
+    fields = config.fields()
+    alphas = [atom_cs.scalar_polarizability(fld.mode.wavelength, data) for fld in fields]
+    betas = [None] * len(fields)
     if state is not None:
+        betas = _vector_coefficients(fields, state.f, data)
         boff_vec = _offset_vector(boff)
-        b_total = np.linalg.norm(boff_vec + bfict, axis=-1)
-        zeeman = np.vectorize(
-            lambda b: breit_rabi_energy(state, b, data) - breit_rabi_energy(state, 0.0, data)
-        )(b_total)
-        total = total + zeeman
+        zero_field = breit_rabi_energy(state, 0.0, data)
 
-    if config.c3 is not None:
-        total = total - config.c3 / ((r_arr - a) ** 3 * H_PLANCK)
-    if total.ndim == 0:
-        return float(total)
-    return total
+    def u(r, phi, z):
+        r_arr = np.asarray(r, dtype=float)
+        if (r_arr <= a).any():
+            raise DomainError("trap potential is defined outside the fiber surface")
+        total = np.zeros(np.broadcast(r_arr, np.asarray(phi), np.asarray(z)).shape)
+        bfict = np.zeros(total.shape + (3,))
+        for field, alpha_s, beta_v in zip(fields, alphas, betas):
+            e = field_at(field, r, phi, z)
+            total = total + _scalar_shift(e, alpha_s)
+            if state is not None:
+                bfict = bfict + beta_v * _spin_density(e)
+        if state is not None:
+            b_total = np.linalg.norm(boff_vec + bfict, axis=-1)
+            total = total + (breit_rabi_energy(state, b_total, data) - zero_field)
+        if config.c3 is not None:
+            total = total - config.c3 / ((r_arr - a) ** 3 * H_PLANCK)
+        if total.ndim == 0:
+            return float(total)
+        return total
+
+    return u
+
+
+def _vector_coefficients(fields, f: int, data: AtomicData) -> list:
+    """beta_v of ground manifold ``f`` for each field (G per (V/m)^2)."""
+    return [atom_cs.vector_shift_coefficient_g_per_v2m2(fld.mode.wavelength, f, data) for fld in fields]
 
 
 def _golden_minimize(f, lo, hi, tol):
@@ -256,13 +284,13 @@ def find_trap_minimum(
 
     Starts from the analytic guess (red standing-wave antinode at z = 0,
     azimuth in plane P) and refines coordinate-wise by golden section.
-    Raises NoTrapError when no bound radial minimum brackets.
+    Raises NoTrapError when no bound radial minimum brackets, or when the
+    radial search ends pinned at its clamp 1 nm above the surface (the
+    potential falls all the way to the fiber).
     """
     data = data or default_atomic_data()
     a = config.fiber.radius
-
-    def u_of(r, phi, z):
-        return trap_potential(config, (r, phi, z), state, boff, data)
+    u_of = _potential(config, state, boff, data)
 
     r_scan = a + np.linspace(20e-9, 1200e-9, 250)
     u_scan = u_of(r_scan, phi_start, 0.0)
@@ -274,11 +302,12 @@ def find_trap_minimum(
 
     tol_r = 0.1e-9
     z_half = 0.25 * config.red.mode.guided_wavelength
+    r_clamp = a + 1e-9
     r0, phi0, z0 = r_scan[idx], phi_start, 0.0
     for _ in range(40):
         r_prev, phi_prev, z_prev = r0, phi0, z0
         r0 = _golden_minimize(
-            lambda r: u_of(r, phi0, z0), max(r0 - 50e-9, a + 1e-9), r0 + 50e-9, tol_r
+            lambda r: u_of(r, phi0, z0), max(r0 - 50e-9, r_clamp), r0 + 50e-9, tol_r
         )
         phi0 = _golden_minimize(
             lambda p: u_of(r0, p, z0), phi0 - 0.5, phi0 + 0.5, tol_r / r0
@@ -287,6 +316,10 @@ def find_trap_minimum(
         moved = max(abs(r0 - r_prev), r0 * abs(phi0 - phi_prev), abs(z0 - z_prev))
         if moved < tol_r:
             break
+    if r0 < r_clamp + tol_r:
+        raise NoTrapError(
+            f"radial search ended at the surface clamp ({(r0 - a) * 1e9:.3f} nm above the fiber)"
+        )
     return float(r0), float(phi0), float(z0)
 
 
@@ -308,12 +341,11 @@ def trap_frequencies(
         minimum = find_trap_minimum(config, state, boff, data)
     r0, phi0, z0 = minimum
     step = 1e-9
+    u = _potential(config, state, boff, data)
 
     def u_local(d):
         dr, ds, dz = d
-        return trap_potential(
-            config, (r0 + dr, phi0 + ds / r0, z0 + dz), state, boff, data
-        )
+        return u(r0 + dr, phi0 + ds / r0, z0 + dz)
 
     hess = np.zeros((3, 3))
     u0 = u_local((0.0, 0.0, 0.0))
@@ -367,14 +399,31 @@ def site_fields(
     effective = replace(config, blue=blue, red=red, manipulation=manipulation)
 
     upper = find_trap_minimum(effective, None, 0.0, data)
+    return site_environment(effective, boff, upper, data, f)
+
+
+def site_environment(
+    config: TrapConfig,
+    boff,
+    upper,
+    data: AtomicData | None = None,
+    f: int = 4,
+) -> MagneticEnvironment:
+    """Fictitious fields of ``config`` at a given upper site and its image.
+
+    The lower site is the diametric image (phi + pi) of ``upper``; the field
+    is summed over every configured field for the ground manifold ``f``.
+    """
+    data = data or default_atomic_data()
     r0, phi0, z0 = upper
     lower = (r0, phi0 + np.pi, z0)
+    fields = config.fields()
+    betas = _vector_coefficients(fields, f, data)
 
     def bfict_at(site):
         total = np.zeros(3)
-        for fld in effective.fields():
-            e = field_at(fld, *site)
-            total = total + fictitious_field(e, fld.mode.wavelength, f, data)
+        for fld, beta_v in zip(fields, betas):
+            total = total + beta_v * _spin_density(field_at(fld, *site))
         return total
 
     return MagneticEnvironment(

@@ -80,6 +80,17 @@ class TestBreitRabi:
         with pytest.raises(DomainError):
             breit_rabi_energy(excited_state(5, 0), 1.0, data)
 
+    def test_array_field_matches_scalar_calls_exactly(self, data):
+        # stretched (closed branch) and general sublevels, reversed and zero field
+        b = np.array([[-28.0, 0.0, 1e-6], [3.0, 20.88949098894614, 3000.0]])
+        for f, mf in [(4, m) for m in range(-4, 5)] + [(3, m) for m in range(-3, 4)]:
+            energies = breit_rabi_energy((f, mf), b, data)
+            assert isinstance(energies, np.ndarray) and energies.shape == b.shape
+            for idx in np.ndindex(b.shape):
+                scalar = breit_rabi_energy((f, mf), float(b[idx]), data)
+                assert isinstance(scalar, float)
+                assert energies[idx] == scalar, (f, mf, b[idx])
+
 
 class TestExcitedZeeman:
     def test_outer_sigma_plus_shift(self, data):

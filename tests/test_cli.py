@@ -6,7 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nanotrap.cli import main
+from nanotrap.atom_cs import AtomicData
+from nanotrap.cli import RunConfig, main
+from nanotrap.fiber_mode import field_at
+from nanotrap.light_matter import fictitious_field
 
 PAPER_CFG = str(resources.files("nanotrap").joinpath("data/paper.cfg"))
 
@@ -100,6 +103,37 @@ class TestOutputs:
         assert nu[2] == pytest.approx(186e3, rel=0.25)
         assert "clock_splitting_Hz" in doc
         assert "Bfict_upper_G" in doc and "Bfict_lower_G" in doc
+
+    def test_trap_fields_belong_to_the_reported_minimum(self, tmp_path):
+        # an unbalanced red standing wave moves the minimum and gives it a
+        # fictitious field; both must come from the configuration that was run
+        override = "red.backward_power=0.4 mW"
+        assert run(["trap", "--config", PAPER_CFG, "--out", str(tmp_path), "--set", override]) == 0
+        doc = json.loads((tmp_path / "trap.json").read_text())
+        pos = doc["minimum_position"]
+        site = (pos["r_m"], pos["phi_rad"], pos["z_m"])
+        cfg = RunConfig.load(PAPER_CFG, [override])
+        expected = np.zeros(3)
+        for fld in cfg.trap_config().fields():
+            expected = expected + fictitious_field(field_at(fld, *site), fld.mode.wavelength, 4, cfg.data)
+        assert pos["distance_to_surface_m"] * 1e9 == pytest.approx(308.2, abs=1.0)
+        assert doc["Bfict_upper_G"] == pytest.approx(list(expected), rel=1e-12, abs=1e-15)
+        assert doc["Bfict_lower_G"][1] == pytest.approx(-doc["Bfict_upper_G"][1], rel=1e-9)
+        assert doc["Bfict_upper_G"][1] > 1e-2
+        assert abs(doc["clock_splitting_Hz"]) > 100.0
+
+    def test_data_file_parsed_once_per_config(self, monkeypatch):
+        calls = []
+        parse = AtomicData.from_file.__func__
+
+        def counted(cls, path=None):
+            calls.append(path)
+            return parse(cls, path)
+
+        monkeypatch.setattr(AtomicData, "from_file", classmethod(counted))
+        cfg = RunConfig.load(PAPER_CFG, [])
+        assert len(calls) == 1
+        assert cfg.data.c3_ground_jm3 == cfg["surface.c3"]
 
     def test_bfict_tilt_zero_angle(self, outdir):
         code = run(

@@ -1,5 +1,7 @@
 """Polarization analysis, Stark shifts, fictitious fields, and the
 assembled two-color trap."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,7 @@ from scipy import constants as cst
 from nanotrap import atom_cs, light_matter as lm
 from nanotrap.atom_cs import ground_state
 from nanotrap.errors import DomainError, NoTrapError, SaddlePointError
-from nanotrap.fiber_mode import LightField, field_at
+from nanotrap.fiber_mode import FiberSpec, LightField, field_at, solve_he11
 from nanotrap.light_matter import (
     MagneticEnvironment,
     clock_splitting,
@@ -161,7 +163,51 @@ class TestShifts:
             assert direct == pytest.approx(zeeman, rel=1e-12)
 
 
+def reference_potential(config, position, state, boff, data):
+    """The trap potential at one point, summed from the public shift functions."""
+    r, phi, z = position
+    total = 0.0
+    bfict = np.zeros(3)
+    for fld in config.fields():
+        e = field_at(fld, r, phi, z)
+        total = total + scalar_shift(e, fld.mode.wavelength, data)
+        if state is not None:
+            bfict = bfict + fictitious_field(e, fld.mode.wavelength, state.f, data)
+    if state is not None:
+        b = np.linalg.norm(boff * np.array([0.0, 1.0, 0.0]) + bfict)
+        total = total + (
+            atom_cs.breit_rabi_energy(state, b, data) - atom_cs.breit_rabi_energy(state, 0.0, data)
+        )
+    if config.c3 is not None:
+        total = total - config.c3 / ((r - config.fiber.radius) ** 3 * cst.h)
+    return float(total)
+
+
 class TestTrapPotential:
+    @pytest.mark.parametrize(
+        "state", [None, ground_state(4, 4), ground_state(3, -3)], ids=["mF-averaged", "4,4", "3,-3"]
+    )
+    @pytest.mark.parametrize("manipulated", [False, True], ids=["trap", "manipulated"])
+    def test_prepared_potential_equals_trap_potential_exactly(
+        self, trap_config, manipulation_field, trap_minimum, data, state, manipulated
+    ):
+        cfg = replace(trap_config, manipulation=manipulation_field if manipulated else None)
+        u = lm._potential(cfg, state, 28.0, data)
+        r0, phi0, z0 = trap_minimum
+        r = r0 + np.linspace(-80e-9, 300e-9, 5)
+        phi = phi0 + np.linspace(-0.4, 0.4, 5)
+        z = z0 + np.linspace(-100e-9, 100e-9, 5)
+        for point in zip(r, phi, z):
+            expected = reference_potential(cfg, point, state, 28.0, data)
+            assert u(*point) == expected
+            assert trap_potential(cfg, point, state, 28.0, data) == expected
+        grid = u(r[:, None], phi[None, :], z[2])
+        assert np.array_equal(
+            grid, trap_potential(cfg, (r[:, None], phi[None, :], z[2]), state, 28.0, data)
+        )
+        for i, j in np.ndindex(grid.shape):
+            assert grid[i, j] == u(r[i], phi[j], z[2])
+
     def test_blue_only_is_repulsive(self, fiber, modes, data):
         blue = LightField(mode=modes[783], power=8.5e-3, polarization_angle=np.pi / 2)
         red_off = LightField(mode=modes[1064], power=0.0, configuration="standing")
@@ -202,6 +248,29 @@ class TestTrapPotential:
         u1 = trap_potential(trap_config, (r0, phi0, z0), data=data)
         u2 = trap_potential(trap_config, (r0, phi0 + np.pi, z0), data=data)
         assert u1 == pytest.approx(u2, rel=1e-12)
+
+
+    def test_minimum_pinned_at_surface_clamp_raises(self, data):
+        # at a = 260 nm this (4,4) potential falls all the way to the fiber, so
+        # the radial search ends pinned at its clamp 1 nm above the surface
+        fiber = FiberSpec(radius=260e-9)
+        mode = {nm: solve_he11(fiber, nm * 1e-9) for nm in (783, 880.2524, 1064)}
+        cfg = lm.TrapConfig(
+            fiber=fiber,
+            blue=LightField(
+                mode=mode[783], power=8.5e-3, polarization_angle=np.pi / 2 + 0.0807575511186125
+            ),
+            red=LightField(
+                mode=mode[1064],
+                power=0.77e-3,
+                configuration="standing",
+                backward_power=0.77e-3 * 0.9631628709357303,
+            ),
+            c3=data.c3_ground_jm3,
+            manipulation=LightField(mode=mode[880.2524], power=100e-6),
+        )
+        with pytest.raises(NoTrapError, match="surface"):
+            find_trap_minimum(cfg, ground_state(4, 4), 20.88949098894614, data=data)
 
 
 class TestTrapFrequencies:
