@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -355,13 +356,10 @@ def cmd_fieldmap(cfg: RunConfig, args, out: Path) -> None:
         values = intensity_map(light, grid)
         write_scalar_map_csv(path, grid, values, "intensity_V2_per_m2", cfg.echo_lines())
     else:  # ellipticity
-        eps = ellipticity_map(light, grid)
+        eps = ellipticity_map(light, grid).reshape(-1, 3)
         rr, pp = grid.mesh()
-        rows = []
-        for i in range(grid.n_r):
-            for j in range(grid.n_phi):
-                rows.append([rr[i, j], pp[i, j], grid.z, *eps[i, j]])
-        _write_csv(path, cfg, ["r_m", "phi_rad", "z_m", "eps_x", "eps_y", "eps_z"], rows)
+        rows = np.column_stack([rr.ravel(), pp.ravel(), np.full(rr.size, grid.z), eps])
+        _write_csv(path, cfg, ["r_m", "phi_rad", "z_m", "eps_x", "eps_y", "eps_z"], rows.tolist())
     print(f"wrote {path}")
 
 
@@ -394,7 +392,6 @@ def cmd_trap(cfg: RunConfig, args, out: Path) -> None:
 
 
 def cmd_bfict(cfg: RunConfig, args, out: Path) -> None:
-    trap = cfg.trap_config(phi_b=0.0, imbalance=1.0)
     boff = cfg["magnetics.offset_field"]
     phi_b = np.deg2rad(args.phi_b) if args.phi_b is not None else cfg["scheme.phi_b"]
     imbalance = args.imbalance if args.imbalance is not None else cfg["scheme.red_imbalance"]
@@ -406,9 +403,9 @@ def cmd_bfict(cfg: RunConfig, args, out: Path) -> None:
         imbalance = 1.0
     else:  # imbalance
         phi_b = 0.0
-    env = light_matter.site_fields(
-        trap, boff, manipulation=manipulation, phi_b=phi_b, red_imbalance=imbalance, data=cfg.data
-    )
+    trap = replace(cfg.trap_config(phi_b, imbalance), manipulation=manipulation)
+    upper = light_matter.find_trap_minimum(trap, data=cfg.data)
+    env = light_matter.site_environment(trap, boff, upper, data=cfg.data)
     split = light_matter.clock_splitting(env, cfg.data)
     mw = light_matter.mw_splitting(env, (3, -3), (4, -3), cfg.data)
     b_up, b_lo = env.total_magnitudes()

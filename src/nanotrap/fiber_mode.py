@@ -19,13 +19,12 @@ Geometry and conventions
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 from scipy import constants as cst
-from scipy import integrate, special
+from scipy import special
 
 from .constants import load_constants
 from .errors import DomainError, ModeStateError, NoModeError
@@ -156,9 +155,10 @@ class GuidedMode:
 def solve_he11(fiber: FiberSpec, wavelength_m: float) -> GuidedMode:
     """Solve the exact HE11 characteristic equation and normalize the mode.
 
-    The root is isolated by scanning the effective index on a 1e-4 grid and
-    refined to 1e-12; the amplitude scale is fixed by integrating the axial
-    Poynting flux over the cross-section for unit guided power.
+    The root is isolated by evaluating the characteristic function on a 1e-4
+    effective-index grid in one vectorised call and refined by bisection to
+    1e-12; the amplitude scale is fixed by the closed-form axial Poynting flux
+    for unit guided power (no adaptive quadrature).
     """
     n1 = fiber.core_index(wavelength_m)
     n2 = fiber.exterior_index
@@ -169,7 +169,7 @@ def solve_he11(fiber: FiberSpec, wavelength_m: float) -> GuidedMode:
 
     eps = 2e-6
     grid = np.arange(n2 + eps, n1 - eps, 1e-4)
-    vals = np.array([_characteristic(x, k, a, n1, n2) for x in grid])
+    vals = _characteristic(grid, k, a, n1, n2)
     sign_changes = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     if sign_changes.size == 0:
         raise NoModeError(
@@ -302,22 +302,28 @@ def _radial_profiles_h(mode: GuidedMode, r: np.ndarray):
 def _guided_power_unit_amplitude(mode: GuidedMode) -> float:
     """Axial Poynting flux of the unit-amplitude circular mode, in W.
 
-    Azimuthal integrals are analytic (2 pi for the circular constituent);
-    the radial integral uses adaptive quadrature inside and outside.
+    Closed form of Le Kien, Liang, Hakuta & Balykin, Opt. Commun. 242, 445
+    (2004): the azimuthal integral is 2 pi, the J0 J2 (K0 K2) cross terms of
+    the flux cancel, and the radial integrals of J_n^2 r and K_n^2 r are
+    Lommel integrals.
     """
     a = mode.fiber.radius
-
-    def s_z(r):
-        rr = np.atleast_1d(r)
-        e_r, e_phi, _ = _radial_profiles_e(mode, rr)
-        h_r, h_phi, _ = _radial_profiles_h(mode, rr)
-        val = 0.5 * np.real(e_r * np.conj(h_phi) - e_phi * np.conj(h_r))
-        return val[0] * r
-
-    inner, _ = integrate.quad(s_z, 0.0, a, limit=200, epsabs=0.0, epsrel=1e-12)
-    r_far = a + 60.0 / mode.exterior_parameter
-    outer, _ = integrate.quad(s_z, a, r_far, limit=200, epsabs=0.0, epsrel=1e-12)
-    return 2 * np.pi * (inner + outer)
+    beta, h, q, s = mode.beta, mode.interior_parameter, mode.exterior_parameter, mode.s_parameter
+    k = 2 * np.pi / mode.wavelength
+    n1, n2 = mode.n_core, mode.n_ext
+    s1 = s * (beta / (k * n1)) ** 2
+    s2 = s * (beta / (k * n2)) ** 2
+    j0, j1, j2, j3 = special.jv([0, 1, 2, 3], h * a)
+    k0, k1, k2, k3 = special.kv([0, 1, 2, 3], q * a)
+    # a^2/2 times the Lommel brackets: int_0^a J_n(hr)^2 r dr, int_a^inf K_n(qr)^2 r dr
+    inner = (n1 / h) ** 2 * (
+        (1 - s) * (1 - s1) * (j0**2 + j1**2) + (1 + s) * (1 + s1) * (j2**2 - j1 * j3)
+    )
+    outer = (n2 * j1 / (q * k1)) ** 2 * (
+        (1 - s) * (1 - s2) * (k1**2 - k0**2) + (1 + s) * (1 + s2) * (k1 * k3 - k2**2)
+    )
+    omega = 2 * np.pi * cst.c / mode.wavelength
+    return 0.25 * np.pi * omega * cst.epsilon_0 * beta * a**2 * (inner + outer)
 
 
 @dataclass(frozen=True)
@@ -434,51 +440,32 @@ def ellipticity_map(light: LightField, grid: PolarGrid) -> np.ndarray:
     return np.real(1j * cross) / norm[..., None]
 
 
-_FIELD_HEADER = ["r_m", "phi_rad", "z_m", "Ex_re", "Ex_im", "Ey_re", "Ey_im", "Ez_re", "Ez_im"]
+def _write_grid_csv(path, grid: PolarGrid, columns, values: np.ndarray, header_lines):
+    """Stream one CSV row per grid node (r outer, phi inner) with LF line endings.
+
+    ``values`` has shape (n_r, n_phi, len(columns)); every number is written
+    as repr(float), one radius at a time so no full table of text is held.
+    """
+    rr, pp = grid.mesh()
+    table = np.concatenate(
+        (np.stack([rr, pp, np.full_like(rr, grid.z)], axis=-1), values), axis=-1
+    )
+    with open(path, "w", newline="") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        fh.write(",".join(["r_m", "phi_rad", "z_m", *columns]) + "\n")
+        for block in table:
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in block.tolist())
 
 
 def write_field_map_csv(path, light: LightField, grid: PolarGrid, header_lines=()):
     """Write the complex field on the grid as CSV (row-major: r outer, phi inner)."""
     rr, pp = grid.mesh()
     e = field_at(light, rr, pp, grid.z)
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(_FIELD_HEADER)
-        for i in range(grid.n_r):
-            for j in range(grid.n_phi):
-                ex, ey, ez = e[i, j]
-                writer.writerow(
-                    [
-                        repr(float(rr[i, j])),
-                        repr(float(pp[i, j])),
-                        repr(float(grid.z)),
-                        repr(float(ex.real)),
-                        repr(float(ex.imag)),
-                        repr(float(ey.real)),
-                        repr(float(ey.imag)),
-                        repr(float(ez.real)),
-                        repr(float(ez.imag)),
-                    ]
-                )
+    columns = ["Ex_re", "Ex_im", "Ey_re", "Ey_im", "Ez_re", "Ez_im"]
+    _write_grid_csv(path, grid, columns, e.view(float), header_lines)  # (re, im) per component
 
 
 def write_scalar_map_csv(path, grid: PolarGrid, values: np.ndarray, column: str, header_lines=()):
     """Write one scalar per grid node (same row order as the field map)."""
-    rr, pp = grid.mesh()
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["r_m", "phi_rad", "z_m", column])
-        for i in range(grid.n_r):
-            for j in range(grid.n_phi):
-                writer.writerow(
-                    [
-                        repr(float(rr[i, j])),
-                        repr(float(pp[i, j])),
-                        repr(float(grid.z)),
-                        repr(float(values[i, j])),
-                    ]
-                )
+    _write_grid_csv(path, grid, [column], np.asarray(values, dtype=float)[..., None], header_lines)

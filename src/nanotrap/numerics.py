@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .errors import BracketError, DegenerateFitError, DomainError, EvaluationError
 
@@ -37,8 +37,12 @@ def bessel_k(order: int, x):
 def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
     """Locate the root of f inside [lo, hi] to a bracket width of tol.
 
-    The endpoints must straddle a sign change.  Deterministic for fixed
-    inputs; non-finite evaluations of f raise EvaluationError.
+    The endpoints must straddle a sign change.  Plain bisection: the bracket
+    is halved until it is no wider than tol, or until its midpoint rounds to
+    an endpoint (tol below one ulp of the root); the midpoint of the final
+    bracket is returned, so the result lies within tol of the root.
+    Deterministic for fixed inputs; non-finite evaluations of f raise
+    EvaluationError.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -56,7 +60,18 @@ def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float) -> 
         return hi
     if flo * fhi > 0:
         raise BracketError(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
-    return optimize.brentq(checked, lo, hi, xtol=tol, maxiter=200)
+    while abs(hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        fmid = checked(mid)
+        if fmid == 0.0:
+            return float(mid)
+        if (fmid < 0) == (flo < 0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return float(0.5 * (lo + hi))
 
 
 @dataclass

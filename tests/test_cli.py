@@ -1,11 +1,15 @@
 """End-to-end CLI checks: subcommands, exit codes, file formats, determinism."""
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nanotrap
 from nanotrap.atom_cs import AtomicData
 from nanotrap.cli import RunConfig, main
 from nanotrap.fiber_mode import field_at
@@ -145,6 +149,22 @@ class TestOutputs:
         assert doc["clock_splitting_Hz"] == pytest.approx(0.0, abs=1e-6)
         assert doc["mw_splitting_3m3_4m3_Hz"] == pytest.approx(0.0, abs=1e-6)
 
+    def test_bfict_fields_belong_to_its_own_minimum(self, tmp_path):
+        # the scheme's trap must carry red.backward_power, so an unbalanced
+        # standing wave moves the site off the balanced 482.9 nm minimum
+        override = "red.backward_power=0.4 mW"
+        args = ["--scheme", "tilt", "--phi-b", "0", "--set", override]
+        assert run(["bfict", "--config", PAPER_CFG, "--out", str(tmp_path), *args]) == 0
+        doc = json.loads((tmp_path / "bfict.json").read_text())
+        site = tuple(doc["site_upper"])
+        cfg = RunConfig.load(PAPER_CFG, [override])
+        expected = np.zeros(3)
+        for fld in cfg.trap_config(0.0, 1.0).fields():
+            expected = expected + fictitious_field(field_at(fld, *site), fld.mode.wavelength, 4, cfg.data)
+        assert (site[0] - cfg["fiber.radius"]) * 1e9 == pytest.approx(308.2, abs=1.0)
+        assert doc["Bfict_upper_G"] == pytest.approx(list(expected), rel=1e-12, abs=1e-15)
+        assert doc["Bfict_upper_G"][1] > 1e-2
+
     def test_pump_json(self, outdir):
         assert run(["pump", "--config", PAPER_CFG, "--out", str(outdir)]) == 0
         doc = json.loads((outdir / "pump.json").read_text())
@@ -239,6 +259,37 @@ class TestOutputs:
         assert len(data_lines) == 1 + 4 * 6
         # config echo present
         assert any(ln.startswith("# fiber.radius") for ln in lines)
+
+    def test_fieldmap_lines_end_in_lf_only(self, tmp_path):
+        grid = ["--set", "grid.n_r=3", "--set", "grid.n_phi=5"]
+        for kind in ("field", "intensity", "ellipticity"):
+            out = tmp_path / kind
+            assert run(["fieldmap", "--config", PAPER_CFG, "--out", str(out), "--kind", kind, *grid]) == 0
+            text = (out / "fieldmap.csv").read_bytes()
+            assert b"\r" not in text, kind
+            lines = text.split(b"\n")
+            assert lines[-1] == b""
+            assert len([ln for ln in lines[:-1] if not ln.startswith(b"#")]) == 1 + 3 * 5
+
+
+def test_cli_never_imports_scipy_optimize_or_integrate(tmp_path):
+    # a fresh interpreter, so modules imported by other tests do not count
+    script = f"""
+import sys
+from nanotrap.cli import main
+common = ["--config", {PAPER_CFG!r}, "--out", {str(tmp_path)!r}]
+for args in (["mode"], ["trap"], ["tuneout"], ["pump"], ["mw", "simulate"],
+             ["mw", "fit", "--data", {str(tmp_path / "mw.csv")!r}]):
+    assert main([*args, *common]) == 0, args
+print(sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.integrate"))))
+"""
+    src = str(Path(nanotrap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestDeterminism:

@@ -137,6 +137,50 @@ class TestSolveHe11:
         m = solve_he11(FiberSpec(radius=420e-9), 783e-9)
         assert m.multimode
 
+    @pytest.mark.parametrize("radius_nm", [200, 250, 300])
+    def test_vectorised_scan_picks_scalar_loop_bracket(self, radius_nm):
+        from nanotrap.fiber_mode import _characteristic
+
+        fiber = FiberSpec(radius=radius_nm * 1e-9)
+        for nm in (783, 852.347, 880.2524, 1064):
+            lam = nm * 1e-9
+            n1, k, a = fiber.core_index(lam), 2 * np.pi / lam, fiber.radius
+            grid = np.arange(1.0 + 2e-6, n1 - 2e-6, 1e-4)
+            scalar = np.array([_characteristic(float(x), k, a, n1, 1.0) for x in grid])
+            vector = _characteristic(grid, k, a, n1, 1.0)
+            signs = np.sign(scalar[:-1]) * np.sign(scalar[1:]) < 0
+            assert np.array_equal(signs, np.sign(vector[:-1]) * np.sign(vector[1:]) < 0)
+            idx = np.nonzero(signs)[0][-1]
+            neff = solve_he11(fiber, lam).effective_index
+            assert grid[idx] <= neff <= grid[idx + 1]
+
+    @pytest.mark.parametrize("radius_nm", [200, 250, 300])
+    @pytest.mark.parametrize("nm", [783, 852.347, 880.2524, 1064])
+    def test_closed_form_power_matches_quadrature(self, radius_nm, nm):
+        """Closed-form flux of the unit-amplitude circular mode against quad."""
+        from nanotrap.fiber_mode import (
+            _guided_power_unit_amplitude,
+            _radial_profiles_e,
+            _radial_profiles_h,
+        )
+
+        m = solve_he11(FiberSpec(radius=radius_nm * 1e-9), nm * 1e-9)
+        a = m.fiber.radius
+
+        def s_z_times_r(r):
+            rr = np.array([r])
+            e_r, e_phi, _ = _radial_profiles_e(m, rr)
+            h_r, h_phi, _ = _radial_profiles_h(m, rr)
+            return 0.5 * np.real(e_r * np.conj(h_phi) - e_phi * np.conj(h_r))[0] * r
+
+        inner, _ = integrate.quad(s_z_times_r, 0, a, limit=200, epsabs=0, epsrel=1e-13)
+        outer, _ = integrate.quad(
+            s_z_times_r, a, a + 70 / m.exterior_parameter, limit=200, epsabs=0, epsrel=1e-13
+        )
+        oracle = 2 * np.pi * (inner + outer)
+        assert _guided_power_unit_amplitude(m) == pytest.approx(oracle, rel=1e-10)
+        assert m.normalization == pytest.approx(1 / np.sqrt(oracle), rel=1e-10)
+
 
 class TestFieldStructure:
     def test_quadrature_on_polarization_axis(self, probe_field, fiber):

@@ -112,6 +112,31 @@ class TestFindRoot:
         with pytest.raises(EvaluationError):
             find_root(lambda x: np.nan, 0.0, 1.0, 1e-9)
 
+    def test_non_finite_midpoint(self):
+        # finite with a sign change at both ends, NaN at the first midpoint
+        f = lambda x: np.nan if 0.4 < x < 0.6 else x - 0.45
+        with pytest.raises(EvaluationError):
+            find_root(f, 0.0, 1.0, 1e-9)
+
+    def test_tol_below_one_ulp_terminates(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x * x - 2.0
+
+        root = find_root(f, 1.0, 2.0, 1e-300)
+        assert abs(root - np.sqrt(2.0)) <= 2 * np.spacing(np.sqrt(2.0))
+        assert len(calls) < 100
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-7, 1e-12])
+    def test_within_tol_either_orientation(self, tol):
+        root = 1.7 ** (1 / 3)
+        f = lambda x: x**3 - 1.7
+        for lo, hi in ((0.0, 2.0), (2.0, 0.0)):
+            for g in (f, lambda x: -f(x)):
+                assert abs(find_root(g, lo, hi, tol) - root) <= tol
+
 
 def line(params, x):
     return params[0] * np.asarray(x) + params[1]
