@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,6 +26,7 @@ from .fiber_mode import (
     FiberSpec,
     LightField,
     PolarGrid,
+    atomic_open,
     ellipticity_map,
     field_at,
     intensity_map,
@@ -100,7 +99,19 @@ SCHEMA = {
 STRING_KEYS = {"atoms.data_file"}
 
 
+# keys whose value must be > 0: every radius, wavelength and duration, and the map's extent
+POSITIVE_KEYS = {
+    key for key in SCHEMA if key.endswith((".radius", ".wavelength", "duration"))
+} | {"grid.r_max", "tuneout.min", "tuneout.max"}
+
+
 def _parse_value(key: str, raw: str) -> float:
+    """One config value in SI units; ConfigError naming ``key`` when it is invalid.
+
+    Numbers must be finite, powers non-negative, radii, wavelengths,
+    durations and ``grid.r_max`` positive, and counts whole numbers >= 1
+    (``run.seed`` >= 0).
+    """
     dimension, _ = SCHEMA[key]
     parts = raw.split()
     if len(parts) == 1:
@@ -115,9 +126,20 @@ def _parse_value(key: str, raw: str) -> float:
             f"{key}: unit {unit!r} invalid for {dimension} (allowed: {sorted(table)})"
         )
     try:
-        return float(number) * table[unit]
+        value = float(number) * table[unit]
     except ValueError as exc:
         raise ConfigError(f"{key}: bad number {number!r}") from exc
+    if not np.isfinite(value):
+        raise ConfigError(f"{key}: {raw!r} is not a finite number")
+    if dimension == "count":
+        least = 0 if key == "run.seed" else 1
+        if value != int(value) or value < least:
+            raise ConfigError(f"{key}: {raw!r} is not a whole number >= {least}")
+    elif key in POSITIVE_KEYS and value <= 0:
+        raise ConfigError(f"{key}: {raw!r} must be positive")
+    elif dimension == "power" and value < 0:
+        raise ConfigError(f"{key}: {raw!r} must not be negative")
+    return value
 
 
 class RunConfig:
@@ -245,15 +267,8 @@ class RunConfig:
 
 
 def _atomic_write(path: Path, text: str):
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _json_default(obj):

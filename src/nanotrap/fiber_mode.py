@@ -19,6 +19,8 @@ Geometry and conventions
 """
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -440,17 +442,39 @@ def ellipticity_map(light: LightField, grid: PolarGrid) -> np.ndarray:
     return np.real(1j * cross) / norm[..., None]
 
 
+@contextmanager
+def atomic_open(path):
+    """Text file handle (LF line endings) whose content replaces ``path`` only on success.
+
+    Writes go to a temporary file in the same directory, which is moved onto
+    ``path`` when the block ends normally and deleted when it raises, so
+    ``path`` is never left partly written.  The file is created with the
+    permissions of a plain ``open`` (0o666 less the umask).
+    """
+    tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _write_grid_csv(path, grid: PolarGrid, columns, values: np.ndarray, header_lines):
     """Stream one CSV row per grid node (r outer, phi inner) with LF line endings.
 
     ``values`` has shape (n_r, n_phi, len(columns)); every number is written
     as repr(float), one radius at a time so no full table of text is held.
+    The file is replaced atomically (``atomic_open``).
     """
     rr, pp = grid.mesh()
     table = np.concatenate(
         (np.stack([rr, pp, np.full_like(rr, grid.z)], axis=-1), values), axis=-1
     )
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path) as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(",".join(["r_m", "phi_rad", "z_m", *columns]) + "\n")

@@ -255,22 +255,24 @@ def _vector_coefficients(fields, f: int, data: AtomicData) -> list:
     return [atom_cs.vector_shift_coefficient_g_per_v2m2(fld.mode.wavelength, f, data) for fld in fields]
 
 
-def _golden_minimize(f, lo, hi, tol):
-    """Golden-section minimiser; deterministic, no derivatives."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
+_ZOOM_POINTS = 33  # abscissae per call: 32 cells, so each call shrinks the bracket 16x
+
+
+def _zoom_minimize(f, lo, hi, tol):
+    """Bracket-zoom minimiser; deterministic, no derivatives.
+
+    ``f`` takes an array of abscissae.  Each step evaluates it once on
+    ``_ZOOM_POINTS`` equispaced points across [lo, hi] and keeps the two grid
+    cells either side of the smallest value (one cell at an end of the
+    bracket), until the bracket is no wider than ``tol``; returns its
+    midpoint.
+    """
+    last = _ZOOM_POINTS - 1
     while hi - lo > tol:
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-    return 0.5 * (lo + hi)
+        x = np.linspace(lo, hi, _ZOOM_POINTS)
+        k = int(np.argmin(f(x)))
+        lo, hi = x[max(k - 1, 0)], x[min(k + 1, last)]
+    return float(0.5 * (lo + hi))
 
 
 def find_trap_minimum(
@@ -283,7 +285,9 @@ def find_trap_minimum(
     """Locate the trap minimum near the upper site, to 0.1 nm.
 
     Starts from the analytic guess (red standing-wave antinode at z = 0,
-    azimuth in plane P) and refines coordinate-wise by golden section.
+    azimuth in plane P) and refines coordinate-wise (r, phi, z) by bracket
+    zoom: each step evaluates the potential on 33 points of the bracket in
+    one call and keeps the cells either side of the lowest, to 0.1 nm.
     Raises NoTrapError when no bound radial minimum brackets, or when the
     radial search ends pinned at its clamp 1 nm above the surface (the
     potential falls all the way to the fiber).
@@ -306,13 +310,11 @@ def find_trap_minimum(
     r0, phi0, z0 = r_scan[idx], phi_start, 0.0
     for _ in range(40):
         r_prev, phi_prev, z_prev = r0, phi0, z0
-        r0 = _golden_minimize(
+        r0 = _zoom_minimize(
             lambda r: u_of(r, phi0, z0), max(r0 - 50e-9, r_clamp), r0 + 50e-9, tol_r
         )
-        phi0 = _golden_minimize(
-            lambda p: u_of(r0, p, z0), phi0 - 0.5, phi0 + 0.5, tol_r / r0
-        )
-        z0 = _golden_minimize(lambda zz: u_of(r0, phi0, zz), z0 - z_half, z0 + z_half, tol_r)
+        phi0 = _zoom_minimize(lambda p: u_of(r0, p, z0), phi0 - 0.5, phi0 + 0.5, tol_r / r0)
+        z0 = _zoom_minimize(lambda zz: u_of(r0, phi0, zz), z0 - z_half, z0 + z_half, tol_r)
         moved = max(abs(r0 - r_prev), r0 * abs(phi0 - phi_prev), abs(z0 - z_prev))
         if moved < tol_r:
             break
@@ -343,25 +345,25 @@ def trap_frequencies(
     step = 1e-9
     u = _potential(config, state, boff, data)
 
-    def u_local(d):
-        dr, ds, dz = d
-        return u(r0 + dr, phi0 + ds / r0, z0 + dz)
+    # the 19-point stencil: the centre, then +-d_i per axis, then +-d_i +-d_j per pair
+    axes = step * np.eye(3)
+    pairs = [(i, j) for i in range(3) for j in range(i + 1, 3)]
+    stencil = [np.zeros(3)]
+    for d in axes:
+        stencil += [d, -d]
+    for i, j in pairs:
+        di, dj = axes[i], axes[j]
+        stencil += [di + dj, di - dj, -di + dj, -di - dj]
+    d = np.array(stencil)
+    vals = u(r0 + d[:, 0], phi0 + d[:, 1] / r0, z0 + d[:, 2])
 
     hess = np.zeros((3, 3))
-    u0 = u_local((0.0, 0.0, 0.0))
+    u0 = vals[0]
     for i in range(3):
-        for j in range(i, 3):
-            di = np.zeros(3)
-            dj = np.zeros(3)
-            di[i] = step
-            dj[j] = step
-            if i == j:
-                val = (u_local(di) - 2.0 * u0 + u_local(-di)) / step**2
-            else:
-                val = (
-                    u_local(di + dj) - u_local(di - dj) - u_local(-di + dj) + u_local(-di - dj)
-                ) / (4.0 * step**2)
-            hess[i, j] = hess[j, i] = val
+        hess[i, i] = (vals[1 + 2 * i] - 2.0 * u0 + vals[2 + 2 * i]) / step**2
+    for k, (i, j) in enumerate(pairs):
+        pp, pm, mp, mm = vals[7 + 4 * k : 11 + 4 * k]
+        hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * step**2)
 
     evals, evecs = np.linalg.eigh(hess * H_PLANCK / data.mass_kg)
     if np.any(evals <= 0):
@@ -420,16 +422,15 @@ def site_environment(
     fields = config.fields()
     betas = _vector_coefficients(fields, f, data)
 
-    def bfict_at(site):
-        total = np.zeros(3)
-        for fld, beta_v in zip(fields, betas):
-            total = total + beta_v * _spin_density(field_at(fld, *site))
-        return total
+    sites = np.array([upper, lower])  # one field_at call per field covers both sites
+    total = np.zeros((2, 3))
+    for fld, beta_v in zip(fields, betas):
+        total = total + beta_v * _spin_density(field_at(fld, sites[:, 0], sites[:, 1], sites[:, 2]))
 
     return MagneticEnvironment(
         offset_field=_offset_vector(boff),
-        fictitious_field_upper=bfict_at(upper),
-        fictitious_field_lower=bfict_at(lower),
+        fictitious_field_upper=total[0],
+        fictitious_field_lower=total[1],
         site_upper=upper,
         site_lower=lower,
     )

@@ -74,6 +74,13 @@ def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float) -> 
     return float(0.5 * (lo + hi))
 
 
+# Largest 1-norm condition number of the equilibrated J^T J (unit diagonal) for which a
+# fit's covariance is reported.  The central-difference Jacobian carries relative
+# errors near 1e-10 (rounding over its 1e-6 relative step), which the inverse
+# amplifies by the condition number, so past 1e10 the covariance is undetermined.
+MAX_NORMAL_CONDITION = 1e10
+
+
 @dataclass
 class FitResult:
     """Converged state of a damped Gauss-Newton least-squares fit."""
@@ -117,8 +124,10 @@ def least_squares(
     Gauss-Newton: damping starts at 1e-3 and moves by factors of 10, the
     Jacobian uses central differences, and convergence requires a relative
     residual decrease below 1e-10 or a relative parameter step below 1e-10.
-    The covariance is the inverse of the damped normal matrix scaled by the
-    residual variance.
+    The covariance is the inverse of the undamped normal matrix J^T J, with
+    J recomputed at the returned parameters, scaled by the residual
+    variance.  DegenerateFitError is raised when J^T J, with its diagonal
+    scaled to one, has a 1-norm condition number above ``MAX_NORMAL_CONDITION``.
     """
     p = np.array(initial, dtype=float)
     x = np.asarray([d[0] for d in data])
@@ -141,9 +150,9 @@ def least_squares(
     lam = 1e-3
     converged = False
     iterations = 0
-    jac = _jacobian(residuals, p, r)
 
     for iterations in range(1, max_iterations + 1):
+        jac = _jacobian(residuals, p, r)
         grad = jac.T @ r
         normal = jac.T @ jac
         scale = np.diag(np.maximum(np.diag(normal), 1e-300))
@@ -175,14 +184,26 @@ def least_squares(
         if rel_decrease < 1e-10 or rel_step < 1e-10:
             converged = True
             break
-        jac = _jacobian(residuals, p, r)
 
+    jac = _jacobian(residuals, p, r)
+    normal = jac.T @ jac
+    # equilibrated so the condition number measures degeneracy, not parameter units
+    d = np.sqrt(np.diag(normal))
+    if not np.all(d > 0):
+        raise DegenerateFitError("a parameter does not affect the residuals at the fit")
+    equilibrated = normal / np.outer(d, d)
+    try:
+        inverse = np.linalg.inv(equilibrated)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateFitError("normal matrix singular at the fit") from exc
+    condition = np.linalg.norm(equilibrated, 1) * np.linalg.norm(inverse, 1)
+    if not condition <= MAX_NORMAL_CONDITION:
+        raise DegenerateFitError(
+            f"normal matrix condition number {condition:.3g} exceeds {MAX_NORMAL_CONDITION:.0e}"
+        )
     dof = max(y.size - p.size, 1)
     variance = rnorm**2 / dof
-    try:
-        cov = np.linalg.inv(normal + lam * scale) * variance
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateFitError("damped normal matrix not invertible") from exc
+    cov = inverse / np.outer(d, d) * variance
     cov = 0.5 * (cov + cov.T)
     return FitResult(
         parameters=p,

@@ -8,10 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nanotrap
+from nanotrap import cli
 from nanotrap.atom_cs import AtomicData
 from nanotrap.cli import RunConfig, main
+from nanotrap.errors import ConfigError
 from nanotrap.fiber_mode import field_at
 from nanotrap.light_matter import fictitious_field
 
@@ -85,6 +88,70 @@ class TestConfig:
             ]
         )
         assert code == 3
+
+
+INVALID_VALUES = [
+    ("grid.n_r", "0"),
+    ("grid.n_phi", "-3"),
+    ("mw.points", "1.5"),
+    ("spectrum.reference_counts", "1e400"),
+    ("run.seed", "-1"),
+    ("run.seed", "0.5"),
+    ("fiber.radius", "nan nm"),
+    ("fiber.radius", "-250 nm"),
+    ("fiber.radius", "0 nm"),
+    ("blue.wavelength", "-783 nm"),
+    ("tuneout.min", "0 nm"),
+    ("grid.r_max", "-1 um"),
+    ("pump.duration", "0 ms"),
+    ("mw.pulse_duration", "-40 us"),
+    ("blue.power", "inf mW"),
+    ("red.backward_power", "-0.1 mW"),
+    ("manipulation.power", "-1 uW"),
+    ("magnetics.offset_field", "-inf G"),
+    ("scheme.red_imbalance", "nan"),
+]
+
+
+class TestConfigDomain:
+    @pytest.mark.parametrize("key, value", INVALID_VALUES, ids=[f"{k}={v}" for k, v in INVALID_VALUES])
+    def test_invalid_value_exits_2_naming_the_key(self, tmp_path, capsys, key, value):
+        args = ["mode", "--config", PAPER_CFG, "--out", str(tmp_path), "--set", f"{key}={value}"]
+        assert run(args) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [("run.seed", "0", 0.0), ("red.power", "0 mW", 0.0), ("grid.z", "-20 nm", -20e-9),
+         ("mw.points", "2.0", 2.0)],
+    )
+    def test_boundary_values_accepted(self, key, value, expected):
+        assert cli._parse_value(key, value) == expected
+
+    def test_invalid_value_in_config_file(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(Path(PAPER_CFG).read_text().replace("n_r = 50", "n_r = 0"))
+        assert run(["mode", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        key=st.sampled_from(sorted(cli.SCHEMA)),
+        number=st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True).map(repr),
+            st.integers(-(10**400), 10**400).map(str),
+            st.from_regex(r"\A[-+]?[0-9]*\.?[0-9]*(e[-+]?[0-9]{1,4})?\Z"),
+        ),
+        unit_pick=st.integers(0, 10),
+    )
+    def test_parser_returns_finite_float_or_config_error(self, key, number, unit_pick):
+        units = sorted(cli.UNIT_FACTORS[cli.SCHEMA[key][0]])
+        raw = f"{number} {units[unit_pick % len(units)]}".strip()
+        try:
+            value = cli._parse_value(key, raw)
+        except ConfigError as exc:
+            assert key in str(exc)
+        else:
+            assert isinstance(value, float) and np.isfinite(value)
 
 
 class TestOutputs:
@@ -270,6 +337,43 @@ class TestOutputs:
             lines = text.split(b"\n")
             assert lines[-1] == b""
             assert len([ln for ln in lines[:-1] if not ln.startswith(b"#")]) == 1 + 3 * 5
+
+
+def test_interrupted_field_map_leaves_earlier_file_intact(tmp_path, monkeypatch):
+    from nanotrap import fiber_mode
+
+    cfg = RunConfig.load(PAPER_CFG, [])
+    grid = fiber_mode.PolarGrid(r_min=250e-9, r_max=1e-6, n_r=6, n_phi=8, z=0.0)
+    path = tmp_path / "fieldmap.csv"
+    cli.write_field_map_csv(path, cfg.probe_field(), grid, header_lines=["first = 1"])
+    earlier = path.read_bytes()
+    assert path.stat().st_mode & 0o777 == 0o666 & ~_umask()
+
+    written = []
+
+    def failing_repr(value):  # shadows the builtin inside fiber_mode's row writer
+        if len(written) == 100:
+            raise RuntimeError("interrupted")
+        written.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(fiber_mode, "repr", failing_repr, raising=False)
+    for write in (
+        lambda: cli.write_field_map_csv(path, cfg.probe_field(), grid, header_lines=["second"]),
+        lambda: cli.write_scalar_map_csv(path, grid, np.ones((6, 8)), "x", ["second"]),
+    ):
+        written.clear()
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write()
+        assert len(written) == 100  # the failure came in the middle of the rows
+        assert path.read_bytes() == earlier
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fieldmap.csv"]
+
+
+def _umask():
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
 
 
 def test_cli_never_imports_scipy_optimize_or_integrate(tmp_path):

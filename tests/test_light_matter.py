@@ -273,12 +273,145 @@ class TestTrapPotential:
             find_trap_minimum(cfg, ground_state(4, 4), 20.88949098894614, data=data)
 
 
+def golden_minimize(f, lo, hi, tol):
+    """Scalar golden-section search, the reference the zoom search is held to."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > tol:
+        if f1 < f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = f(x2)
+    return 0.5 * (lo + hi)
+
+
+def reference_minimum(config, state, boff, data, start, tol):
+    """Coordinate-wise (r, phi, z) golden-section search from ``start`` to ``tol``."""
+    u = lm._potential(config, state, boff, data)
+    z_half = 0.25 * config.red.mode.guided_wavelength
+    r0, phi0, z0 = start
+    for _ in range(200):
+        previous = np.array([r0, r0 * phi0, z0])
+        r0 = golden_minimize(lambda r: u(r, phi0, z0), r0 - 50e-9, r0 + 50e-9, tol)
+        phi0 = golden_minimize(lambda p: u(r0, p, z0), phi0 - 0.5, phi0 + 0.5, tol / r0)
+        z0 = golden_minimize(lambda zz: u(r0, phi0, zz), z0 - z_half, z0 + z_half, tol)
+        if np.max(np.abs(np.array([r0, r0 * phi0, z0]) - previous)) < tol:
+            break
+    return r0, phi0, z0
+
+
+class TestZoomMinimize:
+    def test_quadratic_minimum_within_tol(self):
+        tol = 1e-9
+        x = lm._zoom_minimize(lambda x: (x - 0.3137) ** 2, -1.0, 2.0, tol)
+        assert abs(x - 0.3137) <= tol
+
+    def test_minimum_at_lower_bound(self):
+        tol = 1e-7
+        x = lm._zoom_minimize(lambda x: 3.0 * x, 1.0, 5.0, tol)
+        assert abs(x - 1.0) <= tol
+
+    @pytest.mark.parametrize("width", [1.0, 0.37, 242.3e-9, 3e-4])
+    def test_symmetric_function_on_symmetric_bracket(self, width):
+        x = lm._zoom_minimize(lambda x: np.cosh(x / width), -width, width, 1e-6 * width)
+        assert abs(x) <= 1e-12 * width
+
+    def test_one_call_per_zoom(self):
+        calls = []
+
+        def f(x):
+            calls.append(np.size(x))
+            return (x - 0.1) ** 2
+
+        lm._zoom_minimize(f, -1.0, 1.0, 2.0 / 16**3)
+        assert calls == [33, 33, 33]
+
+
+class TestTrapSearch:
+    @pytest.mark.parametrize(
+        "state, manipulated",
+        [(None, False), (ground_state(4, 4), False), (ground_state(4, 4), True)],
+        ids=["mF-averaged", "4,4", "4,4-manipulated"],
+    )
+    def test_within_0_02_nm_of_reference_search(
+        self, trap_config, manipulation_field, data, state, manipulated
+    ):
+        cfg = replace(trap_config, manipulation=manipulation_field if manipulated else None)
+        found = find_trap_minimum(cfg, state, 28.0, data=data)
+        ref = reference_minimum(cfg, state, 28.0, data, found, 0.1e-9 / 1000)
+        assert abs(found[0] - ref[0]) < 0.02e-9
+        assert ref[0] * abs(found[1] - ref[1]) < 0.02e-9
+        assert abs(found[2] - ref[2]) < 0.02e-9
+
+    def test_field_evaluation_counts(self, trap_config, manipulation_field, data, monkeypatch):
+        calls = []
+
+        def counted(light, r, phi, z):
+            calls.append(np.size(r))
+            return field_at(light, r, phi, z)
+
+        monkeypatch.setattr(lm, "field_at", counted)
+        minimum = find_trap_minimum(trap_config, data=data)
+        assert len(calls) <= 60  # two fields; a golden-section search made 230
+        for cfg in (trap_config, replace(trap_config, manipulation=manipulation_field)):
+            n_fields = len(cfg.fields())
+            calls.clear()
+            trap_frequencies(cfg, ground_state(4, 4), 28.0, minimum=minimum, data=data)
+            assert calls == [19] * n_fields
+            calls.clear()
+            lm.site_environment(cfg, 28.0, minimum, data)
+            assert calls == [2] * n_fields
+
+
+def pointwise_frequencies(config, state, boff, minimum, data):
+    """Trap frequencies from a central-difference Hessian of scalar potential calls."""
+    u = lm._potential(config, state, boff, data)
+    r0, phi0, z0 = minimum
+    step = 1e-9
+
+    def u_local(d):
+        return u(r0 + d[0], phi0 + d[1] / r0, z0 + d[2])
+
+    hess = np.zeros((3, 3))
+    u0 = u_local(np.zeros(3))
+    for i in range(3):
+        for j in range(i, 3):
+            di, dj = np.zeros(3), np.zeros(3)
+            di[i] = dj[j] = step
+            if i == j:
+                val = (u_local(di) - 2.0 * u0 + u_local(-di)) / step**2
+            else:
+                val = (
+                    u_local(di + dj) - u_local(di - dj) - u_local(-di + dj) + u_local(-di - dj)
+                ) / (4.0 * step**2)
+            hess[i, j] = hess[j, i] = val
+    evals, evecs = np.linalg.eigh(hess * cst.h / data.mass_kg)
+    freqs = np.zeros(3)
+    freqs[np.argmax(np.abs(evecs), axis=0)] = np.sqrt(evals) / (2 * np.pi)
+    return tuple(float(f) for f in freqs)
+
+
 class TestTrapFrequencies:
     def test_paper_anchor(self, trap_config, trap_minimum, data):
         nu_r, nu_phi, nu_z = trap_frequencies(trap_config, minimum=trap_minimum, data=data)
         assert nu_r == pytest.approx(120e3, rel=0.25)
         assert nu_phi == pytest.approx(87e3, rel=0.25)
         assert nu_z == pytest.approx(186e3, rel=0.25)
+
+    @pytest.mark.parametrize("state", [None, ground_state(4, 4)], ids=["mF-averaged", "4,4"])
+    @pytest.mark.parametrize("manipulated", [False, True], ids=["trap", "manipulated"])
+    def test_equal_to_pointwise_hessian(
+        self, trap_config, manipulation_field, data, state, manipulated
+    ):
+        cfg = replace(trap_config, manipulation=manipulation_field if manipulated else None)
+        minimum = find_trap_minimum(cfg, state, 28.0, data=data)
+        freqs = trap_frequencies(cfg, state, 28.0, minimum=minimum, data=data)
+        assert freqs == pointwise_frequencies(cfg, state, 28.0, minimum, data)
 
     def test_sqrt_power_scaling_without_surface_term(self, fiber, modes, data):
         from dataclasses import replace

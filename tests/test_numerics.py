@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nanotrap.errors import BracketError, DegenerateFitError, DomainError, EvaluationError
-from nanotrap.numerics import bessel_j, bessel_k, find_root, least_squares
+from nanotrap.numerics import MAX_NORMAL_CONDITION, bessel_j, bessel_k, find_root, least_squares
 
 
 def series_j(order, x, terms=60):
@@ -187,6 +187,58 @@ class TestLeastSquares:
         cov = res.covariance
         assert np.allclose(cov, cov.T)
         assert np.all(np.linalg.eigvalsh(cov) >= -1e-18)
+
+    def test_covariance_is_undamped_inverse_at_the_fit(self):
+        # linear model: the covariance is exactly (X^T W X)^-1 times the residual variance
+        rng = np.random.Generator(np.random.Philox(key=11))
+        x = np.linspace(0, 10, 40)
+        w = np.full_like(x, 100.0)
+        y = 2.0 * x + 1.0 + rng.normal(0, 0.1, x.size)
+        res = least_squares(line, [1.5, 0.5], list(zip(x, y, w)))
+        design = np.sqrt(w)[:, None] * np.column_stack([x, np.ones_like(x)])
+        variance = res.residual_norm**2 / (x.size - 2)
+        expected = np.linalg.inv(design.T @ design) * variance
+        assert np.allclose(res.covariance, expected, rtol=1e-7, atol=0.0)
+
+    def test_covariance_from_jacobian_at_returned_parameters(self):
+        truth = np.array([0.6, 1.2e6, 5e6])
+        x = np.linspace(-20e6, 20e6, 60)
+        rng = np.random.Generator(np.random.Philox(key=3))
+        y = lorentzian_dip(truth, x) + rng.normal(0, 0.01, x.size)
+        res = least_squares(lorentzian_dip, truth * 1.1, list(zip(x, y, np.ones_like(x))))
+        p = res.parameters
+        jac = np.empty((x.size, 3))
+        for i in range(3):
+            h = 1e-6 * abs(p[i])
+            up, dn = p.copy(), p.copy()
+            up[i] += h
+            dn[i] -= h
+            jac[:, i] = (lorentzian_dip(up, x) - lorentzian_dip(dn, x)) / (2 * h)
+        expected = np.linalg.inv(jac.T @ jac) * res.residual_norm**2 / (x.size - 3)
+        assert np.allclose(res.covariance, expected, rtol=1e-6, atol=0.0)
+
+    def test_degenerate_parameters_raise(self):
+        def degenerate(params, x):
+            return (params[0] + params[1]) * np.ones_like(np.asarray(x, dtype=float))
+
+        data = [(0.0, 1.0, 1.0), (1.0, 1.1, 1.0), (2.0, 0.9, 1.0)]
+        with pytest.raises(DegenerateFitError, match="condition number|singular"):
+            least_squares(degenerate, [1.0, -1.0], data)
+
+    @pytest.mark.parametrize("rate_gap, condition", [(1e-3, 1.74e7), (1e-5, 1.74e11)])
+    def test_condition_limit(self, rate_gap, condition):
+        # two decays whose rates differ by rate_gap are nearly collinear; the
+        # equilibrated normal matrix has about the given condition number
+        def two_decays(params, x):
+            return params[0] * np.exp(-x) + params[1] * np.exp(-(1.0 + rate_gap) * x)
+
+        x = np.linspace(0.0, 3.0, 30)
+        data = list(zip(x, 2.0 * np.exp(-x) + 0.01 * np.sin(7.0 * x), np.ones_like(x)))
+        if condition < MAX_NORMAL_CONDITION:
+            assert np.all(np.isfinite(least_squares(two_decays, [1.0, 1.0], data).sigmas))
+        else:
+            with pytest.raises(DegenerateFitError, match="condition number"):
+                least_squares(two_decays, [1.0, 1.0], data)
 
     def test_weights_must_be_positive(self):
         with pytest.raises(DomainError):
