@@ -53,9 +53,5 @@ class NonUniqueSteadyStateError(NanotrapError, RuntimeError):
     """Rate-equation dynamics are disconnected; steady state is not unique."""
 
 
-class StiffnessError(NanotrapError, RuntimeError):
-    """Adaptive integrator step size underflowed."""
-
-
 class ConfigError(NanotrapError, ValueError):
     """Run configuration file is missing, malformed, or inconsistent."""

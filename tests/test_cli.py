@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -244,6 +245,16 @@ class TestOutputs:
             0.92, abs=0.01
         )
 
+    def test_pump_one_second_reaches_steady_state(self, tmp_path):
+        # exact propagation: the cost does not grow with the pumped duration
+        t0 = time.perf_counter()
+        args = ["pump", "--config", PAPER_CFG, "--out", str(tmp_path), "--set", "pump.duration=1 s"]
+        assert run(args) == 0
+        assert time.perf_counter() - t0 < 10.0
+        doc = json.loads((tmp_path / "pump.json").read_text())
+        assert doc["evolution_duration_s"] == 1.0
+        assert doc["evolved_state"] == pytest.approx(doc["steady_state"], rel=0, abs=1e-12)
+
     def test_spectrum_round_trip_within_3_sigma(self, outdir):
         assert (
             run(["spectrum", "simulate", "--config", PAPER_CFG, "--out", str(outdir), "--seed", "7"])
@@ -377,6 +388,7 @@ def _umask():
 
 
 def test_cli_never_imports_scipy_optimize_or_integrate(tmp_path):
+    # nor scipy.linalg, which costs about 0.2 s per process;
     # a fresh interpreter, so modules imported by other tests do not count
     script = f"""
 import sys
@@ -385,7 +397,7 @@ common = ["--config", {PAPER_CFG!r}, "--out", {str(tmp_path)!r}]
 for args in (["mode"], ["trap"], ["tuneout"], ["pump"], ["mw", "simulate"],
              ["mw", "fit", "--data", {str(tmp_path / "mw.csv")!r}]):
     assert main([*args, *common]) == 0, args
-print(sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.integrate"))))
+print(sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.integrate", "scipy.linalg"))))
 """
     src = str(Path(nanotrap.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
