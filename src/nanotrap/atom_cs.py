@@ -118,7 +118,7 @@ def excited_state(f: int, mf: int) -> HyperfineState:
 
 @dataclass(frozen=True)
 class AtomicData:
-    """Cesium constants plus the derived quadratic clock coefficient."""
+    """Cesium constants, the derived quadratic clock coefficient, and the fiber core's Sellmeier fit."""
 
     nuclear_spin: float
     mass_kg: float
@@ -133,6 +133,7 @@ class AtomicData:
     d2_linewidth_hz: float
     d2_reduced_dipole_cm: float
     c3_ground_jm3: float
+    sellmeier: tuple[float, ...]  # (B1, B2, B3, L1, L2, L3), L in um^2
     alpha0_khz_per_g2: float  # derived at load time
 
     @classmethod
@@ -158,6 +159,9 @@ class AtomicData:
             d2_linewidth_hz=c["d2_linewidth_hz"],
             d2_reduced_dipole_cm=c["d2_reduced_dipole_cm"],
             c3_ground_jm3=c["c3_ground_jm3"],
+            sellmeier=tuple(
+                c[f"sellmeier_{k}"] for k in ("b1", "b2", "b3", "l1_um2", "l2_um2", "l3_um2")
+            ),
             alpha0_khz_per_g2=alpha0,
         )
 

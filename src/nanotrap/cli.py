@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +22,7 @@ from . import atom_cs, dynamics, light_matter, spectra
 from .atom_cs import AtomicData
 from .errors import ConfigError, NanotrapError
 from .fiber_mode import (
+    GRID_COLUMNS,
     FiberSpec,
     LightField,
     PolarGrid,
@@ -32,6 +32,7 @@ from .fiber_mode import (
     intensity_map,
     solve_he11,
     v_number,
+    write_csv,
     write_field_map_csv,
     write_scalar_map_csv,
 )
@@ -216,7 +217,7 @@ class RunConfig:
     # --- physics builders -------------------------------------------------
 
     def fiber(self) -> FiberSpec:
-        return FiberSpec(radius=self["fiber.radius"])
+        return FiberSpec(radius=self["fiber.radius"], sellmeier=self.data.sellmeier)
 
     def mode(self, wavelength: float):
         key = (self["fiber.radius"], wavelength)
@@ -266,11 +267,6 @@ class RunConfig:
         )
 
 
-def _atomic_write(path: Path, text: str):
-    with atomic_open(path) as fh:
-        fh.write(text)
-
-
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
@@ -281,15 +277,12 @@ def _json_default(obj):
 
 def _write_json(path: Path, cfg: RunConfig, payload: dict):
     doc = {"config": {k: cfg.values[k] for k in sorted(cfg.values)}, **payload}
-    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n")
 
 
-def _write_csv(path: Path, cfg: RunConfig, header: list[str], rows):
-    lines = [f"# {line}" for line in cfg.echo_lines()]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _write_csv(path: Path, cfg: RunConfig, header: list[str], table):
+    write_csv(path, cfg.echo_lines(), header, table)
 
 
 def _read_csv(path: str):
@@ -371,10 +364,8 @@ def cmd_fieldmap(cfg: RunConfig, args, out: Path) -> None:
         values = intensity_map(light, grid)
         write_scalar_map_csv(path, grid, values, "intensity_V2_per_m2", cfg.echo_lines())
     else:  # ellipticity
-        eps = ellipticity_map(light, grid).reshape(-1, 3)
-        rr, pp = grid.mesh()
-        rows = np.column_stack([rr.ravel(), pp.ravel(), np.full(rr.size, grid.z), eps])
-        _write_csv(path, cfg, ["r_m", "phi_rad", "z_m", "eps_x", "eps_y", "eps_z"], rows.tolist())
+        columns = [*GRID_COLUMNS, "eps_x", "eps_y", "eps_z"]
+        _write_csv(path, cfg, columns, grid.table(ellipticity_map(light, grid)))
     print(f"wrote {path}")
 
 
@@ -418,9 +409,8 @@ def cmd_bfict(cfg: RunConfig, args, out: Path) -> None:
         imbalance = 1.0
     else:  # imbalance
         phi_b = 0.0
-    trap = replace(cfg.trap_config(phi_b, imbalance), manipulation=manipulation)
-    upper = light_matter.find_trap_minimum(trap, data=cfg.data)
-    env = light_matter.site_environment(trap, boff, upper, data=cfg.data)
+    trap = cfg.trap_config(0.0, 1.0)
+    env = light_matter.site_fields(trap, boff, manipulation, phi_b, imbalance, cfg.data)
     split = light_matter.clock_splitting(env, cfg.data)
     mw = light_matter.mw_splitting(env, (3, -3), (4, -3), cfg.data)
     b_up, b_lo = env.total_magnitudes()
@@ -488,8 +478,8 @@ def cmd_spectrum(cfg: RunConfig, args, out: Path) -> None:
         data = spectra.simulate_spectrum(
             model, grid, cfg["spectrum.reference_counts"], seed=int(cfg["run.seed"])
         )
-        rows = zip(data.detunings_hz, data.transmitted, data.reference)
-        _write_csv(out / "spectrum.csv", cfg, ["detuning_Hz", "counts", "reference_counts"], rows)
+        table = np.column_stack([data.detunings_hz, data.transmitted, data.reference])
+        _write_csv(out / "spectrum.csv", cfg, ["detuning_Hz", "counts", "reference_counts"], table)
         print(f"wrote {out / 'spectrum.csv'}")
         return
     if args.data is None:
@@ -531,7 +521,7 @@ def cmd_mw(cfg: RunConfig, args, out: Path) -> None:
             cfg["mw.noise_sigma"],
             seed=int(cfg["run.seed"]),
         )
-        _write_csv(out / "mw.csv", cfg, ["delta_Hz", "probability"], zip(d, y))
+        _write_csv(out / "mw.csv", cfg, ["delta_Hz", "probability"], np.column_stack([d, y]))
         print(f"wrote {out / 'mw.csv'}")
         return
     if args.data is None:

@@ -58,6 +58,8 @@ class PopulationVector:
             raise DomainError("population vector is defined for F = 3 or 4")
         if p.size != 2 * self.f + 1:
             raise DomainError(f"expected {2 * self.f + 1} entries for F={self.f}")
+        if not np.all(np.isfinite(p)):
+            raise DomainError("populations must be finite")
         if np.any(p < -1e-12):
             raise DomainError("populations must be non-negative")
         if abs(p.sum() - 1.0) > 1e-9:
@@ -190,6 +192,8 @@ def evolve_rates(generator: np.ndarray, p0: np.ndarray, duration: float):
         raise DomainError("duration must be non-negative")
     a = np.asarray(generator, dtype=float) * duration
     norm = np.max(np.sum(np.abs(a), axis=0))
+    if not np.isfinite(norm):
+        raise DomainError(f"|G t|_1 overflows at duration {duration!r} s")
     squarings = int(np.ceil(np.log2(norm / _THETA_13))) if norm > _THETA_13 else 0
     a = a / 2.0**squarings
     b = _PADE_13

@@ -28,7 +28,8 @@ import numpy as np
 from scipy import constants as cst
 from scipy import special
 
-from .constants import load_constants
+from .atom_cs import default_atomic_data
+from .constants import load_constants  # noqa: F401  unused; perfbench/tracer.py patches this name
 from .errors import DomainError, ModeStateError, NoModeError
 from .numerics import find_root
 
@@ -43,38 +44,21 @@ __all__ = [
     "field_at",
     "intensity_map",
     "ellipticity_map",
+    "write_csv",
     "write_field_map_csv",
     "write_scalar_map_csv",
 ]
 
 SECOND_MODE_CUTOFF_V = 2.405  # first zero of J0: single-mode condition V < 2.405
+GRID_COLUMNS = ["r_m", "phi_rad", "z_m"]  # leading CSV columns of every grid map
 
-_SELLMEIER_CACHE: dict[str, tuple[float, ...]] = {}
-
-
-def _sellmeier_coefficients(model: str) -> tuple[float, ...]:
-    if model not in _SELLMEIER_CACHE:
-        if model != "fused_silica":
-            raise DomainError(f"unknown index model {model!r}")
-        c = load_constants()
-        _SELLMEIER_CACHE[model] = (
-            c["sellmeier_b1"],
-            c["sellmeier_b2"],
-            c["sellmeier_b3"],
-            c["sellmeier_l1_um2"],
-            c["sellmeier_l2_um2"],
-            c["sellmeier_l3_um2"],
-        )
-    return _SELLMEIER_CACHE[model]
-
-
-def refractive_index(model: str, wavelength_m: float) -> float:
-    """Sellmeier refractive index of the core material at the given wavelength."""
+def refractive_index(sellmeier, wavelength_m: float) -> float:
+    """Sellmeier index of a core with coefficients (B1, B2, B3, L1, L2, L3), L in um^2."""
     if not 0.4e-6 <= wavelength_m <= 1.5e-6:
         raise DomainError(
             f"wavelength {wavelength_m * 1e9:.1f} nm outside the 400-1500 nm validity range"
         )
-    b1, b2, b3, l1, l2, l3 = _sellmeier_coefficients(model)
+    b1, b2, b3, l1, l2, l3 = sellmeier
     lam2 = (wavelength_m * 1e6) ** 2
     n2 = 1.0 + b1 * lam2 / (lam2 - l1) + b2 * lam2 / (lam2 - l2) + b3 * lam2 / (lam2 - l3)
     return float(np.sqrt(n2))
@@ -82,10 +66,13 @@ def refractive_index(model: str, wavelength_m: float) -> float:
 
 @dataclass(frozen=True)
 class FiberSpec:
-    """Step-index nanofiber: core radius plus dispersion model, vacuum outside."""
+    """Step-index nanofiber: core radius and Sellmeier coefficients, vacuum outside.
+
+    ``sellmeier`` defaults to the bundled data file's fused-silica fit.
+    """
 
     radius: float  # m
-    index_model: str = "fused_silica"
+    sellmeier: tuple[float, ...] = field(default_factory=lambda: default_atomic_data().sellmeier)
     exterior_index: float = 1.0
 
     def __post_init__(self):
@@ -93,7 +80,7 @@ class FiberSpec:
             raise DomainError("fiber radius must be positive")
 
     def core_index(self, wavelength_m: float) -> float:
-        n = refractive_index(self.index_model, wavelength_m)
+        n = refractive_index(self.sellmeier, wavelength_m)
         if n <= self.exterior_index:
             raise DomainError("core index must exceed the exterior index")
         return n
@@ -261,46 +248,6 @@ def _radial_profiles_e(mode: GuidedMode, r: np.ndarray):
     return e_r, e_phi, e_z
 
 
-def _radial_profiles_h(mode: GuidedMode, r: np.ndarray):
-    """Radial H-field profiles (h_r, h_phi, h_z) of the unit-amplitude p=+1 mode."""
-    a = mode.fiber.radius
-    beta, h, q, s = mode.beta, mode.interior_parameter, mode.exterior_parameter, mode.s_parameter
-    omega = 2 * np.pi * cst.c / mode.wavelength
-    r = np.asarray(r, dtype=float)
-    inside = r < a
-
-    b_amp = 1j * beta * s / (omega * cst.mu_0)  # H_z amplitude for unit E_z amplitude
-
-    hr = h * np.where(inside, r, a)
-    j0, j1, j2 = special.jv(0, hr), special.jv(1, hr), special.jv(2, hr)
-    d_hz = b_amp * h * 0.5 * (j0 - j2)
-    hz_over_r = b_amp * h * 0.5 * (j0 + j2)
-    d_ez = h * 0.5 * (j0 - j2)
-    ez_over_r = h * 0.5 * (j0 + j2)
-    n2_in = mode.n_core**2
-    hr_in = (1j / h**2) * (beta * d_hz - 1j * omega * cst.epsilon_0 * n2_in * ez_over_r)
-    hphi_in = (1j / h**2) * (1j * beta * hz_over_r + omega * cst.epsilon_0 * n2_in * d_ez)
-    hz_in = b_amp * j1
-
-    u, w = h * a, q * a
-    c_out = special.jv(1, u) / special.kv(1, w)
-    qr = q * np.where(inside, a, r)
-    k0, k1v, k2 = special.kv(0, qr), special.kv(1, qr), special.kv(2, qr)
-    d_hz_o = b_amp * c_out * q * (-0.5) * (k0 + k2)
-    hz_over_r_o = b_amp * c_out * q * 0.5 * (k2 - k0)
-    d_ez_o = c_out * q * (-0.5) * (k0 + k2)
-    ez_over_r_o = c_out * q * 0.5 * (k2 - k0)
-    n2_out = mode.n_ext**2
-    hr_out = (-1j / q**2) * (beta * d_hz_o - 1j * omega * cst.epsilon_0 * n2_out * ez_over_r_o)
-    hphi_out = (-1j / q**2) * (1j * beta * hz_over_r_o + omega * cst.epsilon_0 * n2_out * d_ez_o)
-    hz_out = b_amp * c_out * k1v
-
-    h_r = np.where(inside, hr_in, hr_out)
-    h_phi = np.where(inside, hphi_in, hphi_out)
-    h_z = np.where(inside, hz_in, hz_out)
-    return h_r, h_phi, h_z
-
-
 def _guided_power_unit_amplitude(mode: GuidedMode) -> float:
     """Axial Poynting flux of the unit-amplitude circular mode, in W.
 
@@ -425,6 +372,12 @@ class PolarGrid:
         rr, pp = np.meshgrid(r, phi, indexing="ij")  # row-major: r outer, phi inner
         return rr, pp
 
+    def table(self, values: np.ndarray) -> np.ndarray:
+        """(r, phi, z, *values) per node, shape (n_r, n_phi, 3 + k), for ``GRID_COLUMNS``."""
+        rr, pp = self.mesh()
+        nodes = np.stack([rr, pp, np.full_like(rr, self.z)], axis=-1)
+        return np.concatenate((nodes, values), axis=-1)
+
 
 def intensity_map(light: LightField, grid: PolarGrid) -> np.ndarray:
     """|E|^2 sampled on the polar grid, shape (n_r, n_phi), units (V/m)^2."""
@@ -463,22 +416,20 @@ def atomic_open(path):
         raise
 
 
-def _write_grid_csv(path, grid: PolarGrid, columns, values: np.ndarray, header_lines):
-    """Stream one CSV row per grid node (r outer, phi inner) with LF line endings.
+def write_csv(path, header_lines, columns, table):
+    """Write a float table as CSV: ``# `` header lines, the column line, rows, LF endings.
 
-    ``values`` has shape (n_r, n_phi, len(columns)); every number is written
-    as repr(float), one radius at a time so no full table of text is held.
-    The file is replaced atomically (``atomic_open``).
+    ``table`` has shape (..., len(columns)) and its rows are written in C
+    order as repr(float), one block of its last two axes at a time, so no
+    full table of text is held.  The file is replaced atomically
+    (``atomic_open``).
     """
-    rr, pp = grid.mesh()
-    table = np.concatenate(
-        (np.stack([rr, pp, np.full_like(rr, grid.z)], axis=-1), values), axis=-1
-    )
+    table = np.asarray(table, dtype=float)
     with atomic_open(path) as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
-        fh.write(",".join(["r_m", "phi_rad", "z_m", *columns]) + "\n")
-        for block in table:
+        fh.write(",".join(columns) + "\n")
+        for block in table.reshape(-1, *table.shape[-2:]):
             fh.writelines(",".join(map(repr, row)) + "\n" for row in block.tolist())
 
 
@@ -486,10 +437,11 @@ def write_field_map_csv(path, light: LightField, grid: PolarGrid, header_lines=(
     """Write the complex field on the grid as CSV (row-major: r outer, phi inner)."""
     rr, pp = grid.mesh()
     e = field_at(light, rr, pp, grid.z)
-    columns = ["Ex_re", "Ex_im", "Ey_re", "Ey_im", "Ez_re", "Ez_im"]
-    _write_grid_csv(path, grid, columns, e.view(float), header_lines)  # (re, im) per component
+    columns = ["Ex_re", "Ex_im", "Ey_re", "Ey_im", "Ez_re", "Ez_im"]  # (re, im) per component
+    write_csv(path, header_lines, [*GRID_COLUMNS, *columns], grid.table(e.view(float)))
 
 
 def write_scalar_map_csv(path, grid: PolarGrid, values: np.ndarray, column: str, header_lines=()):
     """Write one scalar per grid node (same row order as the field map)."""
-    _write_grid_csv(path, grid, [column], np.asarray(values, dtype=float)[..., None], header_lines)
+    values = np.asarray(values, dtype=float)[..., None]
+    write_csv(path, header_lines, [*GRID_COLUMNS, column], grid.table(values))

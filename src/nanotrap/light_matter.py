@@ -388,8 +388,8 @@ def site_fields(
     """Per-site fictitious fields for the active manipulation mechanism(s).
 
     ``phi_b`` tilts the blue polarization away from its nominal axis
-    (orthogonal to plane P), ``red_imbalance`` is the backward/forward power
-    ratio of the red standing wave, and ``manipulation`` adds an extra
+    (orthogonal to plane P), ``red_imbalance`` scales the configured backward
+    power of the red standing wave, and ``manipulation`` adds an extra
     dedicated field (e.g. at the tune-out wavelength).  Trap sites are the
     minima of the mF-averaged potential; the lower site is the diametric
     image of the upper one.  The fictitious field is evaluated for the
@@ -397,7 +397,7 @@ def site_fields(
     """
     data = data or default_atomic_data()
     blue = replace(config.blue, polarization_angle=np.pi / 2 + phi_b)
-    red = replace(config.red, backward_power=config.red.power * red_imbalance)
+    red = replace(config.red, backward_power=config.red.backward_power * red_imbalance)
     effective = replace(config, blue=blue, red=red, manipulation=manipulation)
 
     upper = find_trap_minimum(effective, None, 0.0, data)

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 from scipy import constants as cst
 
+from field_oracle import radial_profiles_h
 from nanotrap import atom_cs, dynamics, light_matter, spectra
 from nanotrap.atom_cs import ground_state
 from nanotrap.fiber_mode import FiberSpec, LightField, field_at, solve_he11
@@ -332,7 +333,7 @@ def test_criterion_9_property_suite(data):
 
     # power normalization of modes to 1e-6 (independent quadrature)
     from scipy import integrate
-    from nanotrap.fiber_mode import _radial_profiles_e, _radial_profiles_h
+    from nanotrap.fiber_mode import _radial_profiles_e
 
     mode = probe.mode
     amp2 = (mode.normalization * np.sqrt(probe.power)) ** 2
@@ -340,7 +341,7 @@ def test_criterion_9_property_suite(data):
     def s_z_times_r(r):
         rr = np.array([r])
         e_r, e_phi, _ = _radial_profiles_e(mode, rr)
-        h_r, h_phi, _ = _radial_profiles_h(mode, rr)
+        h_r, h_phi, _ = radial_profiles_h(mode, rr)
         val = np.pi * (np.real(e_r * np.conj(h_phi)) - np.real(e_phi * np.conj(h_r)))
         return amp2 * val[0] * r
 

@@ -1,6 +1,7 @@
 """End-to-end CLI checks: subcommands, exit codes, file formats, determinism."""
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ import nanotrap
 from nanotrap import cli
 from nanotrap.atom_cs import AtomicData
 from nanotrap.cli import RunConfig, main
+from nanotrap.constants import default_data_path
 from nanotrap.errors import ConfigError
 from nanotrap.fiber_mode import field_at
 from nanotrap.light_matter import fictitious_field
@@ -207,6 +209,21 @@ class TestOutputs:
         assert len(calls) == 1
         assert cfg.data.c3_ground_jm3 == cfg["surface.c3"]
 
+    def test_data_file_sets_the_fiber_index(self, tmp_path):
+        # the Sellmeier fit of atoms.data_file reaches the mode solver
+        custom = tmp_path / "custom.dat"
+        text = default_data_path().read_text()
+        custom.write_text(re.sub(r"(?m)^sellmeier_b1 .*$", "sellmeier_b1 = 0.9", text))
+        neff = {}
+        for name, extra in (("default", []), ("custom", ["--set", f"atoms.data_file={custom}"])):
+            out = tmp_path / name
+            args = ["mode", "--config", PAPER_CFG, "--out", str(out), "--field", "blue", *extra]
+            assert run(args) == 0
+            doc = json.loads((out / "mode.json").read_text())
+            neff[name] = doc["modes"]["blue"]["effective_index"]
+        assert neff["default"] == pytest.approx(1.1756339504815894, rel=1e-12)
+        assert neff["custom"] == pytest.approx(1.233309886466731, rel=1e-12)
+
     def test_bfict_tilt_zero_angle(self, outdir):
         code = run(
             ["bfict", "--config", PAPER_CFG, "--out", str(outdir), "--scheme", "tilt", "--phi-b", "0"]
@@ -254,6 +271,21 @@ class TestOutputs:
         doc = json.loads((tmp_path / "pump.json").read_text())
         assert doc["evolution_duration_s"] == 1.0
         assert doc["evolved_state"] == pytest.approx(doc["steady_state"], rel=0, abs=1e-12)
+
+    def test_pump_long_duration_matches_steady_state(self, tmp_path):
+        args = ["pump", "--config", PAPER_CFG, "--out", str(tmp_path), "--set", "pump.duration=1e11 s"]
+        assert run(args) == 0
+        doc = json.loads((tmp_path / "pump.json").read_text())
+        assert doc["evolved_state"] == pytest.approx(doc["steady_state"], rel=0, abs=5e-15)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("duration", ["1e12 s", "1e305 s"])
+    def test_pump_non_finite_result_exits_3(self, tmp_path, capsys, duration):
+        # 1e12 s: the squarings lose the populations to NaN; 1e305 s: |G t|_1 overflows
+        override = f"pump.duration={duration}"
+        assert run(["pump", "--config", PAPER_CFG, "--out", str(tmp_path), "--set", override]) == 3
+        assert "numerical failure in pump" in capsys.readouterr().err
+        assert not (tmp_path / "pump.json").exists()
 
     def test_spectrum_round_trip_within_3_sigma(self, outdir):
         assert (
@@ -406,6 +438,30 @@ print(sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.in
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_mode_reads_the_data_file_once(tmp_path):
+    # a fresh interpreter, so data loaded by other tests does not count
+    script = f"""
+import pathlib
+reads = []
+read_text = pathlib.Path.read_text
+def counted(self, *args, **kwargs):
+    if self.suffix == ".dat":
+        reads.append(str(self))
+    return read_text(self, *args, **kwargs)
+pathlib.Path.read_text = counted
+from nanotrap.cli import main
+assert main(["mode", "--config", {PAPER_CFG!r}, "--out", {str(tmp_path)!r}]) == 0
+print(reads)
+"""
+    src = str(Path(nanotrap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr([str(default_data_path())])
 
 
 class TestDeterminism:

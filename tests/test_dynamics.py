@@ -34,6 +34,11 @@ class TestPopulationVector:
         v = PopulationVector(3, np.full(7, 1 / 7))
         assert v.population(0) == pytest.approx(1 / 7)
 
+    def test_non_finite_rejected(self):
+        # NaN compares false against both the sign and the sum checks
+        with pytest.raises(DomainError, match="finite"):
+            PopulationVector(4, np.full(9, np.nan))
+
     def test_pi_pulse_constructor(self):
         p = PulseSpec.pi_pulse(103e-6)
         assert p.rabi_rad_s * p.duration_s == pytest.approx(np.pi, rel=1e-12)
@@ -189,6 +194,11 @@ class TestErrorPaths:
         gen = np.array([[-1e30, 0.0], [1e30, 0.0]])
         out = evolve_rates(gen, np.array([1.0, 0.0]), 1.0)
         assert np.array_equal(out, [0.0, 1.0])
+
+    def test_overflowing_duration_rejected(self, data):
+        gen = pump_rates((0.92, 0.0, 0.08), 0.01, data)
+        with pytest.raises(DomainError, match="overflows"), np.errstate(over="ignore"):
+            evolve_rates(gen, np.full(20, 0.05), 1e305)
 
     def test_non_unique_steady_state(self, data):
         from nanotrap.errors import NonUniqueSteadyStateError

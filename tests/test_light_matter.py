@@ -522,6 +522,15 @@ class TestSiteFields:
         assert env.fictitious_field_upper[1] > 0
         assert env.fictitious_field_lower[1] < 0
 
+    def test_scales_the_configured_backward_power(self, trap_config, data):
+        # a 0.4 mW backward beam moves the site from 483 nm to 308 nm above the
+        # surface; site_fields must search the standing wave it was given
+        unbalanced = replace(trap_config, red=replace(trap_config.red, backward_power=0.4e-3))
+        expected = find_trap_minimum(unbalanced, data=data)
+        env = site_fields(unbalanced, 28.0, red_imbalance=1.0, data=data)
+        assert (expected[0] - unbalanced.fiber.radius) * 1e9 == pytest.approx(308.2, abs=1.0)
+        assert env.site_upper == expected
+
     def test_red_imbalance_mechanism(self, trap_config, data):
         env = site_fields(trap_config, 28.0, red_imbalance=0.8, data=data)
         assert abs(env.fictitious_field_upper[1]) > 1e-3
