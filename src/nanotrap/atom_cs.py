@@ -21,8 +21,8 @@ from math import factorial, sqrt
 from pathlib import Path
 
 import numpy as np
-from scipy import constants as cst
 
+from . import constants as cst
 from .constants import load_constants
 from .errors import (
     DomainError,
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .numerics import find_root
 
-MU_B_J_PER_G = cst.physical_constants["Bohr magneton"][0] * 1e-4  # J/G
+MU_B_J_PER_G = cst.mu_B * 1e-4  # J/G
 H_PLANCK = cst.h
 HBAR = cst.hbar
 

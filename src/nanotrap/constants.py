@@ -1,4 +1,4 @@
-"""Loader for the bundled atomic/material data file.
+"""CODATA 2022 physical constants and the loader for the atomic/material data file.
 
 All cesium and fused-silica constants used anywhere in the package live in
 one plain-text ``key = value`` file (``data/cesium.dat``).  Nothing numeric
@@ -11,6 +11,13 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
+
+# CODATA 2022 values, in SI units (equal to scipy.constants 1.17)
+c = 299792458.0  # speed of light, m/s
+h = 6.62607015e-34  # Planck constant, J s
+hbar = 1.0545718176461565e-34  # h / (2 pi), J s
+epsilon_0 = 8.8541878188e-12  # vacuum permittivity, F/m
+mu_B = 9.2740100657e-24  # Bohr magneton, J/T
 
 KNOWN_KEYS = frozenset(
     {

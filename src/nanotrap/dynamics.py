@@ -180,20 +180,24 @@ def pump_steady_state(rates: np.ndarray, data: AtomicData | None = None) -> Popu
 
 
 def evolve_rates(generator: np.ndarray, p0: np.ndarray, duration: float):
-    """Propagate dp/dt = G p exactly: p(t) = exp(G t) p0.
+    """Propagate dp/dt = G p exactly: p(t) = exp(G t) p0, for a rate generator G.
 
     exp(G t) is the [13/13] Pade approximant with scaling and squaring: G t
     is halved s times until its 1-norm is at most theta_13, where the
     approximant is exact to double precision, and the result is squared s
     times.  Nothing is diagonalised, so defective generators are exact too.
+    G's columns sum to zero, so each square is divided by its column sums:
+    the rounding stays bounded at any duration, up to the steady state.
     On the pump generators it agrees with scipy.linalg.expm to 1e-10.
     """
     if duration < 0:
         raise DomainError("duration must be non-negative")
-    a = np.asarray(generator, dtype=float) * duration
-    norm = np.max(np.sum(np.abs(a), axis=0))
+    g = np.asarray(generator, dtype=float)
+    # a Python float product: an overflow gives inf without a numpy warning
+    norm = float(np.max(np.sum(np.abs(g), axis=0))) * duration
     if not np.isfinite(norm):
         raise DomainError(f"|G t|_1 overflows at duration {duration!r} s")
+    a = g * duration
     squarings = int(np.ceil(np.log2(norm / _THETA_13))) if norm > _THETA_13 else 0
     a = a / 2.0**squarings
     b = _PADE_13
@@ -207,6 +211,7 @@ def evolve_rates(generator: np.ndarray, p0: np.ndarray, duration: float):
     propagator = np.linalg.solve(v - u, v + u)
     for _ in range(squarings):
         propagator = propagator @ propagator
+        propagator /= propagator.sum(axis=0)
     return propagator @ np.asarray(p0, dtype=float)
 
 

@@ -25,13 +25,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import constants as cst
-from scipy import special
 
+from . import constants as cst
 from .atom_cs import default_atomic_data
 from .constants import load_constants  # noqa: F401  unused; perfbench/tracer.py patches this name
 from .errors import DomainError, ModeStateError, NoModeError
-from .numerics import find_root
+from .numerics import bessel_j, bessel_k, find_root
 
 __all__ = [
     "FiberSpec",
@@ -97,8 +96,8 @@ def _characteristic(neff: float, k: float, a: float, n1: float, n2: float) -> fl
     """Hybrid-mode (l = 1) eigenvalue function; zero at the HE11 solution."""
     u = a * k * np.sqrt(n1**2 - neff**2)
     w = a * k * np.sqrt(neff**2 - n2**2)
-    j0, j1, j2 = special.jv(0, u), special.jv(1, u), special.jv(2, u)
-    k0, k1, k2 = special.kv(0, w), special.kv(1, w), special.kv(2, w)
+    j0, j1, j2 = bessel_j((0, 1, 2), u)
+    k0, k1, k2 = bessel_k((0, 1, 2), w)
     jj = 0.5 * (j0 - j2) / (u * j1)
     kk = -0.5 * (k0 + k2) / (w * k1)
     return (jj + kk) * (n1**2 * jj + n2**2 * kk) - neff**2 * (1.0 / u**2 + 1.0 / w**2) ** 2
@@ -138,7 +137,7 @@ class GuidedMode:
         """J1(ha)/K1(qa): scales the cladding (K) solution to meet the core one at r = a."""
         a = self.fiber.radius
         u, w = self.interior_parameter * a, self.exterior_parameter * a
-        return special.jv(1, u) / special.kv(1, w)
+        return bessel_j(1, u) / bessel_k(1, w)
 
 
 def solve_he11(fiber: FiberSpec, wavelength_m: float) -> GuidedMode:
@@ -173,8 +172,10 @@ def solve_he11(fiber: FiberSpec, wavelength_m: float) -> GuidedMode:
     h = np.sqrt((n1 * k) ** 2 - beta**2)
     q = np.sqrt(beta**2 - (n2 * k) ** 2)
     u, w = h * a, q * a
-    jj = 0.5 * (special.jv(0, u) - special.jv(2, u)) / (u * special.jv(1, u))
-    kk = -0.5 * (special.kv(0, w) + special.kv(2, w)) / (w * special.kv(1, w))
+    j0, j1, j2 = bessel_j((0, 1, 2), u)
+    k0, k1, k2 = bessel_k((0, 1, 2), w)
+    jj = 0.5 * (j0 - j2) / (u * j1)
+    kk = -0.5 * (k0 + k2) / (w * k1)
     s_param = (1.0 / u**2 + 1.0 / w**2) / (jj + kk)
 
     mode = GuidedMode(
@@ -225,19 +226,17 @@ def _radial_profiles_e(mode: GuidedMode, r: np.ndarray):
     inside = r < a
 
     def interior(rr):
-        hr = h * rr
-        j0, j2 = special.jv(0, hr), special.jv(2, hr)
+        j0, j1, j2 = bessel_j((0, 1, 2), h * rr)
         er_in = 1j * beta / (2 * h) * ((1 - s) * j0 - (1 + s) * j2)
         ephi_in = -beta / (2 * h) * ((1 - s) * j0 + (1 + s) * j2)
-        return er_in, ephi_in, special.jv(1, hr)
+        return er_in, ephi_in, j1
 
     def exterior(rr):
         c_out = mode.exterior_scale
-        qr = q * rr
-        k0, k2 = special.kv(0, qr), special.kv(2, qr)
+        k0, k1, k2 = bessel_k((0, 1, 2), q * rr)
         er_out = 1j * c_out * beta / (2 * q) * ((1 - s) * k0 + (1 + s) * k2)
         ephi_out = -c_out * beta / (2 * q) * ((1 - s) * k0 - (1 + s) * k2)
-        return er_out, ephi_out, c_out * special.kv(1, qr)
+        return er_out, ephi_out, c_out * k1
 
     e_r = np.empty(r.shape, dtype=complex)
     e_phi = np.empty(r.shape)
@@ -262,8 +261,8 @@ def _guided_power_unit_amplitude(mode: GuidedMode) -> float:
     n1, n2 = mode.n_core, mode.n_ext
     s1 = s * (beta / (k * n1)) ** 2
     s2 = s * (beta / (k * n2)) ** 2
-    j0, j1, j2, j3 = special.jv([0, 1, 2, 3], h * a)
-    k0, k1, k2, k3 = special.kv([0, 1, 2, 3], q * a)
+    j0, j1, j2, j3 = bessel_j((0, 1, 2, 3), h * a)
+    k0, k1, k2, k3 = bessel_k((0, 1, 2, 3), q * a)
     # a^2/2 times the Lommel brackets: int_0^a J_n(hr)^2 r dr, int_a^inf K_n(qr)^2 r dr
     inner = (n1 / h) ** 2 * (
         (1 - s) * (1 - s1) * (j0**2 + j1**2) + (1 + s) * (1 + s1) * (j2**2 - j1 * j3)
@@ -310,24 +309,23 @@ class LightField:
         return out
 
 
-def field_at(light: LightField, r, phi, z):
+def field_at(light: LightField, r, phi, z, profiles=None):
     """Complex E field (V/m) of the beam configuration, Cartesian components.
 
     Returns an array of shape broadcast(r, phi, z) + (3,) with components
     along (x, y, z); z is the fiber axis.  Quasi-linear polarization along
     ``polarization_angle``; standing waves sum the two counter-propagating
-    fields with their relative phase.
+    fields with their relative phase.  Radial profiles are evaluated on the
+    unbroadcast ``r``, or taken from ``profiles`` (``_radial_profiles_e`` at r).
     """
     mode = light.mode
-    r, phi, z = np.broadcast_arrays(
-        np.asarray(r, dtype=float), np.asarray(phi, dtype=float), np.asarray(z, dtype=float)
-    )
+    r, phi, z = (np.asarray(v, dtype=float) for v in (r, phi, z))
     if (r < 0).any():
         raise DomainError("radius must be non-negative")
     theta0 = light.polarization_angle
-    e_r, e_phi, e_z = _radial_profiles_e(mode, r)
+    e_r, e_phi, e_z = _radial_profiles_e(mode, r) if profiles is None else profiles
 
-    total = np.zeros(r.shape + (3,), dtype=complex)
+    total = np.zeros(np.broadcast_shapes(r.shape, phi.shape, z.shape) + (3,), dtype=complex)
     for power, direction, extra_phase in light.beams():
         if power == 0.0:
             continue
@@ -368,13 +366,13 @@ class PolarGrid:
         return r, phi
 
     def mesh(self):
+        """Sparse (r, phi) axes, shapes (n_r, 1) and (1, n_phi): row-major, r outer."""
         r, phi = self.axes()
-        rr, pp = np.meshgrid(r, phi, indexing="ij")  # row-major: r outer, phi inner
-        return rr, pp
+        return np.meshgrid(r, phi, indexing="ij", sparse=True)
 
     def table(self, values: np.ndarray) -> np.ndarray:
         """(r, phi, z, *values) per node, shape (n_r, n_phi, 3 + k), for ``GRID_COLUMNS``."""
-        rr, pp = self.mesh()
+        rr, pp = np.broadcast_arrays(*self.mesh())
         nodes = np.stack([rr, pp, np.full_like(rr, self.z)], axis=-1)
         return np.concatenate((nodes, values), axis=-1)
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import constants as cst
 
 from . import atom_cs
+from . import constants as cst
 from .atom_cs import (
     AtomicData,
     HyperfineState,
@@ -21,7 +21,7 @@ from .atom_cs import (
     mw_transition_frequency,
 )
 from .errors import DomainError, NoTrapError, SaddlePointError
-from .fiber_mode import FiberSpec, LightField, field_at
+from .fiber_mode import FiberSpec, LightField, _radial_profiles_e, field_at
 
 __all__ = [
     "EllipticityVector",
@@ -216,7 +216,7 @@ def _potential(config: TrapConfig, state: HyperfineState | None, boff, data: Ato
     each field's scalar polarizability and, for a resolved sublevel, its
     vector coefficient beta_v, the offset vector and the zero-field
     Breit-Rabi reference.  ``u`` is the potential ``trap_potential``
-    documents, in Hz.
+    documents, in Hz; ``profiles`` may give each field's profiles at ``r``.
     """
     a = config.fiber.radius
     fields = config.fields()
@@ -227,14 +227,14 @@ def _potential(config: TrapConfig, state: HyperfineState | None, boff, data: Ato
         boff_vec = _offset_vector(boff)
         zero_field = breit_rabi_energy(state, 0.0, data)
 
-    def u(r, phi, z):
+    def u(r, phi, z, profiles=(None,) * len(fields)):
         r_arr = np.asarray(r, dtype=float)
         if (r_arr <= a).any():
             raise DomainError("trap potential is defined outside the fiber surface")
         total = np.zeros(np.broadcast(r_arr, np.asarray(phi), np.asarray(z)).shape)
         bfict = np.zeros(total.shape + (3,))
-        for field, alpha_s, beta_v in zip(fields, alphas, betas):
-            e = field_at(field, r, phi, z)
+        for field, alpha_s, beta_v, at_r in zip(fields, alphas, betas, profiles):
+            e = field_at(field, r, phi, z, profiles=at_r)
             total = total + _scalar_shift(e, alpha_s)
             if state is not None:
                 bfict = bfict + beta_v * _spin_density(e)
@@ -287,7 +287,8 @@ def find_trap_minimum(
     Starts from the analytic guess (red standing-wave antinode at z = 0,
     azimuth in plane P) and refines coordinate-wise (r, phi, z) by bracket
     zoom: each step evaluates the potential on 33 points of the bracket in
-    one call and keeps the cells either side of the lowest, to 0.1 nm.
+    one call and keeps the cells either side of the lowest, to 0.1 nm; the
+    azimuth and height steps at one radius share its radial profiles.
     Raises NoTrapError when no bound radial minimum brackets, or when the
     radial search ends pinned at its clamp 1 nm above the surface (the
     potential falls all the way to the fiber).
@@ -313,8 +314,9 @@ def find_trap_minimum(
         r0 = _zoom_minimize(
             lambda r: u_of(r, phi0, z0), max(r0 - 50e-9, r_clamp), r0 + 50e-9, tol_r
         )
-        phi0 = _zoom_minimize(lambda p: u_of(r0, p, z0), phi0 - 0.5, phi0 + 0.5, tol_r / r0)
-        z0 = _zoom_minimize(lambda zz: u_of(r0, phi0, zz), z0 - z_half, z0 + z_half, tol_r)
+        at_r0 = [_radial_profiles_e(fld.mode, r0) for fld in config.fields()]
+        phi0 = _zoom_minimize(lambda p: u_of(r0, p, z0, at_r0), phi0 - 0.5, phi0 + 0.5, tol_r / r0)
+        z0 = _zoom_minimize(lambda zz: u_of(r0, phi0, zz, at_r0), z0 - z_half, z0 + z_half, tol_r)
         moved = max(abs(r0 - r_prev), r0 * abs(phi0 - phi_prev), abs(z0 - z_prev))
         if moved < tol_r:
             break

@@ -6,32 +6,85 @@ for a fixed model, starting point, and data set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import BracketError, DegenerateFitError, DomainError, EvaluationError
 
 __all__ = ["bessel_j", "bessel_k", "find_root", "least_squares", "FitResult"]
 
 
-def bessel_j(order: int, x):
-    """Bessel function of the first kind J_order(x) for non-negative integer order."""
-    if order < 0 or order != int(order):
-        raise DomainError(f"order must be a non-negative integer, got {order}")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("bessel_j requires finite x")
-    return special.jv(int(order), x)
+# Bessel functions by fixed-node quadrature: one rule per value, reduced by einsum (never
+# BLAS, whose blocking depends on the batch size), so bit-identical alone or in a batch.
+BESSEL_MAX_ORDER, J_MAX_ARG, K_MIN_ARG, K_MAX_ARG = 5, 30.0, 1e-4, 700.0
+_N = np.arange(BESSEL_MAX_ORDER + 1)[:, None]
+# J_n(x) = (1/pi) int_0^pi cos(n tau - x sin tau) dtau (DLMF 10.9.2) on 48 midpoint
+# nodes, within 9e-16 absolute for |x| <= 30.  The integrand is symmetric about pi/2,
+# where only its cos (even n) or sin (odd n) part survives: 24 nodes in (0, pi/2).
+_J_TAU = (np.arange(24) + 0.5) * np.pi / 48
+_J_SIN = np.sin(_J_TAU)
+_J_W = np.hstack([np.cos(_N * _J_TAU) * (_N % 2 == 0), np.sin(_N * _J_TAU) * (_N % 2)]) / 24
+# K_n(x) = int_0^inf exp(-x cosh t) cosh(n t) dt (DLMF 10.32.9), trapezoid rule with
+# step 0.1 on [0, 20] (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)): within 4e-15
+# relative for 1e-4 <= x <= 40.  Above 40, the 30-term Hankel expansion (DLMF 10.40.2)
+# with a_k(n) = prod_{j<=k} (4n^2 - (2j-1)^2) / (8j), within 2e-15 relative.
+_K_T = np.arange(201) * 0.1
+_K_NEG_COSH = -np.cosh(_K_T)
+_K_W = 0.1 * np.cosh(_N * _K_T) * np.where(_K_T == 0.0, 0.5, 1.0)
+_TERMS = np.arange(1, 30)
+_K_HANKEL = np.cumprod(np.hstack([_N**0, (4 * _N**2 - (2 * _TERMS - 1) ** 2) / (8 * _TERMS)]), axis=1)
 
 
-def bessel_k(order: int, x):
-    """Modified Bessel function of the second kind K_order(x), x > 0."""
-    if order < 0 or order != int(order):
-        raise DomainError(f"order must be a non-negative integer, got {order}")
-    if not np.all(np.asarray(x) > 0):
-        raise DomainError("bessel_k requires x > 0")
-    return special.kv(int(order), x)
+@lru_cache(maxsize=None)
+def _tables(orders: tuple):
+    """(J weights, K weights, Hankel coefficients) of the orders, integers in 0..5."""
+    if not all(0 <= n <= BESSEL_MAX_ORDER and n == int(n) for n in orders):
+        raise DomainError(f"Bessel orders must be integers in 0..{BESSEL_MAX_ORDER}, got {orders}")
+    rows = np.array(orders, dtype=int)
+    return _J_W[rows], _K_W[rows], _K_HANKEL[rows]
+
+
+def _within(x: np.ndarray, lo: float, hi: float) -> bool:
+    """Whether every element of x is in [lo, hi] (not NaN); 0-d without a numpy reduction."""
+    return lo <= float(x) <= hi if x.ndim == 0 else bool(((x >= lo) & (x <= hi)).all())
+
+
+def _checked(order, x, lo: float, hi: float):
+    """(weight tables of the orders, whether one order was given, x as floats in [lo, hi])."""
+    single = np.ndim(order) == 0
+    tables = _tables((order,) if single else tuple(order))
+    x = np.asarray(x, dtype=float)
+    if not _within(x, lo, hi):
+        raise DomainError(f"Bessel argument outside its validated range [{lo}, {hi}]")
+    return tables, single, x
+
+
+def bessel_j(order, x):
+    """J_n(x) for |x| <= 30 and integer n in 0..5; a sequence of orders adds a leading axis."""
+    (weights, _, _), single, x = _checked(order, x, -J_MAX_ARG, J_MAX_ARG)
+    arg = x[..., None] * _J_SIN
+    out = np.einsum("...k,nk->n...", np.concatenate((np.cos(arg), np.sin(arg)), axis=-1), weights)
+    return out[0] if single else out
+
+
+def bessel_k(order, x):
+    """K_n(x) for 1e-4 <= x <= 700 and integer n in 0..5; a sequence of orders adds a leading axis."""
+    (_, weights, hankel), single, x = _checked(order, x, K_MIN_ARG, K_MAX_ARG)
+    if _within(x, K_MIN_ARG, 40.0):
+        # clamped at -700, where exp stays in numpy's vector loop: adds < 1e-240 relative
+        terms = np.exp(np.maximum(x[..., None] * _K_NEG_COSH, -700.0))
+        out = np.einsum("...k,nk->n...", terms, weights)
+    else:
+        out = np.empty((len(weights), *x.shape))
+        far = x > 40.0
+        out[:, ~far] = bessel_k(order, x[~far])
+        xf, series = x[far], 0.0
+        for coefficient in hankel.T[::-1]:
+            series = coefficient[:, None] + series / xf
+        out[:, far] = np.sqrt(0.5 * np.pi / xf) * np.exp(-xf) * series
+    return out[0] if single else out
 
 
 def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:

@@ -145,11 +145,6 @@ def fit_transmission(data: SpectrumData, initial: SpectrumModel) -> FitResult:
     return result
 
 
-def fitted_model(result: FitResult) -> SpectrumModel:
-    od_p, od_m, d_p, d_m, gamma = result.parameters
-    return SpectrumModel(od_p, od_m, d_p, d_m, abs(gamma))
-
-
 @dataclass(frozen=True)
 class MwFitResult:
     """Centers and amplitudes of Fourier-limited microwave lines."""

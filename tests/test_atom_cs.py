@@ -275,6 +275,15 @@ class TestHyperfineState:
 
 
 class TestDataFile:
+    def test_codata_literals_equal_scipy(self):
+        from nanotrap import constants
+
+        assert constants.c == cst.c
+        assert constants.h == cst.h
+        assert constants.hbar == cst.hbar
+        assert constants.epsilon_0 == cst.epsilon_0
+        assert constants.mu_B == cst.physical_constants["Bohr magneton"][0]
+
     def test_loader_rejects_unknown_keys(self, tmp_path):
         from nanotrap.constants import load_constants
         from nanotrap.errors import ConfigError

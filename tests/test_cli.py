@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -272,18 +273,22 @@ class TestOutputs:
         assert doc["evolution_duration_s"] == 1.0
         assert doc["evolved_state"] == pytest.approx(doc["steady_state"], rel=0, abs=1e-12)
 
-    def test_pump_long_duration_matches_steady_state(self, tmp_path):
-        args = ["pump", "--config", PAPER_CFG, "--out", str(tmp_path), "--set", "pump.duration=1e11 s"]
+    @pytest.mark.parametrize("duration", ["1 s", "1e5 s", "1e11 s", "1e12 s"])
+    def test_pump_long_duration_matches_steady_state(self, tmp_path, duration):
+        # the renormalised squarings keep their rounding at any duration
+        args = ["pump", "--config", PAPER_CFG, "--out", str(tmp_path), "--set", f"pump.duration={duration}"]
         assert run(args) == 0
         doc = json.loads((tmp_path / "pump.json").read_text())
         assert doc["evolved_state"] == pytest.approx(doc["steady_state"], rel=0, abs=5e-15)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("duration", ["1e12 s", "1e305 s"])
+    @pytest.mark.parametrize("duration", ["1e305 s"])
     def test_pump_non_finite_result_exits_3(self, tmp_path, capsys, duration):
-        # 1e12 s: the squarings lose the populations to NaN; 1e305 s: |G t|_1 overflows
+        # |G t|_1 overflows; refused before any numpy arithmetic can warn
         override = f"pump.duration={duration}"
-        assert run(["pump", "--config", PAPER_CFG, "--out", str(tmp_path), "--set", override]) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["pump", "--config", PAPER_CFG, "--out", str(tmp_path), "--set", override]) == 3
+        assert [str(w.message) for w in caught] == []
         assert "numerical failure in pump" in capsys.readouterr().err
         assert not (tmp_path / "pump.json").exists()
 
@@ -419,17 +424,18 @@ def _umask():
     return mask
 
 
-def test_cli_never_imports_scipy_optimize_or_integrate(tmp_path):
-    # nor scipy.linalg, which costs about 0.2 s per process;
+def test_cli_never_imports_scipy(tmp_path):
+    # scipy is a test oracle only: importing it costs about 0.3 s per process;
     # a fresh interpreter, so modules imported by other tests do not count
     script = f"""
 import sys
 from nanotrap.cli import main
 common = ["--config", {PAPER_CFG!r}, "--out", {str(tmp_path)!r}]
-for args in (["mode"], ["trap"], ["tuneout"], ["pump"], ["mw", "simulate"],
-             ["mw", "fit", "--data", {str(tmp_path / "mw.csv")!r}]):
+for args in (["mode"], ["fieldmap"], ["trap"], ["bfict", "--scheme", "tilt"], ["tuneout"], ["pump"],
+             ["spectrum", "simulate"], ["spectrum", "fit", "--data", {str(tmp_path / "spectrum.csv")!r}],
+             ["mw", "simulate"], ["mw", "fit", "--data", {str(tmp_path / "mw.csv")!r}]):
     assert main([*args, *common]) == 0, args
-print(sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.integrate", "scipy.linalg"))))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
     src = str(Path(nanotrap.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -323,6 +323,27 @@ class TestConfigurations:
 
 
 class TestMaps:
+    def test_map_evaluates_bessel_once_per_radius(self, probe_field, fiber, monkeypatch):
+        # radial profiles on the sparse r axis: a 400 x 256 map needs 400 radii
+        # of Bessel evaluations, not 102 400
+        import nanotrap.fiber_mode as fm
+
+        probe_field.mode.exterior_scale  # cached on the mode, not part of the map
+        radii = []
+
+        def counting(kernel):
+            def counted(order, x):
+                radii.append(np.size(x))
+                return kernel(order, x)
+
+            return counted
+
+        monkeypatch.setattr(fm, "bessel_j", counting(fm.bessel_j))
+        monkeypatch.setattr(fm, "bessel_k", counting(fm.bessel_k))
+        grid = PolarGrid(0.5 * fiber.radius, fiber.radius + 1e-6, 400, 256)
+        assert intensity_map(probe_field, grid).shape == (400, 256)
+        assert sum(radii) == 400
+
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             PolarGrid(-1e-9, 1e-6, 4, 4)

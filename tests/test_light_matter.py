@@ -351,9 +351,9 @@ class TestTrapSearch:
     def test_field_evaluation_counts(self, trap_config, manipulation_field, data, monkeypatch):
         calls = []
 
-        def counted(light, r, phi, z):
+        def counted(light, r, phi, z, **kwargs):
             calls.append(np.size(r))
-            return field_at(light, r, phi, z)
+            return field_at(light, r, phi, z, **kwargs)
 
         monkeypatch.setattr(lm, "field_at", counted)
         minimum = find_trap_minimum(trap_config, data=data)

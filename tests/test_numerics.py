@@ -85,6 +85,66 @@ class TestBesselK:
             bessel_k(0, -1.0)
 
 
+class TestBesselAgainstScipy:
+    """The quadratures against scipy.special over their whole validated domain."""
+
+    ORDERS = (0, 1, 2, 3, 4, 5)
+
+    def test_j_absolute_error(self):
+        from scipy.special import jv
+
+        x = np.linspace(-30.0, 30.0, 6001)
+        out = bessel_j(self.ORDERS, x)
+        assert out.shape == (6, x.size)
+        assert np.max(np.abs(out - jv(np.array(self.ORDERS)[:, None], x))) < 1e-15
+
+    def test_k_relative_error(self):
+        # below 40 the trapezoid rule, above it the Hankel expansion; scipy's own
+        # kv loses digits at large x, so the oracle there is kve e^-x
+        from scipy.special import kve
+
+        x = np.concatenate([np.geomspace(1e-4, 40.0, 4001), np.geomspace(40.0, 700.0, 801)])
+        oracle = kve(np.array(self.ORDERS)[:, None], x) * np.exp(-x)
+        assert np.max(np.abs(bessel_k(self.ORDERS, x) / oracle - 1.0)) < 5e-15
+
+    def test_order_sequence_matches_single_orders(self):
+        for fn, x in (
+            (bessel_j, np.array([[0.3, 2.0], [7.5, 29.0]])),
+            (bessel_k, np.array([[0.3, 2.0], [7.5, 45.0]])),  # both K branches
+        ):
+            stacked = fn([3, 0, 2], x)
+            assert stacked.shape == (3, 2, 2)
+            for row, order in zip(stacked, [3, 0, 2]):
+                assert np.array_equal(row, fn(order, x))
+
+    @pytest.mark.parametrize("size", [1, 33, 250, 4500])
+    def test_batch_invariance(self, size):
+        # a value never depends on the rest of its batch (no BLAS reduction):
+        # the array call equals the elementwise calls bit for bit
+        rng = np.random.default_rng(size)
+        for fn, x in (
+            (bessel_j, rng.uniform(-30.0, 30.0, size)),
+            (bessel_k, np.exp(rng.uniform(np.log(1e-4), np.log(700.0), size))),
+        ):
+            batch = fn((0, 1, 2, 3), x)
+            single = np.array([fn((0, 1, 2, 3), v) for v in x.tolist()]).T
+            assert np.array_equal(batch, single)
+
+    def test_refuses_outside_validated_domain(self):
+        for call in (
+            lambda: bessel_j(0, 30.5),
+            lambda: bessel_j(0, -30.5),
+            lambda: bessel_j(6, 1.0),
+            lambda: bessel_j([0, 1.5], 1.0),
+            lambda: bessel_k(0, 0.99e-4),
+            lambda: bessel_k(0, 701.0),
+            lambda: bessel_k(0, np.nan),
+            lambda: bessel_k(-1, 1.0),
+        ):
+            with pytest.raises(DomainError):
+                call()
+
+
 class TestFindRoot:
     def test_cosine(self):
         assert find_root(np.cos, 1.0, 2.0, 1e-12) == pytest.approx(np.pi / 2, abs=1e-11)
