@@ -15,7 +15,7 @@ Conventions
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import factorial, sqrt
 from pathlib import Path
@@ -138,32 +138,23 @@ class AtomicData:
 
     @classmethod
     def from_file(cls, path: str | Path | None = None) -> "AtomicData":
+        """Read a data file (default: the bundled one) into the fields of the same names.
+
+        ``ground_hyperfine_splitting_hz`` fills ``hyperfine_splitting_hz``, the six
+        ``sellmeier_*`` keys fill ``sellmeier``, and ``alpha0_khz_per_g2`` is derived.
+        """
         c = load_constants(path)
+        c["hyperfine_splitting_hz"] = c.pop("ground_hyperfine_splitting_hz")
+        c["sellmeier"] = tuple(
+            c.pop(f"sellmeier_{k}") for k in ("b1", "b2", "b3", "l1_um2", "l2_um2", "l3_um2")
+        )
         x_per_g = (
             (c["g_j_ground"] - c["g_i"])
             * MU_B_J_PER_G
-            / (H_PLANCK * c["ground_hyperfine_splitting_hz"])
+            / (H_PLANCK * c["hyperfine_splitting_hz"])
         )
-        alpha0 = 0.5 * c["ground_hyperfine_splitting_hz"] * x_per_g**2 * 1e-3  # kHz/G^2
-        return cls(
-            nuclear_spin=c["nuclear_spin"],
-            mass_kg=c["mass_kg"],
-            hyperfine_splitting_hz=c["ground_hyperfine_splitting_hz"],
-            g_j_ground=c["g_j_ground"],
-            g_j_excited_d2=c["g_j_excited_d2"],
-            g_i=c["g_i"],
-            d1_frequency_hz=c["d1_frequency_hz"],
-            d1_linewidth_hz=c["d1_linewidth_hz"],
-            d1_reduced_dipole_cm=c["d1_reduced_dipole_cm"],
-            d2_frequency_hz=c["d2_frequency_hz"],
-            d2_linewidth_hz=c["d2_linewidth_hz"],
-            d2_reduced_dipole_cm=c["d2_reduced_dipole_cm"],
-            c3_ground_jm3=c["c3_ground_jm3"],
-            sellmeier=tuple(
-                c[f"sellmeier_{k}"] for k in ("b1", "b2", "b3", "l1_um2", "l2_um2", "l3_um2")
-            ),
-            alpha0_khz_per_g2=alpha0,
-        )
+        c["alpha0_khz_per_g2"] = 0.5 * c["hyperfine_splitting_hz"] * x_per_g**2 * 1e-3  # kHz/G^2
+        return cls(**{f.name: c[f.name] for f in fields(cls)})
 
     def g_f(self, manifold: str, f: int) -> float:
         """Lande g-factor of a hyperfine level, including the nuclear term."""
@@ -185,23 +176,20 @@ class AtomicData:
         )
 
 
-_DEFAULT_DATA: AtomicData | None = None
-
-
+@lru_cache(maxsize=None)
 def default_atomic_data() -> AtomicData:
-    global _DEFAULT_DATA
-    if _DEFAULT_DATA is None:
-        _DEFAULT_DATA = AtomicData.from_file()
-    return _DEFAULT_DATA
+    """The bundled data file's ``AtomicData``, read on first use."""
+    return AtomicData.from_file()
 
 
-def _as_ground(state) -> HyperfineState:
+def _as_state(state, manifold: str) -> HyperfineState:
+    """A HyperfineState of ``manifold``, or an (F, mF) pair taken as one; DomainError otherwise."""
     if isinstance(state, HyperfineState):
-        if state.manifold != "ground":
-            raise DomainError("operation defined for ground states only")
+        if state.manifold != manifold:
+            raise DomainError(f"operation defined for {manifold} states only")
         return state
     f, mf = state
-    return ground_state(int(f), int(mf))
+    return HyperfineState(manifold, int(f), int(mf))
 
 
 def breit_rabi_energy(state, b_gauss, data: AtomicData | None = None):
@@ -213,7 +201,7 @@ def breit_rabi_energy(state, b_gauss, data: AtomicData | None = None):
     a float.
     """
     data = data or default_atomic_data()
-    state = _as_ground(state)
+    state = _as_state(state, "ground")
     b_gauss = np.asarray(b_gauss, dtype=float)
     # negative values mean a reversed field; the spectrum is even in B
     i = data.nuclear_spin
@@ -233,11 +221,7 @@ def breit_rabi_energy(state, b_gauss, data: AtomicData | None = None):
 def zeeman_shift_excited(state, b_gauss: float, data: AtomicData | None = None) -> float:
     """Linear Zeeman shift gF' mF' muB B of a 6P3/2 sublevel, in Hz."""
     data = data or default_atomic_data()
-    if isinstance(state, HyperfineState):
-        if state.manifold != "excited":
-            raise DomainError("zeeman_shift_excited expects an excited-manifold state")
-    else:
-        state = excited_state(int(state[0]), int(state[1]))
+    state = _as_state(state, "excited")
     if b_gauss > 50.0:
         raise ValidityError("linear excited-state Zeeman model capped at 50 G")
     gf = data.g_f("excited", state.f)
@@ -247,8 +231,8 @@ def zeeman_shift_excited(state, b_gauss: float, data: AtomicData | None = None) 
 def mw_transition_frequency(lower, upper, b_gauss: float, data: AtomicData | None = None) -> float:
     """Frequency of a ground-state microwave transition (3,mF) -> (4,mF'), Hz."""
     data = data or default_atomic_data()
-    lower = _as_ground(lower)
-    upper = _as_ground(upper)
+    lower = _as_state(lower, "ground")
+    upper = _as_state(upper, "ground")
     if lower.f != 3 or upper.f != 4:
         raise DomainError("expected lower state in F=3 and upper state in F=4")
     if abs(upper.mf - lower.mf) > 1:
@@ -262,13 +246,8 @@ def transition_strength(ground, q: int, excited) -> float:
     Normalised so the stretched cycling transition (4,4) -sigma+-> (5,5) has
     strength exactly 1.
     """
-    g = _as_ground(ground)
-    if isinstance(excited, HyperfineState):
-        e = excited
-        if e.manifold != "excited":
-            raise DomainError("excited argument must be a 6P3/2 state")
-    else:
-        e = excited_state(int(excited[0]), int(excited[1]))
+    g = _as_state(ground, "ground")
+    e = _as_state(excited, "excited")
     if q not in (-1, 0, 1):
         raise SelectionRuleError(f"q must be -1, 0, or +1, got {q}")
     if e.mf != g.mf + q:

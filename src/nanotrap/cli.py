@@ -98,6 +98,10 @@ SCHEMA = {
 }
 
 STRING_KEYS = {"atoms.data_file"}
+BEAMS = ["blue", "red", "probe", "manipulation"]  # the guided beams a config sets
+# columns of the CSV each "simulate" action writes and its "fit" action reads
+SPECTRUM_COLUMNS = ["detuning_Hz", "counts", "reference_counts"]
+MW_COLUMNS = ["delta_Hz", "probability"]
 
 
 # keys whose value must be > 0: every radius, wavelength and duration, and the map's extent
@@ -225,45 +229,33 @@ class RunConfig:
             self._modes[key] = solve_he11(self.fiber(), wavelength)
         return self._modes[key]
 
-    def blue_field(self, phi_b: float | None = None) -> LightField:
-        tilt = self["scheme.phi_b"] if phi_b is None else phi_b
-        return LightField(
-            mode=self.mode(self["blue.wavelength"]),
-            power=self["blue.power"],
-            polarization_angle=np.pi / 2 + tilt,
-        )
+    def field(self, name: str) -> LightField:
+        """Beam ``name`` of ``BEAMS``; blue and red as ``trap_config()`` sets them."""
+        if name in ("blue", "red"):
+            return getattr(self.trap_config(), name)
+        return self._beam(name, polarization_angle=self[f"{name}.polarization_angle"])
 
-    def red_field(self, imbalance: float | None = None) -> LightField:
-        ratio = self["scheme.red_imbalance"] if imbalance is None else imbalance
-        return LightField(
-            mode=self.mode(self["red.wavelength"]),
-            power=self["red.power"],
-            polarization_angle=0.0,
-            configuration="standing",
-            backward_power=self["red.backward_power"] * ratio,
-            relative_phase=self["red.relative_phase"],
-        )
-
-    def probe_field(self) -> LightField:
-        return LightField(
-            mode=self.mode(self["probe.wavelength"]),
-            power=self["probe.power"],
-            polarization_angle=self["probe.polarization_angle"],
-        )
-
-    def manipulation_field(self) -> LightField:
-        return LightField(
-            mode=self.mode(self["manipulation.wavelength"]),
-            power=self["manipulation.power"],
-            polarization_angle=self["manipulation.polarization_angle"],
-        )
+    def _beam(self, name: str, **options) -> LightField:
+        mode = self.mode(self[f"{name}.wavelength"])
+        return LightField(mode=mode, power=self[f"{name}.power"], **options)
 
     def trap_config(self, phi_b: float | None = None, imbalance: float | None = None):
-        return light_matter.TrapConfig(
+        """The trap under ``light_matter.with_scheme``; the scheme defaults to ``scheme.*``."""
+        nominal = light_matter.TrapConfig(
             fiber=self.fiber(),
-            blue=self.blue_field(phi_b),
-            red=self.red_field(imbalance),
+            blue=self._beam("blue"),
+            red=self._beam(
+                "red",
+                configuration="standing",
+                backward_power=self["red.backward_power"],
+                relative_phase=self["red.relative_phase"],
+            ),
             c3=self["surface.c3"] if self["surface.c3"] != 0.0 else None,
+        )
+        return light_matter.with_scheme(
+            nominal,
+            self["scheme.phi_b"] if phi_b is None else phi_b,
+            self["scheme.red_imbalance"] if imbalance is None else imbalance,
         )
 
 
@@ -285,7 +277,10 @@ def _write_csv(path: Path, cfg: RunConfig, header: list[str], table):
     write_csv(path, cfg.echo_lines(), header, table)
 
 
-def _read_csv(path: str):
+def _read_csv(path: str | None, columns: list[str], command: str) -> np.ndarray:
+    """The ``columns`` of the data CSV that ``command`` fits, one row per line."""
+    if path is None:
+        raise ConfigError(f"{command} fit requires --data <csv>")
     rows = []
     header = None
     try:
@@ -304,22 +299,18 @@ def _read_csv(path: str):
             raise ConfigError(f"{path}:{lineno}: malformed data row") from exc
     if header is None or not rows:
         raise ConfigError(f"{path}: no data rows")
-    return header, np.array(rows)
+    if header != columns:
+        raise ConfigError(f"{path}: expected {command} CSV header {columns}, got {header}")
+    return np.array(rows)
 
 
 # --- subcommands ---------------------------------------------------------
 
 
 def cmd_mode(cfg: RunConfig, args, out: Path) -> None:
-    fields = {
-        "blue": cfg["blue.wavelength"],
-        "red": cfg["red.wavelength"],
-        "probe": cfg["probe.wavelength"],
-        "manipulation": cfg["manipulation.wavelength"],
-    }
-    chosen = fields if args.field == "all" else {args.field: fields[args.field]}
     payload = {}
-    for name, wavelength in chosen.items():
+    for name in BEAMS if args.field == "all" else [args.field]:
+        wavelength = cfg[f"{name}.wavelength"]
         m = cfg.mode(wavelength)
         payload[name] = {
             "wavelength_m": wavelength,
@@ -338,18 +329,8 @@ def cmd_mode(cfg: RunConfig, args, out: Path) -> None:
     _write_json(out / "mode.json", cfg, {"modes": payload})
 
 
-def _field_by_name(cfg: RunConfig, name: str) -> LightField:
-    builders = {
-        "blue": cfg.blue_field,
-        "red": cfg.red_field,
-        "probe": cfg.probe_field,
-        "manipulation": cfg.manipulation_field,
-    }
-    return builders[name]()
-
-
 def cmd_fieldmap(cfg: RunConfig, args, out: Path) -> None:
-    light = _field_by_name(cfg, args.field)
+    light = cfg.field(args.field)
     grid = PolarGrid(
         r_min=cfg["fiber.radius"],
         r_max=cfg["grid.r_max"],
@@ -369,13 +350,23 @@ def cmd_fieldmap(cfg: RunConfig, args, out: Path) -> None:
     print(f"wrote {path}")
 
 
+def _site_payload(env: light_matter.MagneticEnvironment, data: AtomicData) -> dict:
+    """Per-site fictitious fields and clock splitting, as ``trap`` and ``bfict`` report them."""
+    split = light_matter.clock_splitting(env, data)
+    return {
+        "Bfict_upper_G": list(env.fictitious_field_upper),
+        "Bfict_lower_G": list(env.fictitious_field_lower),
+        "clock_splitting_Hz": split.exact_hz,
+        "clock_splitting_quadratic_Hz": split.approximate_hz,
+    }
+
+
 def cmd_trap(cfg: RunConfig, args, out: Path) -> None:
     trap = cfg.trap_config()
     boff = cfg["magnetics.offset_field"]
     minimum = light_matter.find_trap_minimum(trap, data=cfg.data)
     freqs = light_matter.trap_frequencies(trap, minimum=minimum, data=cfg.data)
     env = light_matter.site_environment(trap, boff, minimum, data=cfg.data)
-    split = light_matter.clock_splitting(env, cfg.data)
     payload = {
         "minimum_position": {
             "r_m": minimum[0],
@@ -384,10 +375,7 @@ def cmd_trap(cfg: RunConfig, args, out: Path) -> None:
             "distance_to_surface_m": minimum[0] - cfg["fiber.radius"],
         },
         "trap_frequencies_Hz": list(freqs),
-        "Bfict_upper_G": list(env.fictitious_field_upper),
-        "Bfict_lower_G": list(env.fictitious_field_lower),
-        "clock_splitting_Hz": split.exact_hz,
-        "clock_splitting_quadratic_Hz": split.approximate_hz,
+        **_site_payload(env, cfg.data),
     }
     _write_json(out / "trap.json", cfg, payload)
     d_nm = payload["minimum_position"]["distance_to_surface_m"] * 1e9
@@ -403,7 +391,7 @@ def cmd_bfict(cfg: RunConfig, args, out: Path) -> None:
     imbalance = args.imbalance if args.imbalance is not None else cfg["scheme.red_imbalance"]
     manipulation = None
     if args.scheme == "tuneout":
-        manipulation = cfg.manipulation_field()
+        manipulation = cfg.field("manipulation")
         phi_b, imbalance = 0.0, 1.0
     elif args.scheme == "tilt":
         imbalance = 1.0
@@ -411,7 +399,6 @@ def cmd_bfict(cfg: RunConfig, args, out: Path) -> None:
         phi_b = 0.0
     trap = cfg.trap_config(0.0, 1.0)
     env = light_matter.site_fields(trap, boff, manipulation, phi_b, imbalance, cfg.data)
-    split = light_matter.clock_splitting(env, cfg.data)
     mw = light_matter.mw_splitting(env, (3, -3), (4, -3), cfg.data)
     b_up, b_lo = env.total_magnitudes()
     payload = {
@@ -420,27 +407,22 @@ def cmd_bfict(cfg: RunConfig, args, out: Path) -> None:
         "red_imbalance": imbalance,
         "site_upper": list(env.site_upper),
         "site_lower": list(env.site_lower),
-        "Bfict_upper_G": list(env.fictitious_field_upper),
-        "Bfict_lower_G": list(env.fictitious_field_lower),
+        **_site_payload(env, cfg.data),
         "B_total_upper_G": b_up,
         "B_total_lower_G": b_lo,
-        "clock_splitting_Hz": split.exact_hz,
-        "clock_splitting_quadratic_Hz": split.approximate_hz,
         "mw_splitting_3m3_4m3_Hz": mw,
     }
     _write_json(out / "bfict.json", cfg, payload)
     print(
         f"scheme {args.scheme}: |Bfict_upper| = "
         f"{float(np.linalg.norm(env.fictitious_field_upper))!r} G, "
-        f"clock splitting = {split.exact_hz!r} Hz"
+        f"clock splitting = {payload['clock_splitting_Hz']!r} Hz"
     )
 
 
 def cmd_pump(cfg: RunConfig, args, out: Path) -> None:
-    trap = cfg.trap_config(phi_b=0.0, imbalance=1.0)
-    site = light_matter.find_trap_minimum(trap, data=cfg.data)
-    probe = cfg.probe_field()
-    e_site = field_at(probe, *site)
+    site = light_matter.find_trap_minimum(cfg.trap_config(), data=cfg.data)
+    e_site = field_at(cfg.field("probe"), *site)
     a_plus, a_zero, a_minus = light_matter.spherical_components(e_site, [0.0, 1.0, 0.0])
     norm = abs(a_plus) ** 2 + abs(a_zero) ** 2 + abs(a_minus) ** 2
     fractions = (abs(a_plus) ** 2 / norm, abs(a_zero) ** 2 / norm, abs(a_minus) ** 2 / norm)
@@ -479,15 +461,10 @@ def cmd_spectrum(cfg: RunConfig, args, out: Path) -> None:
             model, grid, cfg["spectrum.reference_counts"], seed=int(cfg["run.seed"])
         )
         table = np.column_stack([data.detunings_hz, data.transmitted, data.reference])
-        _write_csv(out / "spectrum.csv", cfg, ["detuning_Hz", "counts", "reference_counts"], table)
+        _write_csv(out / "spectrum.csv", cfg, SPECTRUM_COLUMNS, table)
         print(f"wrote {out / 'spectrum.csv'}")
         return
-    if args.data is None:
-        raise ConfigError("spectrum fit requires --data <csv>")
-    header, rows = _read_csv(args.data)
-    if header != ["detuning_Hz", "counts", "reference_counts"]:
-        raise ConfigError(f"{args.data}: expected spectrum CSV header, got {header}")
-    data = spectra.SpectrumData(rows[:, 0], rows[:, 1], rows[:, 2])
+    data = spectra.SpectrumData(*_read_csv(args.data, SPECTRUM_COLUMNS, "spectrum").T)
     result = spectra.fit_transmission(data, model)
     names = ["od_plus", "od_minus", "delta_plus_hz", "delta_minus_hz", "gamma_hz"]
     sig = result.sigmas
@@ -521,15 +498,11 @@ def cmd_mw(cfg: RunConfig, args, out: Path) -> None:
             cfg["mw.noise_sigma"],
             seed=int(cfg["run.seed"]),
         )
-        _write_csv(out / "mw.csv", cfg, ["delta_Hz", "probability"], np.column_stack([d, y]))
+        _write_csv(out / "mw.csv", cfg, MW_COLUMNS, np.column_stack([d, y]))
         print(f"wrote {out / 'mw.csv'}")
         return
-    if args.data is None:
-        raise ConfigError("mw fit requires --data <csv>")
-    header, rows = _read_csv(args.data)
-    if header != ["delta_Hz", "probability"]:
-        raise ConfigError(f"{args.data}: expected MW CSV header, got {header}")
-    result = spectra.fit_mw_spectrum((rows[:, 0], rows[:, 1]), tau, components=args.components)
+    columns = _read_csv(args.data, MW_COLUMNS, "mw").T
+    result = spectra.fit_mw_spectrum(columns, tau, components=args.components)
     payload = {
         "centers_hz": [float(v) for v in result.centers_hz],
         "center_sigmas_hz": [float(v) for v in result.center_sigmas_hz],
@@ -577,11 +550,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mode", help="solve guided modes and report beta, V")
     common(p)
-    p.add_argument("--field", choices=["all", "blue", "red", "probe", "manipulation"], default="all")
+    p.add_argument("--field", choices=["all", *BEAMS], default="all")
 
     p = sub.add_parser("fieldmap", help="CSV field/intensity/ellipticity maps")
     common(p)
-    p.add_argument("--field", choices=["blue", "red", "probe", "manipulation"], default="probe")
+    p.add_argument("--field", choices=BEAMS, default="probe")
     p.add_argument("--kind", choices=["field", "intensity", "ellipticity"], default="field")
 
     p = sub.add_parser("trap", help="trap minimum, frequencies, per-site fields (JSON)")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -41,6 +41,7 @@ __all__ = [
     "v_number",
     "solve_he11",
     "field_at",
+    "ellipticity",
     "intensity_map",
     "ellipticity_map",
     "write_csv",
@@ -92,14 +93,18 @@ def v_number(fiber: FiberSpec, wavelength_m: float) -> float:
     return 2 * np.pi * fiber.radius / wavelength_m * np.sqrt(n1**2 - n2**2)
 
 
+def _bessel_ratios(u, w):
+    """J1'(u)/(u J1(u)) and K1'(w)/(w K1(w)), the terms of the l = 1 eigenvalue equation."""
+    j0, j1, j2 = bessel_j((0, 1, 2), u)
+    k0, k1, k2 = bessel_k((0, 1, 2), w)
+    return 0.5 * (j0 - j2) / (u * j1), -0.5 * (k0 + k2) / (w * k1)
+
+
 def _characteristic(neff: float, k: float, a: float, n1: float, n2: float) -> float:
     """Hybrid-mode (l = 1) eigenvalue function; zero at the HE11 solution."""
     u = a * k * np.sqrt(n1**2 - neff**2)
     w = a * k * np.sqrt(neff**2 - n2**2)
-    j0, j1, j2 = bessel_j((0, 1, 2), u)
-    k0, k1, k2 = bessel_k((0, 1, 2), w)
-    jj = 0.5 * (j0 - j2) / (u * j1)
-    kk = -0.5 * (k0 + k2) / (w * k1)
+    jj, kk = _bessel_ratios(u, w)
     return (jj + kk) * (n1**2 * jj + n2**2 * kk) - neff**2 * (1.0 / u**2 + 1.0 / w**2) ** 2
 
 
@@ -172,10 +177,7 @@ def solve_he11(fiber: FiberSpec, wavelength_m: float) -> GuidedMode:
     h = np.sqrt((n1 * k) ** 2 - beta**2)
     q = np.sqrt(beta**2 - (n2 * k) ** 2)
     u, w = h * a, q * a
-    j0, j1, j2 = bessel_j((0, 1, 2), u)
-    k0, k1, k2 = bessel_k((0, 1, 2), w)
-    jj = 0.5 * (j0 - j2) / (u * j1)
-    kk = -0.5 * (k0 + k2) / (w * k1)
+    jj, kk = _bessel_ratios(u, w)
     s_param = (1.0 / u**2 + 1.0 / w**2) / (jj + kk)
 
     mode = GuidedMode(
@@ -197,21 +199,7 @@ def solve_he11(fiber: FiberSpec, wavelength_m: float) -> GuidedMode:
     # just outside the surface on the polarization axis
     e_r, _, _ = _radial_profiles_e(mode, np.array([a * (1 + 1e-9)]))
     ph = np.sqrt(2.0) * e_r[0] * norm
-    phase_fix = np.conj(ph) / abs(ph)
-
-    return GuidedMode(
-        fiber=fiber,
-        wavelength=wavelength_m,
-        beta=beta,
-        interior_parameter=h,
-        exterior_parameter=q,
-        normalization=norm,
-        n_core=n1,
-        n_ext=n2,
-        s_parameter=s_param,
-        multimode=multimode,
-        _phase_fix=phase_fix,
-    )
+    return replace(mode, normalization=norm, _phase_fix=np.conj(ph) / abs(ph))
 
 
 def _radial_profiles_e(mode: GuidedMode, r: np.ndarray):
@@ -384,13 +372,29 @@ def intensity_map(light: LightField, grid: PolarGrid) -> np.ndarray:
     return np.sum(np.abs(e) ** 2, axis=-1)
 
 
-def ellipticity_map(light: LightField, grid: PolarGrid) -> np.ndarray:
-    """Ellipticity vector i(E x E*)/|E|^2 on the grid, shape (n_r, n_phi, 3)."""
-    rr, pp = grid.mesh()
-    e = field_at(light, rr, pp, grid.z)
-    cross = np.cross(e, np.conj(e))
+def ellipticity(e_field) -> np.ndarray:
+    """Ellipticity vector i(E x E*)/|E|^2 of a complex field amplitude.
+
+    Zero for a purely linear local field, unit magnitude for a fully
+    circular one; supports trailing-axis broadcasting over field arrays.
+    Raises DomainError where the field vanishes.
+    """
+    e = np.asarray(e_field, dtype=complex)
     norm = np.sum(np.abs(e) ** 2, axis=-1)
-    return np.real(1j * cross) / norm[..., None]
+    if np.any(norm == 0.0):
+        raise DomainError("ellipticity undefined at a zero of the field")
+    return _spin_density(e) / norm[..., None]
+
+
+def _spin_density(e):
+    """i(E x E*) = |E|^2 eps of a complex field array (trailing axis)."""
+    return np.real(1j * np.cross(e, np.conj(e)))
+
+
+def ellipticity_map(light: LightField, grid: PolarGrid) -> np.ndarray:
+    """Ellipticity vector on the grid, shape (n_r, n_phi, 3); DomainError at a zero of the field."""
+    rr, pp = grid.mesh()
+    return ellipticity(field_at(light, rr, pp, grid.z))
 
 
 @contextmanager

@@ -21,13 +21,15 @@ from .atom_cs import (
     mw_transition_frequency,
 )
 from .errors import DomainError, NoTrapError, SaddlePointError
-from .fiber_mode import FiberSpec, LightField, _radial_profiles_e, field_at
+from .fiber_mode import FiberSpec, LightField, _radial_profiles_e, _spin_density, field_at
+from .fiber_mode import ellipticity  # noqa: F401  re-exported: part of this module's API
 
 __all__ = [
     "EllipticityVector",
     "MagneticEnvironment",
     "TrapConfig",
     "ClockSplitting",
+    "with_scheme",
     "ellipticity",
     "spherical_components",
     "fictitious_field",
@@ -47,24 +49,6 @@ MU_B_J_PER_G = atom_cs.MU_B_J_PER_G
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 
 EllipticityVector = np.ndarray  # real 3-vector, |eps| <= 1
-
-
-def ellipticity(e_field) -> EllipticityVector:
-    """Ellipticity vector i(E x E*)/|E|^2 of a complex field amplitude.
-
-    Zero for a purely linear local field, unit magnitude for a fully
-    circular one; supports trailing-axis broadcasting over field arrays.
-    """
-    e = np.asarray(e_field, dtype=complex)
-    norm = np.sum(np.abs(e) ** 2, axis=-1)
-    if np.any(norm == 0.0):
-        raise DomainError("ellipticity undefined at a zero of the field")
-    return _spin_density(e) / norm[..., None]
-
-
-def _spin_density(e):
-    """i(E x E*) = |E|^2 eps of a complex field array (trailing axis)."""
-    return np.real(1j * np.cross(e, np.conj(e)))
 
 
 def _orthonormal_triad(axis: np.ndarray):
@@ -162,6 +146,20 @@ class TrapConfig:
         if self.manipulation is not None:
             out.append(self.manipulation)
         return out
+
+
+def with_scheme(config: TrapConfig, phi_b: float, red_imbalance: float) -> TrapConfig:
+    """``config`` with the site-selective schemes applied to its nominal beams.
+
+    The blue polarization is set to pi/2 + ``phi_b``, i.e. tilted by ``phi_b``
+    from the axis orthogonal to plane P, and the red backward power is
+    multiplied by ``red_imbalance``.
+    """
+    return replace(
+        config,
+        blue=replace(config.blue, polarization_angle=np.pi / 2 + phi_b),
+        red=replace(config.red, backward_power=config.red.backward_power * red_imbalance),
+    )
 
 
 @dataclass(frozen=True)
@@ -389,18 +387,15 @@ def site_fields(
 ) -> MagneticEnvironment:
     """Per-site fictitious fields for the active manipulation mechanism(s).
 
-    ``phi_b`` tilts the blue polarization away from its nominal axis
-    (orthogonal to plane P), ``red_imbalance`` scales the configured backward
-    power of the red standing wave, and ``manipulation`` adds an extra
+    ``phi_b`` and ``red_imbalance`` apply the schemes of ``with_scheme`` to
+    the nominal beams of ``config``, and ``manipulation`` adds an extra
     dedicated field (e.g. at the tune-out wavelength).  Trap sites are the
     minima of the mF-averaged potential; the lower site is the diametric
     image of the upper one.  The fictitious field is evaluated for the
     ground manifold ``f`` (manifold dependence is at the 0.3% level).
     """
     data = data or default_atomic_data()
-    blue = replace(config.blue, polarization_angle=np.pi / 2 + phi_b)
-    red = replace(config.red, backward_power=config.red.backward_power * red_imbalance)
-    effective = replace(config, blue=blue, red=red, manipulation=manipulation)
+    effective = replace(with_scheme(config, phi_b, red_imbalance), manipulation=manipulation)
 
     upper = find_trap_minimum(effective, None, 0.0, data)
     return site_environment(effective, boff, upper, data, f)
@@ -453,12 +448,7 @@ def clock_splitting(env: MagneticEnvironment, data: AtomicData | None = None) ->
     reports the quadratic approximation 4 alpha0 Boff Bfict.
     """
     data = data or default_atomic_data()
-    b_up, b_lo = env.total_magnitudes()
-
-    def clock(b):
-        return mw_transition_frequency((3, 0), (4, 0), b, data)
-
-    exact = float(clock(b_up) - clock(b_lo))
+    exact = mw_splitting(env, (3, 0), (4, 0), data)
     boff = float(np.linalg.norm(env.offset_field))
     bfict = 0.5 * float(
         (env.fictitious_field_upper - env.fictitious_field_lower) @ Y_AXIS

@@ -12,7 +12,7 @@ seed, so every dataset is bit-reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -133,14 +133,10 @@ def fit_transmission(data: SpectrumData, initial: SpectrumModel) -> FitResult:
     p = result.parameters
     if p[2] < p[3]:  # order the centers: delta_plus is the larger one
         perm = np.array([1, 0, 3, 2, 4])
-        p = p[perm]
-        cov = result.covariance[np.ix_(perm, perm)]
-        result = FitResult(
-            parameters=p,
-            covariance=cov,
-            residual_norm=result.residual_norm,
-            iterations=result.iterations,
-            converged=result.converged,
+        result = replace(
+            result,
+            parameters=p[perm],
+            covariance=result.covariance[np.ix_(perm, perm)],
         )
     return result
 
@@ -200,17 +196,15 @@ def simulate_mw_spectrum(
 def fit_mw_spectrum(data, tau_s: float, components: int = 1) -> MwFitResult:
     """Fit one or two Fourier-limited lines (Omega fixed at pi/tau) to MW data.
 
-    ``data`` is a sequence of (detuning_hz, transfer_fraction) pairs.  For a
+    ``data`` is the pair of columns (detunings_hz, transfer_fractions).  For a
     two-component fit whose centers collapse to within FWHM/10, a
     degeneracy error is raised.
     """
     if components not in (1, 2):
         raise DomainError("components must be 1 or 2")
-    pairs = [(float(d), float(v)) for d, v in zip(*data)] if isinstance(data, tuple) else [
-        (float(d), float(v)) for d, v in data
-    ]
-    x = np.array([p[0] for p in pairs])
-    y = np.array([p[1] for p in pairs])
+    x, y = (np.asarray(column, dtype=float) for column in data)
+    if x.shape != y.shape:
+        raise DomainError("need one transfer fraction per detuning")
     if x.size < 2 * components + 2:
         raise DomainError("not enough points to constrain the line fit")
 

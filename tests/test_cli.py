@@ -251,6 +251,34 @@ class TestOutputs:
         assert doc["Bfict_upper_G"] == pytest.approx(list(expected), rel=1e-12, abs=1e-15)
         assert doc["Bfict_upper_G"][1] > 1e-2
 
+    def test_trap_and_bfict_tilt_share_one_scheme_transform(self, tmp_path):
+        # scheme.phi_b (trap) and --phi-b (bfict) reach the same with_scheme rule
+        offset = ["--set", "magnetics.offset_field=3 G"]
+        runs = {
+            "trap": ["trap", "--set", "scheme.phi_b=5 deg", *offset],
+            "bfict": ["bfict", "--scheme", "tilt", "--phi-b", "5", *offset],
+        }
+        docs = {}
+        for name, args in runs.items():
+            assert run([*args, "--config", PAPER_CFG, "--out", str(tmp_path)]) == 0
+            docs[name] = json.loads((tmp_path / f"{name}.json").read_text())
+        trap, bfict = docs["trap"], docs["bfict"]
+        pos = trap["minimum_position"]
+        assert bfict["site_upper"] == [pos["r_m"], pos["phi_rad"], pos["z_m"]]
+        for key in ("Bfict_upper_G", "Bfict_lower_G", "clock_splitting_Hz", "clock_splitting_quadratic_Hz"):
+            assert bfict[key] == trap[key]
+
+    def test_pump_site_is_the_configured_trap_minimum(self, tmp_path):
+        # scheme.* reaches pump as it reaches trap: the tilted trap's minimum is pumped
+        docs = {}
+        for command in ("trap", "pump"):
+            args = [command, "--config", PAPER_CFG, "--out", str(tmp_path), "--set", "scheme.phi_b=5 deg"]
+            assert run(args) == 0
+            docs[command] = json.loads((tmp_path / f"{command}.json").read_text())
+        pos = docs["trap"]["minimum_position"]
+        assert pos["phi_rad"] != 0.0  # the tilt moves the minimum out of plane P
+        assert docs["pump"]["site"] == [pos["r_m"], pos["phi_rad"], pos["z_m"]]
+
     def test_pump_json(self, outdir):
         assert run(["pump", "--config", PAPER_CFG, "--out", str(outdir)]) == 0
         doc = json.loads((outdir / "pump.json").read_text())
@@ -387,13 +415,24 @@ class TestOutputs:
             assert len([ln for ln in lines[:-1] if not ln.startswith(b"#")]) == 1 + 3 * 5
 
 
+def test_zero_field_ellipticity_map_exits_3(tmp_path, capsys):
+    # the ellipticity is undefined where the field vanishes: refused, never written as nan
+    args = ["fieldmap", "--kind", "ellipticity", "--set", "probe.power=0 pW"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([*args, "--config", PAPER_CFG, "--out", str(tmp_path)]) == 3
+    assert [str(w.message) for w in caught] == []
+    assert "numerical failure in fieldmap" in capsys.readouterr().err
+    assert not (tmp_path / "fieldmap.csv").exists()
+
+
 def test_interrupted_field_map_leaves_earlier_file_intact(tmp_path, monkeypatch):
     from nanotrap import fiber_mode
 
     cfg = RunConfig.load(PAPER_CFG, [])
     grid = fiber_mode.PolarGrid(r_min=250e-9, r_max=1e-6, n_r=6, n_phi=8, z=0.0)
     path = tmp_path / "fieldmap.csv"
-    cli.write_field_map_csv(path, cfg.probe_field(), grid, header_lines=["first = 1"])
+    cli.write_field_map_csv(path, cfg.field("probe"), grid, header_lines=["first = 1"])
     earlier = path.read_bytes()
     assert path.stat().st_mode & 0o777 == 0o666 & ~_umask()
 
@@ -407,7 +446,7 @@ def test_interrupted_field_map_leaves_earlier_file_intact(tmp_path, monkeypatch)
 
     monkeypatch.setattr(fiber_mode, "repr", failing_repr, raising=False)
     for write in (
-        lambda: cli.write_field_map_csv(path, cfg.probe_field(), grid, header_lines=["second"]),
+        lambda: cli.write_field_map_csv(path, cfg.field("probe"), grid, header_lines=["second"]),
         lambda: cli.write_scalar_map_csv(path, grid, np.ones((6, 8)), "x", ["second"]),
     ):
         written.clear()

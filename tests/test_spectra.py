@@ -200,6 +200,11 @@ class TestMwSpectra:
         with pytest.raises(DegenerateFitError):
             fit_mw_spectrum((d, y), 103e-6, components=2)
 
+    def test_unequal_columns_rejected(self):
+        d, y = simulate_mw_spectrum([0.0], [1.0], 103e-6, np.linspace(-25e3, 25e3, 101), 0.005, seed=9)
+        with pytest.raises(DomainError):
+            fit_mw_spectrum((d, y[:-1]), 103e-6, components=1)
+
     def test_noise_free_recovery_from_nearby_start(self):
         # the MW line family obeys the same exact-recovery contract as the
         # other fitted models: noise-free data, start within 20% of truth
