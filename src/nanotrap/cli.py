@@ -104,18 +104,22 @@ SPECTRUM_COLUMNS = ["detuning_Hz", "counts", "reference_counts"]
 MW_COLUMNS = ["delta_Hz", "probability"]
 
 
-# keys whose value must be > 0: every radius, wavelength and duration, and the map's extent
+# keys whose value must be > 0: every radius, wavelength and duration, the map's extent,
+# the linewidth and the pumping saturation (zero leaves no steady state)
 POSITIVE_KEYS = {
     key for key in SCHEMA if key.endswith((".radius", ".wavelength", "duration"))
-} | {"grid.r_max", "tuneout.min", "tuneout.max"}
+} | {"grid.r_max", "tuneout.min", "tuneout.max", "spectrum.gamma", "pump.saturation"}
+# keys whose value must be >= 0: every power, the optical densities, the noise and the imbalance
+NON_NEGATIVE_KEYS = {key for key, (dimension, _) in SCHEMA.items() if dimension == "power"} | {
+    "spectrum.od_plus", "spectrum.od_minus", "mw.noise_sigma", "scheme.red_imbalance"
+}
 
 
 def _parse_value(key: str, raw: str) -> float:
     """One config value in SI units; ConfigError naming ``key`` when it is invalid.
 
-    Numbers must be finite, powers non-negative, radii, wavelengths,
-    durations and ``grid.r_max`` positive, and counts whole numbers >= 1
-    (``run.seed`` >= 0).
+    Numbers must be finite, ``POSITIVE_KEYS`` positive, ``NON_NEGATIVE_KEYS``
+    non-negative, and counts whole numbers >= 1 (``run.seed`` >= 0).
     """
     dimension, _ = SCHEMA[key]
     parts = raw.split()
@@ -142,7 +146,7 @@ def _parse_value(key: str, raw: str) -> float:
             raise ConfigError(f"{key}: {raw!r} is not a whole number >= {least}")
     elif key in POSITIVE_KEYS and value <= 0:
         raise ConfigError(f"{key}: {raw!r} must be positive")
-    elif dimension == "power" and value < 0:
+    elif key in NON_NEGATIVE_KEYS and value < 0:
         raise ConfigError(f"{key}: {raw!r} must not be negative")
     return value
 
@@ -210,6 +214,8 @@ class RunConfig:
                     values[key] = values[default]
             else:
                 values[key] = float(default)
+        if values["grid.r_max"] <= values["fiber.radius"]:
+            raise ConfigError("grid.r_max: the map's outer radius must exceed fiber.radius")
         return cls(values, data_file, data)
 
     def echo_lines(self) -> list[str]:

@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 SECOND_MODE_CUTOFF_V = 2.405  # first zero of J0: single-mode condition V < 2.405
+J1_FIRST_ZERO = 3.8317  # just below j_{1,1} = 3.83171, the least u of an l = 1 root other than HE11
 GRID_COLUMNS = ["r_m", "phi_rad", "z_m"]  # leading CSV columns of every grid map
 
 def refractive_index(sellmeier, wavelength_m: float) -> float:
@@ -148,10 +149,15 @@ class GuidedMode:
 def solve_he11(fiber: FiberSpec, wavelength_m: float) -> GuidedMode:
     """Solve the exact HE11 characteristic equation and normalize the mode.
 
-    The root is isolated by evaluating the characteristic function on a 1e-4
-    effective-index grid in one vectorised call and refined by bisection to
-    1e-12; the amplitude scale is fixed by the closed-form axial Poynting flux
-    for unit guided power (no adaptive quadrature).
+    The root is bracketed on a 1e-4 effective-index grid and refined by
+    bisection to 1e-12; the amplitude scale is fixed by the closed-form axial
+    Poynting flux for unit guided power (no adaptive quadrature).  The HE11
+    root has u = a k sqrt(n1^2 - neff^2) < j_{0,1} = 2.405; every other l = 1
+    root, and every positive zero of J1, has u >= j_{1,1} = 3.832.  So on the
+    grid points with u < ``J1_FIRST_ZERO`` (all of them when V < 3.83) the
+    characteristic function changes sign once, at the whole grid's last sign
+    change, and bisecting their indices finds it in about 13 evaluations.  J
+    is never needed beyond u = 3.83, so a fiber with V > 30 solves too.
     """
     n1 = fiber.core_index(wavelength_m)
     n2 = fiber.exterior_index
@@ -162,15 +168,20 @@ def solve_he11(fiber: FiberSpec, wavelength_m: float) -> GuidedMode:
 
     eps = 2e-6
     grid = np.arange(n2 + eps, n1 - eps, 1e-4)
-    vals = _characteristic(grid, k, a, n1, n2)
-    sign_changes = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if sign_changes.size == 0:
+    lo, hi = int(np.count_nonzero(a * k * np.sqrt(n1**2 - grid**2) >= J1_FIRST_ZERO)), grid.size - 1
+
+    def sign(i):
+        return np.sign(_characteristic(grid[i], k, a, n1, n2))
+
+    if lo >= hi or (sign_lo := sign(lo)) * sign(hi) >= 0:
         raise NoModeError(
             f"no HE11 root for a={a * 1e9:.1f} nm at {wavelength_m * 1e9:.2f} nm (V={v:.3f})"
         )
-    idx = sign_changes[-1]  # fundamental mode has the largest effective index
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if sign(mid) == sign_lo else (lo, mid)
     neff = find_root(
-        lambda x: _characteristic(x, k, a, n1, n2), grid[idx], grid[idx + 1], 1e-12
+        lambda x: _characteristic(x, k, a, n1, n2), grid[lo], grid[lo + 1], 1e-12
     )
 
     beta = neff * k

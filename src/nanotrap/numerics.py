@@ -32,6 +32,7 @@ _J_W = np.hstack([np.cos(_N * _J_TAU) * (_N % 2 == 0), np.sin(_N * _J_TAU) * (_N
 # with a_k(n) = prod_{j<=k} (4n^2 - (2j-1)^2) / (8j), within 2e-15 relative.
 _K_T = np.arange(201) * 0.1
 _K_NEG_COSH = -np.cosh(_K_T)
+_K_BLOCK = 64  # arguments per block: 64 x 201 float64 terms are 101 KiB
 _K_W = 0.1 * np.cosh(_N * _K_T) * np.where(_K_T == 0.0, 0.5, 1.0)
 _TERMS = np.arange(1, 30)
 _K_HANKEL = np.cumprod(np.hstack([_N**0, (4 * _N**2 - (2 * _TERMS - 1) ** 2) / (8 * _TERMS)]), axis=1)
@@ -73,9 +74,17 @@ def bessel_k(order, x):
     """K_n(x) for 1e-4 <= x <= 700 and integer n in 0..5; a sequence of orders adds a leading axis."""
     (_, weights, hankel), single, x = _checked(order, x, K_MIN_ARG, K_MAX_ARG)
     if _within(x, K_MIN_ARG, 40.0):
-        # clamped at -700, where exp stays in numpy's vector loop: adds < 1e-240 relative
-        terms = np.exp(np.maximum(x[..., None] * _K_NEG_COSH, -700.0))
-        out = np.einsum("...k,nk->n...", terms, weights)
+        # in blocks of _K_BLOCK arguments, computed in place, so that no temporary reaches
+        # glibc's 128 KiB mmap threshold (above it, glibc maps each temporary or trims the
+        # heap after it, and every call faults in fresh pages); clamped at -700, where exp
+        # stays in numpy's vector loop: adds < 1e-240 relative
+        flat = x.reshape(-1, 1)
+        out = np.empty((len(weights), flat.shape[0]))
+        for start in range(0, flat.shape[0], _K_BLOCK):
+            terms = np.multiply(flat[start : start + _K_BLOCK], _K_NEG_COSH)
+            np.exp(np.maximum(terms, -700.0, out=terms), out=terms)
+            np.einsum("bk,nk->nb", terms, weights, out=out[:, start : start + _K_BLOCK])
+        out = out.reshape(len(weights), *x.shape)
     else:
         out = np.empty((len(weights), *x.shape))
         far = x > 40.0

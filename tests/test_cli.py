@@ -114,6 +114,18 @@ INVALID_VALUES = [
     ("manipulation.power", "-1 uW"),
     ("magnetics.offset_field", "-inf G"),
     ("scheme.red_imbalance", "nan"),
+    # values that reached the models: a numpy traceback (exit 1) from `mw simulate`, or
+    # a "numerical failure" (exit 3) naming no key from `spectrum`, `pump`, `trap`, `fieldmap`
+    ("mw.noise_sigma", "-1"),
+    ("spectrum.gamma", "-1 MHz"),
+    ("spectrum.gamma", "0 MHz"),
+    ("spectrum.od_plus", "-1"),
+    ("spectrum.od_minus", "-0.5"),
+    ("pump.saturation", "-0.01"),
+    ("pump.saturation", "0"),
+    ("scheme.red_imbalance", "-0.5"),
+    ("grid.r_max", "250 nm"),  # equal to fiber.radius
+    ("grid.r_max", "100 nm"),
 ]
 
 
@@ -127,7 +139,8 @@ class TestConfigDomain:
     @pytest.mark.parametrize(
         "key, value, expected",
         [("run.seed", "0", 0.0), ("red.power", "0 mW", 0.0), ("grid.z", "-20 nm", -20e-9),
-         ("mw.points", "2.0", 2.0)],
+         ("mw.points", "2.0", 2.0),
+         ("mw.noise_sigma", "0", 0.0), ("scheme.red_imbalance", "0", 0.0)],
     )
     def test_boundary_values_accepted(self, key, value, expected):
         assert cli._parse_value(key, value) == expected

@@ -139,9 +139,13 @@ class TestSolveHe11:
         m = solve_he11(FiberSpec(radius=420e-9), 783e-9)
         assert m.multimode
 
-    @pytest.mark.parametrize("radius_nm", [200, 250, 300])
+    @pytest.mark.parametrize("radius_nm", [200, 250, 300, 420, 600])
     def test_vectorised_scan_picks_scalar_loop_bracket(self, radius_nm):
+        # the whole grid's last sign change, refined by the same bisection, is the
+        # solver's root bit for bit; at 600 nm and 783 nm (V = 5.1 > 3.83) the grid
+        # crosses the J1 zero at u = 3.83, which the solver's index bisection skips
         from nanotrap.fiber_mode import _characteristic
+        from nanotrap.numerics import find_root
 
         fiber = FiberSpec(radius=radius_nm * 1e-9)
         for nm in (783, 852.347, 880.2524, 1064):
@@ -153,8 +157,41 @@ class TestSolveHe11:
             signs = np.sign(scalar[:-1]) * np.sign(scalar[1:]) < 0
             assert np.array_equal(signs, np.sign(vector[:-1]) * np.sign(vector[1:]) < 0)
             idx = np.nonzero(signs)[0][-1]
-            neff = solve_he11(fiber, lam).effective_index
-            assert grid[idx] <= neff <= grid[idx + 1]
+            mode = solve_he11(fiber, lam)
+            assert grid[idx] <= mode.effective_index <= grid[idx + 1]
+            root = find_root(
+                lambda x: _characteristic(x, k, a, n1, 1.0), grid[idx], grid[idx + 1], 1e-12
+            )
+            assert mode.beta == root * k
+
+    def test_solve_evaluates_few_grid_points(self, monkeypatch):
+        # about 15 evaluations bracket the root and about 30 refine it, against one
+        # per 1e-4 grid step (about 4500) for a full scan
+        import nanotrap.fiber_mode as fm
+
+        characteristic, points = fm._characteristic, []
+
+        def counted(neff, *args):
+            points.append(np.size(neff))
+            return characteristic(neff, *args)
+
+        monkeypatch.setattr(fm, "_characteristic", counted)
+        solve_he11(FiberSpec(radius=250e-9), 783e-9)
+        assert sum(points) <= 64
+
+    def test_thick_fiber_solves_beyond_the_j_domain(self):
+        # V = 50.8: a full scan would need J at u up to V, outside |u| <= 30, but the
+        # solver visits only grid points with u < 3.83, and the HE11 root has u < 2.405
+        from nanotrap.fiber_mode import _characteristic
+
+        fiber = FiberSpec(radius=3e-6)
+        assert v_number(fiber, 400e-9) > 30
+        m = solve_he11(fiber, 400e-9)
+        assert m.multimode and m.interior_parameter * fiber.radius < 2.405
+        k = 2 * np.pi / m.wavelength
+        res = _characteristic(m.effective_index, k, fiber.radius, m.n_core, 1.0)
+        scale = abs(_characteristic(m.effective_index * (1 - 1e-6), k, fiber.radius, m.n_core, 1.0))
+        assert abs(res) < 1e-6 * scale
 
     @pytest.mark.parametrize("radius_nm", [200, 250, 300])
     @pytest.mark.parametrize("nm", [783, 852.347, 880.2524, 1064])
