@@ -284,66 +284,6 @@ def scalar_polarizability(wavelength_m: float, data: AtomicData | None = None) -
     return total
 
 
-@lru_cache(maxsize=None)
-def _dq_matrices(two_j_e: int):
-    """<J' m'|d_q|J m> matrices for unit reduced element, J = 1/2."""
-    j_g = 0.5
-    j_e = two_j_e / 2.0
-    mats = []
-    m_g = [-0.5, 0.5]
-    m_e = [-j_e + k for k in range(int(2 * j_e) + 1)]
-    for q in (-1, 0, 1):
-        mat = np.zeros((len(m_e), len(m_g)))
-        for a, me in enumerate(m_e):
-            for b, mg in enumerate(m_g):
-                mat[a, b] = (-1) ** int(round(j_e - me)) * wigner_3j(
-                    j_e, 1, j_g, -me, q, mg
-                )
-        mats.append(mat)
-    return mats
-
-
-def spherical_amplitudes(e_cart: np.ndarray) -> np.ndarray:
-    """Spherical-basis amplitudes (u_q* . E) for q = -1, 0, +1 about the z axis.
-
-    |A_q|^2 is the intensity driving dm = q transitions, and the scalar
-    contraction obeys d.E = sum_q d_q A_q.
-    """
-    ex, ey, ez = e_cart
-    return np.array(
-        [(ex + 1j * ey) / sqrt(2.0), ez, -(ex - 1j * ey) / sqrt(2.0)], dtype=complex
-    )
-
-
-def ground_stark_operator(
-    e_cart, wavelength_m: float, data: AtomicData | None = None
-) -> np.ndarray:
-    """Second-order AC Stark operator on the 6S1/2 electronic doublet, in J.
-
-    ``e_cart`` is the complex positive-frequency field amplitude (V/m) in the
-    frame whose z axis is the quantization axis.  The operator is returned in
-    the (mJ=-1/2, mJ=+1/2) basis and includes counter-rotating terms; excited
-    hyperfine structure is not resolved (two-line model).
-    """
-    data = data or default_atomic_data()
-    omega = _check_wavelength(wavelength_m, data)
-    e_cart = np.asarray(e_cart, dtype=complex)
-    et = spherical_amplitudes(e_cart)
-    et_conj = spherical_amplitudes(np.conj(e_cart))
-    v = np.zeros((2, 2), dtype=complex)
-    for (w0, _), red, two_j_e in (
-        (data.lines()[0], data.d1_reduced_dipole_cm, 1),
-        (data.lines()[1], data.d2_reduced_dipole_cm, 3),
-    ):
-        mats = _dq_matrices(two_j_e)
-        b = red * sum(et[k] * mats[k] for k in range(3))
-        bt = red * sum(et_conj[k] * mats[k] for k in range(3))
-        v += -(1.0 / (4.0 * HBAR)) * (
-            (b.conj().T @ b) / (w0 - omega) + (bt.conj().T @ bt) / (w0 + omega)
-        )
-    return v
-
-
 def _f_projection(f: int, i: float) -> float:
     """Projection factor of the electron spin J onto an F manifold."""
     j = 0.5
@@ -355,15 +295,21 @@ def vector_polarizability(
 ) -> float:
     """Dynamic vector polarizability of the ground manifold F, SI units.
 
-    Defined by dE = -(1/4) alpha_v |E|^2 (eps . z) mF/(2F); extracted from the
-    exact two-line Stark operator evaluated for a unit sigma+ field.
+    Defined by dE = -(1/4) alpha_v |E|^2 (eps . z) mF/(2F).  A unit sigma+
+    field shifts mJ = +-1/2 through D2 with squared 3j weights 1/4 (to
+    mJ' = +-3/2) and 1/12 (to mJ' = +-1/2) and through D1 with 1/3,
+    counter-rotating terms included (Le Kien, Schneeweiss and Rauschenbeutel,
+    Eur. Phys. J. D 67, 92 (2013)); J is then projected onto F.
     """
     data = data or default_atomic_data()
     if f not in (3, 4):
         raise DomainError(f"ground F must be 3 or 4, got {f}")
-    u_plus = np.array([-1.0 / sqrt(2.0), -1j / sqrt(2.0), 0.0])  # unit sigma+ about z
-    v = ground_stark_operator(u_plus, wavelength_m, data)
-    c_z = float(np.real(v[1, 1] - v[0, 0]))  # splitting of mJ = +-1/2, in J
+    omega = _check_wavelength(wavelength_m, data)
+    (w1, _), (w2, _) = data.lines()
+    s1, s2 = data.d1_reduced_dipole_cm**2, data.d2_reduced_dipole_cm**2
+    shift_up = s2 * (1 / 4 / (w2 - omega) + 1 / 12 / (w2 + omega)) + s1 / 3 / (w1 + omega)
+    shift_down = s2 * (1 / 12 / (w2 - omega) + 1 / 4 / (w2 + omega)) + s1 / 3 / (w1 - omega)
+    c_z = -(shift_up - shift_down) / (4.0 * HBAR)  # splitting of mJ = +-1/2, in J
     return -8.0 * f * _f_projection(f, data.nuclear_spin) * c_z
 
 

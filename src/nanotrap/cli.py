@@ -49,52 +49,53 @@ UNIT_FACTORS = {
     "dimensionless": {"": 1.0},
 }
 
-# section.key -> (dimension, default in SI units or None for required)
+# section.key -> (dimension, default in SI units or None for required, domain); the
+# domain is the interval of allowed SI values, "[" and "]" closed, "(" and ")" open
 SCHEMA = {
-    "fiber.radius": ("length", None),
-    "blue.wavelength": ("length", None),
-    "blue.power": ("power", None),
-    "red.wavelength": ("length", None),
-    "red.power": ("power", None),
-    "red.backward_power": ("power", "red.power"),
-    "red.relative_phase": ("angle", 0.0),
-    "probe.wavelength": ("length", 852.347e-9),
-    "probe.power": ("power", 4e-12),
-    "probe.polarization_angle": ("angle", 0.0),
-    "manipulation.wavelength": ("length", 880.2524e-9),
-    "manipulation.power": ("power", 100e-6),
-    "manipulation.polarization_angle": ("angle", 0.0),
-    "scheme.phi_b": ("angle", 0.0),
-    "scheme.red_imbalance": ("dimensionless", 1.0),
-    "magnetics.offset_field": ("field", 28.0),
-    "surface.c3": ("c3", "data:c3_ground_jm3"),
-    "pump.saturation": ("dimensionless", 0.01),
-    "pump.duration": ("time", 1e-3),
-    "mw.pulse_duration": ("time", 40e-6),
-    "mw.center_1": ("frequency", -30.35e3),
-    "mw.center_2": ("frequency", 30.35e3),
-    "mw.amplitude_1": ("dimensionless", 0.45),
-    "mw.amplitude_2": ("dimensionless", 0.5),
-    "mw.noise_sigma": ("dimensionless", 0.02),
-    "mw.min": ("frequency", -60e3),
-    "mw.max": ("frequency", 60e3),
-    "mw.points": ("count", 121),
-    "spectrum.od_plus": ("dimensionless", 1.0),
-    "spectrum.od_minus": ("dimensionless", 0.9),
-    "spectrum.delta_plus": ("frequency", 39.82e6),
-    "spectrum.delta_minus": ("frequency", -38.55e6),
-    "spectrum.gamma": ("frequency", 8.3e6),
-    "spectrum.min": ("frequency", -80e6),
-    "spectrum.max": ("frequency", 80e6),
-    "spectrum.points": ("count", 81),
-    "spectrum.reference_counts": ("count", 1e4),
-    "grid.r_max": ("length", 1.5e-6),
-    "grid.n_r": ("count", 50),
-    "grid.n_phi": ("count", 64),
-    "grid.z": ("length", 0.0),
-    "tuneout.min": ("length", 860e-9),
-    "tuneout.max": ("length", 893e-9),
-    "run.seed": ("count", 1),
+    "fiber.radius": ("length", None, "(0, inf)"),
+    "blue.wavelength": ("length", None, "(0, inf)"),
+    "blue.power": ("power", None, "[0, inf)"),
+    "red.wavelength": ("length", None, "(0, inf)"),
+    "red.power": ("power", None, "[0, inf)"),
+    "red.backward_power": ("power", "red.power", "[0, inf)"),
+    "red.relative_phase": ("angle", 0.0, "(-inf, inf)"),
+    "probe.wavelength": ("length", 852.347e-9, "(0, inf)"),
+    "probe.power": ("power", 4e-12, "[0, inf)"),
+    "probe.polarization_angle": ("angle", 0.0, "(-inf, inf)"),
+    "manipulation.wavelength": ("length", 880.2524e-9, "(0, inf)"),
+    "manipulation.power": ("power", 100e-6, "[0, inf)"),
+    "manipulation.polarization_angle": ("angle", 0.0, "(-inf, inf)"),
+    "scheme.phi_b": ("angle", 0.0, "(-inf, inf)"),
+    "scheme.red_imbalance": ("dimensionless", 1.0, "[0, inf)"),
+    "magnetics.offset_field": ("field", 28.0, "(-inf, inf)"),
+    "surface.c3": ("c3", "data:c3_ground_jm3", "(-inf, inf)"),
+    "pump.saturation": ("dimensionless", 0.01, "(0, inf)"),  # zero leaves no steady state
+    "pump.duration": ("time", 1e-3, "(0, inf)"),
+    "mw.pulse_duration": ("time", 40e-6, "(0, inf)"),
+    "mw.center_1": ("frequency", -30.35e3, "(-inf, inf)"),
+    "mw.center_2": ("frequency", 30.35e3, "(-inf, inf)"),
+    "mw.amplitude_1": ("dimensionless", 0.45, "[0, 1]"),  # transfer probabilities
+    "mw.amplitude_2": ("dimensionless", 0.5, "[0, 1]"),
+    "mw.noise_sigma": ("dimensionless", 0.02, "[0, inf)"),
+    "mw.min": ("frequency", -60e3, "(-inf, inf)"),
+    "mw.max": ("frequency", 60e3, "(-inf, inf)"),
+    "mw.points": ("count", 121, "[1, inf)"),
+    "spectrum.od_plus": ("dimensionless", 1.0, "[0, inf)"),
+    "spectrum.od_minus": ("dimensionless", 0.9, "[0, inf)"),
+    "spectrum.delta_plus": ("frequency", 39.82e6, "(-inf, inf)"),
+    "spectrum.delta_minus": ("frequency", -38.55e6, "(-inf, inf)"),
+    "spectrum.gamma": ("frequency", 8.3e6, "(0, inf)"),
+    "spectrum.min": ("frequency", -80e6, "(-inf, inf)"),
+    "spectrum.max": ("frequency", 80e6, "(-inf, inf)"),
+    "spectrum.points": ("count", 81, "[1, inf)"),
+    "spectrum.reference_counts": ("count", 1e4, "[1, inf)"),
+    "grid.r_max": ("length", 1.5e-6, "(0, inf)"),
+    "grid.n_r": ("count", 50, "[1, inf)"),
+    "grid.n_phi": ("count", 64, "[1, inf)"),
+    "grid.z": ("length", 0.0, "(-inf, inf)"),
+    "tuneout.min": ("length", 860e-9, "(0, inf)"),
+    "tuneout.max": ("length", 893e-9, "(0, inf)"),
+    "run.seed": ("count", 1, "[0, inf)"),
 }
 
 STRING_KEYS = {"atoms.data_file"}
@@ -104,24 +105,13 @@ SPECTRUM_COLUMNS = ["detuning_Hz", "counts", "reference_counts"]
 MW_COLUMNS = ["delta_Hz", "probability"]
 
 
-# keys whose value must be > 0: every radius, wavelength and duration, the map's extent,
-# the linewidth and the pumping saturation (zero leaves no steady state)
-POSITIVE_KEYS = {
-    key for key in SCHEMA if key.endswith((".radius", ".wavelength", "duration"))
-} | {"grid.r_max", "tuneout.min", "tuneout.max", "spectrum.gamma", "pump.saturation"}
-# keys whose value must be >= 0: every power, the optical densities, the noise and the imbalance
-NON_NEGATIVE_KEYS = {key for key, (dimension, _) in SCHEMA.items() if dimension == "power"} | {
-    "spectrum.od_plus", "spectrum.od_minus", "mw.noise_sigma", "scheme.red_imbalance"
-}
-
-
 def _parse_value(key: str, raw: str) -> float:
     """One config value in SI units; ConfigError naming ``key`` when it is invalid.
 
-    Numbers must be finite, ``POSITIVE_KEYS`` positive, ``NON_NEGATIVE_KEYS``
-    non-negative, and counts whole numbers >= 1 (``run.seed`` >= 0).
+    Numbers must be finite and inside the key's ``SCHEMA`` domain, and counts
+    whole numbers.
     """
-    dimension, _ = SCHEMA[key]
+    dimension, _, domain = SCHEMA[key]
     parts = raw.split()
     if len(parts) == 1:
         number, unit = parts[0], ""
@@ -140,14 +130,12 @@ def _parse_value(key: str, raw: str) -> float:
         raise ConfigError(f"{key}: bad number {number!r}") from exc
     if not np.isfinite(value):
         raise ConfigError(f"{key}: {raw!r} is not a finite number")
-    if dimension == "count":
-        least = 0 if key == "run.seed" else 1
-        if value != int(value) or value < least:
-            raise ConfigError(f"{key}: {raw!r} is not a whole number >= {least}")
-    elif key in POSITIVE_KEYS and value <= 0:
-        raise ConfigError(f"{key}: {raw!r} must be positive")
-    elif key in NON_NEGATIVE_KEYS and value < 0:
-        raise ConfigError(f"{key}: {raw!r} must not be negative")
+    if dimension == "count" and value != int(value):
+        raise ConfigError(f"{key}: {raw!r} is not a whole number")
+    low, high = (float(bound) for bound in domain[1:-1].split(","))
+    closed = (value == low and domain[0] == "[") or (value == high and domain[-1] == "]")
+    if not (low < value < high or closed):
+        raise ConfigError(f"{key}: {raw!r} is outside {domain}")
     return value
 
 
@@ -197,14 +185,14 @@ class RunConfig:
 
         data_file = raw.pop("atoms.data_file", None)
         values: dict[str, float] = {}
-        for key, (dimension, default) in SCHEMA.items():
+        for key, (_, default, _) in SCHEMA.items():
             if key in raw:
                 values[key] = _parse_value(key, raw[key])
             elif default is None:
                 raise ConfigError(f"missing required key {key!r}")
         # defaults may reference other keys or the atomic data file
         data = AtomicData.from_file(data_file)
-        for key, (dimension, default) in SCHEMA.items():
+        for key, (_, default, _) in SCHEMA.items():
             if key in values:
                 continue
             if isinstance(default, str):
@@ -393,8 +381,11 @@ def cmd_trap(cfg: RunConfig, args, out: Path) -> None:
 
 def cmd_bfict(cfg: RunConfig, args, out: Path) -> None:
     boff = cfg["magnetics.offset_field"]
-    phi_b = np.deg2rad(args.phi_b) if args.phi_b is not None else cfg["scheme.phi_b"]
-    imbalance = args.imbalance if args.imbalance is not None else cfg["scheme.red_imbalance"]
+    phi_b, imbalance = cfg["scheme.phi_b"], cfg["scheme.red_imbalance"]
+    if args.phi_b is not None:
+        phi_b = _parse_value("scheme.phi_b", f"{args.phi_b} deg")
+    if args.imbalance is not None:
+        imbalance = _parse_value("scheme.red_imbalance", args.imbalance)
     manipulation = None
     if args.scheme == "tuneout":
         manipulation = cfg.field("manipulation")
@@ -569,8 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bfict", help="per-site fictitious fields and splittings")
     common(p)
     p.add_argument("--scheme", choices=["tuneout", "tilt", "imbalance"], required=True)
-    p.add_argument("--phi-b", dest="phi_b", type=float, default=None, help="blue tilt in degrees")
-    p.add_argument("--imbalance", type=float, default=None, help="red backward/forward power ratio")
+    p.add_argument("--phi-b", dest="phi_b", default=None, help="blue tilt in degrees")
+    p.add_argument("--imbalance", default=None, help="red backward/forward power ratio")
 
     p = sub.add_parser("pump", help="optical pumping steady state and evolution")
     common(p)

@@ -8,6 +8,7 @@ the physics inputs.
 from __future__ import annotations
 
 from importlib import resources
+from math import isfinite
 from pathlib import Path
 
 from .errors import ConfigError
@@ -52,7 +53,7 @@ def load_constants(path: str | Path | None = None) -> dict[str, float]:
     """Parse the data file into a flat dict of floats.
 
     Comments start with ``#`` and may follow a value on the same line.
-    Unknown keys are rejected, as are files missing any known key.
+    Unknown keys, non-finite values and files missing any known key are rejected.
     """
     path = Path(path) if path is not None else default_data_path()
     try:
@@ -77,6 +78,8 @@ def load_constants(path: str | Path | None = None) -> dict[str, float]:
             values[key] = float(value.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}") from exc
+        if not isfinite(values[key]):
+            raise ConfigError(f"{path}:{lineno}: {key!r} is not a finite number")
 
     missing = KNOWN_KEYS - values.keys()
     if missing:

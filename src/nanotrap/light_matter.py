@@ -76,10 +76,9 @@ def spherical_components(e_field, axis):
     if np.sum(np.abs(e) ** 2) == 0.0:
         raise DomainError("spherical decomposition undefined for a zero field")
     e1, e2, e3 = _orthonormal_triad(axis)
-    # components in the frame whose z axis is the quantization axis
+    # components in the frame whose z axis is the quantization axis; A_q = u_q* . E
     ex, ey, ez = e @ e1, e @ e2, e @ e3
-    a_minus, a_zero, a_plus = atom_cs.spherical_amplitudes(np.array([ex, ey, ez]))
-    return a_plus, a_zero, a_minus
+    return -(ex - 1j * ey) / np.sqrt(2.0), ez, (ex + 1j * ey) / np.sqrt(2.0)
 
 
 def fictitious_field(e_field, wavelength_m: float, f: int = 4, data: AtomicData | None = None):

@@ -50,7 +50,9 @@ def paper_trap(data):
 
 # --- independent oracle for the fictitious field (criterion 4) --------------
 # Written from the data-file constants and ``field_at`` alone, so that it shares
-# neither the Stark operator nor the mode-power quadrature with the program.
+# neither the vector-polarizability code nor the mode-power quadrature with the
+# program.  Its beta_v is the same closed form that ``atom_cs.vector_polarizability``
+# now evaluates; ``stark_oracle.py`` checks that form against the full Stark operator.
 
 
 def oracle_vector_coefficient(wavelength_m, f, data):

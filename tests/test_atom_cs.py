@@ -8,7 +8,6 @@ from nanotrap.atom_cs import (
     breit_rabi_energy,
     excited_state,
     ground_state,
-    ground_stark_operator,
     mw_transition_frequency,
     scalar_polarizability,
     transition_strength,
@@ -23,6 +22,7 @@ from nanotrap.errors import (
     SelectionRuleError,
     ValidityError,
 )
+from stark_oracle import ground_stark_operator, operator_vector_polarizability
 
 MU_B_HZ_PER_G = cst.physical_constants["Bohr magneton"][0] * 1e-4 / cst.h
 
@@ -224,6 +224,23 @@ class TestPolarizabilities:
     def test_vector_golden_value_at_783(self, data):
         value = vector_polarizability(783e-9, 4, data)
         assert value == pytest.approx(-7.91689037e-39, rel=1e-6)
+
+    def test_vector_closed_form_matches_stark_operator(self, data):
+        for nm in (783, 880.2524, 1064):
+            for f in (3, 4):
+                assert vector_polarizability(nm * 1e-9, f, data) == pytest.approx(
+                    operator_vector_polarizability(nm * 1e-9, f, data), rel=1e-14
+                )
+        compared = 0
+        for nm in np.linspace(600, 1600, 2001):  # 0.5 nm steps, 852.5 nm next to D2 included
+            for f in (3, 4):
+                try:
+                    expected = operator_vector_polarizability(nm * 1e-9, f, data)
+                except NearResonanceError:
+                    continue
+                assert vector_polarizability(nm * 1e-9, f, data) == pytest.approx(expected, rel=1e-12)
+                compared += 1
+        assert compared > 3900
 
     def test_scalar_consistent_with_stark_operator(self, data):
         # the 2x2 operator for a linear field must reproduce the closed form

@@ -126,6 +126,18 @@ INVALID_VALUES = [
     ("scheme.red_imbalance", "-0.5"),
     ("grid.r_max", "250 nm"),  # equal to fiber.radius
     ("grid.r_max", "100 nm"),
+    # transfer probabilities: `mw simulate` wrote a "probability" of 3.04, or clipped a negative dip
+    ("mw.amplitude_1", "3"),
+    ("mw.amplitude_1", "-0.5"),
+    ("mw.amplitude_2", "1.5"),
+]
+
+# bfict flags that reached the trap: exit 3 naming no key, or numpy RuntimeWarnings
+INVALID_BFICT_FLAGS = [
+    ("imbalance", "--imbalance", "-1", "scheme.red_imbalance"),
+    ("imbalance", "--imbalance", "nan", "scheme.red_imbalance"),
+    ("tilt", "--phi-b", "nan", "scheme.phi_b"),
+    ("tilt", "--phi-b", "inf", "scheme.phi_b"),
 ]
 
 
@@ -140,10 +152,31 @@ class TestConfigDomain:
         "key, value, expected",
         [("run.seed", "0", 0.0), ("red.power", "0 mW", 0.0), ("grid.z", "-20 nm", -20e-9),
          ("mw.points", "2.0", 2.0),
-         ("mw.noise_sigma", "0", 0.0), ("scheme.red_imbalance", "0", 0.0)],
+         ("mw.noise_sigma", "0", 0.0), ("scheme.red_imbalance", "0", 0.0),
+         ("mw.amplitude_1", "0", 0.0), ("mw.amplitude_2", "1", 1.0)],
     )
     def test_boundary_values_accepted(self, key, value, expected):
         assert cli._parse_value(key, value) == expected
+
+    @pytest.mark.parametrize("scheme, flag, value, key", INVALID_BFICT_FLAGS)
+    def test_invalid_bfict_flag_exits_2_naming_the_key(self, tmp_path, capsys, scheme, flag, value, key):
+        args = ["bfict", "--config", PAPER_CFG, "--out", str(tmp_path), "--scheme", scheme, flag, value]
+        assert run(args) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "bfict.json").exists()
+
+    def test_non_finite_data_file_value_exits_2_naming_file_line_and_key(self, tmp_path, capsys):
+        # a NaN mass reached the trap frequencies and died with a LinAlgError traceback
+        custom = tmp_path / "nan_mass.dat"
+        lines = default_data_path().read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith("mass_kg "))
+        lines[lineno - 1] = "mass_kg = nan"
+        custom.write_text("\n".join(lines) + "\n")
+        args = ["trap", "--config", PAPER_CFG, "--out", str(tmp_path), "--set", f"atoms.data_file={custom}"]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert f"{custom}:{lineno}:" in err and "mass_kg" in err
+        assert not (tmp_path / "trap.json").exists()
 
     def test_invalid_value_in_config_file(self, tmp_path):
         bad = tmp_path / "bad.cfg"
