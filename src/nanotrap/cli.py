@@ -14,12 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import atom_cs, dynamics, light_matter, spectra
 from .atom_cs import AtomicData
+from .constants import read_key_values, stripped_lines
 from .errors import ConfigError, NanotrapError
 from .fiber_mode import (
     GRID_COLUMNS,
@@ -99,6 +101,7 @@ SCHEMA = {
 }
 
 STRING_KEYS = {"atoms.data_file"}
+KEYS = SCHEMA.keys() | STRING_KEYS
 BEAMS = ["blue", "red", "probe", "manipulation"]  # the guided beams a config sets
 # columns of the CSV each "simulate" action writes and its "fit" action reads
 SPECTRUM_COLUMNS = ["detuning_Hz", "counts", "reference_counts"]
@@ -153,33 +156,13 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str | None, overrides: list[str]) -> "RunConfig":
-        raw: dict[str, str] = {}
-        if path is not None:
-            section = ""
-            try:
-                text = Path(path).read_text()
-            except OSError as exc:
-                raise ConfigError(f"cannot read config {path}: {exc}") from exc
-            for lineno, line in enumerate(text.splitlines(), start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if line.startswith("[") and line.endswith("]"):
-                    section = line[1:-1].strip()
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                full = f"{section}.{key.strip()}" if section else key.strip()
-                if full not in SCHEMA and full not in STRING_KEYS:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {full!r}")
-                raw[full] = value.strip()
+        raw = {} if path is None else read_key_values(path, "config", KEYS)
         for item in overrides:
             if "=" not in item:
                 raise ConfigError(f"--set expects section.key=value, got {item!r}")
             key, _, value = item.partition("=")
             key = key.strip()
-            if key not in SCHEMA and key not in STRING_KEYS:
+            if key not in KEYS:
                 raise ConfigError(f"--set: unknown key {key!r}")
             raw[key] = value.strip()
 
@@ -233,8 +216,8 @@ class RunConfig:
         mode = self.mode(self[f"{name}.wavelength"])
         return LightField(mode=mode, power=self[f"{name}.power"], **options)
 
-    def trap_config(self, phi_b: float | None = None, imbalance: float | None = None):
-        """The trap under ``light_matter.with_scheme``; the scheme defaults to ``scheme.*``."""
+    def trap_config(self):
+        """The trap under ``light_matter.with_scheme`` with ``scheme.*`` applied."""
         nominal = light_matter.TrapConfig(
             fiber=self.fiber(),
             blue=self._beam("blue"),
@@ -246,25 +229,13 @@ class RunConfig:
             ),
             c3=self["surface.c3"] if self["surface.c3"] != 0.0 else None,
         )
-        return light_matter.with_scheme(
-            nominal,
-            self["scheme.phi_b"] if phi_b is None else phi_b,
-            self["scheme.red_imbalance"] if imbalance is None else imbalance,
-        )
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+        return light_matter.with_scheme(nominal, self["scheme.phi_b"], self["scheme.red_imbalance"])
 
 
 def _write_json(path: Path, cfg: RunConfig, payload: dict):
     doc = {"config": {k: cfg.values[k] for k in sorted(cfg.values)}, **payload}
     with atomic_open(path) as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, cfg: RunConfig, header: list[str], table):
@@ -272,29 +243,26 @@ def _write_csv(path: Path, cfg: RunConfig, header: list[str], table):
 
 
 def _read_csv(path: str | None, columns: list[str], command: str) -> np.ndarray:
-    """The ``columns`` of the data CSV that ``command`` fits, one row per line."""
+    """The ``columns`` of the data CSV that ``command`` fits, one row per line.
+
+    Every row holds one finite number per header column.
+    """
     if path is None:
         raise ConfigError(f"{command} fit requires --data <csv>")
+    lines = stripped_lines(path, "data file")
+    header = [c.strip() for c in next(lines, (0, ""))[1].split(",")]
+    if header != columns:
+        raise ConfigError(f"{path}: expected {command} CSV header {columns}, got {header}")
     rows = []
-    header = None
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read data file {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        if header is None:
-            header = [c.strip() for c in line.split(",")]
-            continue
+    for lineno, line in lines:
         try:
             rows.append([float(c) for c in line.split(",")])
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: malformed data row") from exc
-    if header is None or not rows:
+        if len(rows[-1]) != len(columns) or not np.all(np.isfinite(rows[-1])):
+            raise ConfigError(f"{path}:{lineno}: expected {len(columns)} finite values, got {line!r}")
+    if not rows:
         raise ConfigError(f"{path}: no data rows")
-    if header != columns:
-        raise ConfigError(f"{path}: expected {command} CSV header {columns}, got {header}")
     return np.array(rows)
 
 
@@ -380,28 +348,17 @@ def cmd_trap(cfg: RunConfig, args, out: Path) -> None:
 
 
 def cmd_bfict(cfg: RunConfig, args, out: Path) -> None:
-    boff = cfg["magnetics.offset_field"]
-    phi_b, imbalance = cfg["scheme.phi_b"], cfg["scheme.red_imbalance"]
-    if args.phi_b is not None:
-        phi_b = _parse_value("scheme.phi_b", f"{args.phi_b} deg")
-    if args.imbalance is not None:
-        imbalance = _parse_value("scheme.red_imbalance", args.imbalance)
-    manipulation = None
+    trap = cfg.trap_config()
     if args.scheme == "tuneout":
-        manipulation = cfg.field("manipulation")
-        phi_b, imbalance = 0.0, 1.0
-    elif args.scheme == "tilt":
-        imbalance = 1.0
-    else:  # imbalance
-        phi_b = 0.0
-    trap = cfg.trap_config(0.0, 1.0)
-    env = light_matter.site_fields(trap, boff, manipulation, phi_b, imbalance, cfg.data)
+        trap = replace(trap, manipulation=cfg.field("manipulation"))
+    site = light_matter.find_trap_minimum(trap, data=cfg.data)
+    env = light_matter.site_environment(trap, cfg["magnetics.offset_field"], site, data=cfg.data)
     mw = light_matter.mw_splitting(env, (3, -3), (4, -3), cfg.data)
     b_up, b_lo = env.total_magnitudes()
     payload = {
         "scheme": args.scheme,
-        "phi_b_rad": phi_b,
-        "red_imbalance": imbalance,
+        "phi_b_rad": cfg["scheme.phi_b"],
+        "red_imbalance": cfg["scheme.red_imbalance"],
         "site_upper": list(env.site_upper),
         "site_lower": list(env.site_lower),
         **_site_payload(env, cfg.data),
@@ -533,10 +490,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def shorthand(p, flag, override, metavar):  # a flag that appends one --set override
+        p.add_argument(flag, dest="set", action="append", type=override.format,
+                       metavar=metavar, help=f"shorthand for --set '{override.format(metavar)}'")
+
     def common(p):
         p.add_argument("--config", default=None, help="path to a key = value config file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override run.seed")
         p.add_argument(
             "--set",
             action="append",
@@ -544,6 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override one config key, e.g. --set 'fiber.radius=260 nm'",
         )
+        shorthand(p, "--seed", "run.seed={}", "N")
 
     p = sub.add_parser("mode", help="solve guided modes and report beta, V")
     common(p)
@@ -560,8 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bfict", help="per-site fictitious fields and splittings")
     common(p)
     p.add_argument("--scheme", choices=["tuneout", "tilt", "imbalance"], required=True)
-    p.add_argument("--phi-b", dest="phi_b", default=None, help="blue tilt in degrees")
-    p.add_argument("--imbalance", default=None, help="red backward/forward power ratio")
+    shorthand(p, "--phi-b", "scheme.phi_b={} deg", "DEG")
+    shorthand(p, "--imbalance", "scheme.red_imbalance={}", "RATIO")
 
     p = sub.add_parser("pump", help="optical pumping steady state and evolution")
     common(p)
@@ -598,10 +559,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        overrides = list(args.set)
-        if args.seed is not None:
-            overrides.append(f"run.seed={args.seed}")
-        cfg = RunConfig.load(args.config, overrides)
+        cfg = RunConfig.load(args.config, args.set)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         COMMANDS[args.command](cfg, args, out)

@@ -1,4 +1,4 @@
-"""CODATA 2022 physical constants and the loader for the atomic/material data file.
+"""CODATA 2022 physical constants, the ``key = value`` file reader and the atomic data loader.
 
 All cesium and fused-silica constants used anywhere in the package live in
 one plain-text ``key = value`` file (``data/cesium.dat``).  Nothing numeric
@@ -49,38 +49,61 @@ def default_data_path() -> Path:
     return Path(resources.files("nanotrap").joinpath("data/cesium.dat"))
 
 
+def stripped_lines(path: str | Path, what: str):
+    """(line number, text) of each non-blank line of ``path``, ``#`` comments removed."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def read_key_values(path: str | Path, what: str, known, parse=str) -> dict:
+    """The ``key = value`` lines of ``path``, keys prefixed by their ``[section]``.
+
+    Malformed lines, keys not in ``known``, repeated keys and values that
+    ``parse`` rejects with a ValueError raise a ConfigError naming ``path:line``.
+    """
+    values: dict = {}
+    section = ""
+    for lineno, line in stripped_lines(path, what):
+        where = f"{path}:{lineno}"
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip() + "."
+            continue
+        key, eq, raw = line.partition("=")
+        key = section + key.strip()
+        if not eq:
+            raise ConfigError(f"{where}: expected 'key = value', got {line!r}")
+        if key not in known:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{where}: duplicate key {key!r}")
+        try:
+            values[key] = parse(raw.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
+    return values
+
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return value
+
+
 def load_constants(path: str | Path | None = None) -> dict[str, float]:
     """Parse the data file into a flat dict of floats.
 
-    Comments start with ``#`` and may follow a value on the same line.
-    Unknown keys, non-finite values and files missing any known key are rejected.
+    Comments start with ``#`` and may follow a value on the same line.  Unknown
+    or repeated keys, non-finite values and files missing any known key are rejected.
     """
     path = Path(path) if path is not None else default_data_path()
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read data file {path}: {exc}") from exc
-
-    values: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in values:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        try:
-            values[key] = float(value.strip())
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}") from exc
-        if not isfinite(values[key]):
-            raise ConfigError(f"{path}:{lineno}: {key!r} is not a finite number")
-
+    values = read_key_values(path, "data file", KNOWN_KEYS, _finite)
     missing = KNOWN_KEYS - values.keys()
     if missing:
         raise ConfigError(f"{path}: missing keys {sorted(missing)}")

@@ -277,8 +277,8 @@ def scattering_rate(
     return 0.5 * gamma_rad * saturation * strength / lorentz
 
 
-def rabi_transfer(pulse: PulseSpec) -> float:
-    """Transfer probability of a square pulse at fixed detuning.
+def rabi_transfer(pulse: PulseSpec):
+    """Transfer probability of a square pulse, an array for an array of detunings.
 
     P = Omega^2/(Omega^2 + delta^2) sin^2(sqrt(Omega^2 + delta^2) tau / 2)
     with delta = 2 pi * detuning.
@@ -286,7 +286,7 @@ def rabi_transfer(pulse: PulseSpec) -> float:
     delta = 2 * np.pi * pulse.detuning_hz
     omega_eff = np.hypot(pulse.rabi_rad_s, delta)
     amp = (pulse.rabi_rad_s / omega_eff) ** 2
-    return float(amp * np.sin(0.5 * omega_eff * pulse.duration_s) ** 2)
+    return amp * np.sin(0.5 * omega_eff * pulse.duration_s) ** 2
 
 
 def pi_pulse_fwhm(tau_s: float) -> float:

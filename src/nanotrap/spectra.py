@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import pi_pulse_fwhm
+from .dynamics import PulseSpec, pi_pulse_fwhm, rabi_transfer
 from .errors import DegenerateFitError, DomainError
 from .numerics import FitResult, least_squares
 
@@ -156,15 +156,10 @@ class MwFitResult:
 def _mw_lineshape(tau_s: float):
     def shape(params, detuning):
         x = np.asarray(detuning, dtype=float)
-        n = params.size // 2
-        total = np.zeros_like(x)
-        for k in range(n):
-            center, amp = params[2 * k], params[2 * k + 1]
-            omega_eff = np.hypot(np.pi / tau_s, 2 * np.pi * (x - center))
-            total = total + amp * (np.pi / tau_s / omega_eff) ** 2 * np.sin(
-                0.5 * omega_eff * tau_s
-            ) ** 2
-        return total
+        return sum(
+            amp * rabi_transfer(PulseSpec.pi_pulse(tau_s, x - center))
+            for center, amp in zip(params[0::2], params[1::2])
+        )
 
     return shape
 

@@ -76,6 +76,29 @@ class TestConfig:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "row",
+        ["1.0,0.2,0.3", "1.0", "1.0,nan"],
+        ids=["three columns", "one column", "nan probability"],
+    )
+    def test_bad_data_csv_row_exits_2_naming_path_line(self, tmp_path, capsys, row):
+        # a numpy traceback (exit 1), an unpacking error (exit 1) and a non-finite fit (exit 3)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"# mw data\ndelta_Hz,probability\n-1000.0,0.1\n{row}\n1000.0,0.2\n")
+        args = ["mw", "fit", "--config", PAPER_CFG, "--data", str(bad), "--out", str(tmp_path)]
+        assert run(args) == 2
+        assert f"{bad}:4:" in capsys.readouterr().err
+        assert not (tmp_path / "mw_fit.json").exists()
+
+    def test_repeated_config_key_exits_2_naming_path_line(self, tmp_path, capsys):
+        # the last value silently won
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(Path(PAPER_CFG).read_text().replace("n_r = 50", "n_r = 50\nn_r = 60"))
+        lineno = bad.read_text().splitlines().index("n_r = 60") + 1
+        assert run(["mode", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:{lineno}:" in err and "grid.n_r" in err
+
     def test_numerical_failure_exit_3(self, tmp_path):
         # no sign change of the scalar polarizability inside this bracket
         code = run(
@@ -291,28 +314,39 @@ class TestOutputs:
         site = tuple(doc["site_upper"])
         cfg = RunConfig.load(PAPER_CFG, [override])
         expected = np.zeros(3)
-        for fld in cfg.trap_config(0.0, 1.0).fields():
+        for fld in cfg.trap_config().fields():
             expected = expected + fictitious_field(field_at(fld, *site), fld.mode.wavelength, 4, cfg.data)
         assert (site[0] - cfg["fiber.radius"]) * 1e9 == pytest.approx(308.2, abs=1.0)
         assert doc["Bfict_upper_G"] == pytest.approx(list(expected), rel=1e-12, abs=1e-15)
         assert doc["Bfict_upper_G"][1] > 1e-2
 
     def test_trap_and_bfict_tilt_share_one_scheme_transform(self, tmp_path):
-        # scheme.phi_b (trap) and --phi-b (bfict) reach the same with_scheme rule
+        # scheme.* (trap) and the bfict flags (tilt, then imbalance) reach the same
+        # with_scheme rule, and the flags are echoed as the overrides they stand for
         offset = ["--set", "magnetics.offset_field=3 G"]
-        runs = {
-            "trap": ["trap", "--set", "scheme.phi_b=5 deg", *offset],
-            "bfict": ["bfict", "--scheme", "tilt", "--phi-b", "5", *offset],
-        }
-        docs = {}
-        for name, args in runs.items():
-            assert run([*args, "--config", PAPER_CFG, "--out", str(tmp_path)]) == 0
-            docs[name] = json.loads((tmp_path / f"{name}.json").read_text())
-        trap, bfict = docs["trap"], docs["bfict"]
-        pos = trap["minimum_position"]
-        assert bfict["site_upper"] == [pos["r_m"], pos["phi_rad"], pos["z_m"]]
-        for key in ("Bfict_upper_G", "Bfict_lower_G", "clock_splitting_Hz", "clock_splitting_quadratic_Hz"):
-            assert bfict[key] == trap[key]
+        cases = [
+            ("scheme.phi_b=5 deg", ["--scheme", "tilt", "--phi-b", "5"]),
+            ("scheme.red_imbalance=0.8", ["--scheme", "imbalance", "--imbalance", "0.8"]),
+        ]
+        for override, flags in cases:
+            docs = {}
+            for name, args in (("trap", ["--set", override]), ("bfict", flags)):
+                assert run([name, *args, *offset, "--config", PAPER_CFG, "--out", str(tmp_path)]) == 0
+                docs[name] = json.loads((tmp_path / f"{name}.json").read_text())
+            trap, bfict = docs["trap"], docs["bfict"]
+            assert bfict["config"] == trap["config"], override
+            pos = trap["minimum_position"]
+            assert bfict["site_upper"] == [pos["r_m"], pos["phi_rad"], pos["z_m"]]
+            for key in ("Bfict_upper_G", "Bfict_lower_G", "clock_splitting_Hz", "clock_splitting_quadratic_Hz"):
+                assert bfict[key] == trap[key], (override, key)
+
+    def test_bfict_flags_reach_the_trap_and_the_config_echo(self, tmp_path):
+        # the tilt scheme dropped --imbalance and wrote "red_imbalance": 1.0
+        args = ["--scheme", "tilt", "--phi-b", "5", "--imbalance", "0.8"]
+        assert run(["bfict", "--config", PAPER_CFG, "--out", str(tmp_path), *args]) == 0
+        doc = json.loads((tmp_path / "bfict.json").read_text())
+        assert doc["red_imbalance"] == 0.8 and doc["config"]["scheme.red_imbalance"] == 0.8
+        assert doc["phi_b_rad"] == doc["config"]["scheme.phi_b"] == pytest.approx(np.deg2rad(5.0))
 
     def test_pump_site_is_the_configured_trap_minimum(self, tmp_path):
         # scheme.* reaches pump as it reaches trap: the tilted trap's minimum is pumped
