@@ -75,10 +75,10 @@ class PulseSpec:
 
     rabi_rad_s: float
     duration_s: float
-    detuning_hz: float = 0.0
+    detuning_hz: float | np.ndarray = 0.0
 
     @classmethod
-    def pi_pulse(cls, duration_s: float, detuning_hz: float = 0.0) -> "PulseSpec":
+    def pi_pulse(cls, duration_s: float, detuning_hz: float | np.ndarray = 0.0) -> "PulseSpec":
         """Resonant pulse area pi: Omega = pi / tau."""
         if duration_s <= 0:
             raise DomainError("pulse duration must be positive")
@@ -277,16 +277,15 @@ def scattering_rate(
     return 0.5 * gamma_rad * saturation * strength / lorentz
 
 
-def rabi_transfer(pulse: PulseSpec):
-    """Transfer probability of a square pulse, an array for an array of detunings.
+def rabi_transfer(pulse: PulseSpec) -> float | np.ndarray:
+    """Transfer probability of a square pulse, an array for an array of detunings."""
+    return _transfer(pulse.rabi_rad_s, pulse.duration_s, pulse.detuning_hz)
 
-    P = Omega^2/(Omega^2 + delta^2) sin^2(sqrt(Omega^2 + delta^2) tau / 2)
-    with delta = 2 pi * detuning.
-    """
-    delta = 2 * np.pi * pulse.detuning_hz
-    omega_eff = np.hypot(pulse.rabi_rad_s, delta)
-    amp = (pulse.rabi_rad_s / omega_eff) ** 2
-    return amp * np.sin(0.5 * omega_eff * pulse.duration_s) ** 2
+
+def _transfer(rabi_rad_s, duration_s, detuning_hz):
+    """P = (Omega / W)^2 sin^2(W tau / 2) with W = sqrt(Omega^2 + (2 pi detuning)^2)."""
+    omega_eff = np.hypot(rabi_rad_s, 2 * np.pi * detuning_hz)
+    return (rabi_rad_s / omega_eff) ** 2 * np.sin(0.5 * omega_eff * duration_s) ** 2
 
 
 def pi_pulse_fwhm(tau_s: float) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import PulseSpec, pi_pulse_fwhm, rabi_transfer
+from .dynamics import _transfer, pi_pulse_fwhm
 from .errors import DegenerateFitError, DomainError
 from .numerics import FitResult, least_squares
 
@@ -157,7 +157,7 @@ def _mw_lineshape(tau_s: float):
     def shape(params, detuning):
         x = np.asarray(detuning, dtype=float)
         return sum(
-            amp * rabi_transfer(PulseSpec.pi_pulse(tau_s, x - center))
+            amp * _transfer(np.pi / tau_s, tau_s, x - center)
             for center, amp in zip(params[0::2], params[1::2])
         )
 

@@ -265,6 +265,13 @@ class TestRabi:
         for d in np.linspace(1e2, 1e5, 57):
             assert rabi_transfer(PulseSpec.pi_pulse(40e-6, d)) < on
 
+    def test_array_detuning_matches_scalar_calls_exactly(self):
+        detunings = np.linspace(-6e4, 6e4, 121)
+        swept = rabi_transfer(PulseSpec.pi_pulse(40e-6, detunings))
+        assert swept.shape == detunings.shape
+        for d, p in zip(detunings, swept):
+            assert p == rabi_transfer(PulseSpec.pi_pulse(40e-6, float(d)))
+
 
 class TestPiPulseFwhm:
     def test_103_us(self):
