@@ -22,7 +22,7 @@ import numpy as np
 from . import atom_cs, dynamics, light_matter, spectra
 from .atom_cs import AtomicData
 from .constants import read_key_values, stripped_lines
-from .errors import ConfigError, NanotrapError
+from .errors import ConfigError, DomainError, NanotrapError
 from .fiber_mode import (
     GRID_COLUMNS,
     FiberSpec,
@@ -108,12 +108,14 @@ SPECTRUM_COLUMNS = ["detuning_Hz", "counts", "reference_counts"]
 MW_COLUMNS = ["delta_Hz", "probability"]
 
 
-def _parse_value(key: str, raw: str) -> float:
+def _parse_value(key: str, raw: str) -> float | str:
     """One config value in SI units; ConfigError naming ``key`` when it is invalid.
 
     Numbers must be finite and inside the key's ``SCHEMA`` domain, and counts
-    whole numbers.
+    whole numbers; a ``STRING_KEYS`` value is returned as given.
     """
+    if key in STRING_KEYS:
+        return raw
     dimension, _, domain = SCHEMA[key]
     parts = raw.split()
     if len(parts) == 1:
@@ -156,7 +158,7 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str | None, overrides: list[str]) -> "RunConfig":
-        raw = {} if path is None else read_key_values(path, "config", KEYS)
+        values = {} if path is None else read_key_values(path, "config", KEYS, _parse_value)
         for item in overrides:
             if "=" not in item:
                 raise ConfigError(f"--set expects section.key=value, got {item!r}")
@@ -164,20 +166,15 @@ class RunConfig:
             key = key.strip()
             if key not in KEYS:
                 raise ConfigError(f"--set: unknown key {key!r}")
-            raw[key] = value.strip()
-
-        data_file = raw.pop("atoms.data_file", None)
-        values: dict[str, float] = {}
-        for key, (_, default, _) in SCHEMA.items():
-            if key in raw:
-                values[key] = _parse_value(key, raw[key])
-            elif default is None:
-                raise ConfigError(f"missing required key {key!r}")
+            values[key] = _parse_value(key, value.strip())
+        data_file = values.pop("atoms.data_file", None)
         # defaults may reference other keys or the atomic data file
         data = AtomicData.from_file(data_file)
         for key, (_, default, _) in SCHEMA.items():
             if key in values:
                 continue
+            if default is None:
+                raise ConfigError(f"missing required key {key!r}")
             if isinstance(default, str):
                 if default.startswith("data:"):
                     values[key] = getattr(data, default.split(":", 1)[1])
@@ -242,6 +239,14 @@ def _write_csv(path: Path, cfg: RunConfig, header: list[str], table):
     write_csv(path, cfg.echo_lines(), header, table)
 
 
+def _fit(path: str, fit, *args, **kwargs):
+    """``fit(*args, **kwargs)``; its DomainError, a refusal of the data in ``path``, exits 2."""
+    try:
+        return fit(*args, **kwargs)
+    except DomainError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _read_csv(path: str | None, columns: list[str], command: str) -> np.ndarray:
     """The ``columns`` of the data CSV that ``command`` fits, one row per line.
 
@@ -261,9 +266,7 @@ def _read_csv(path: str | None, columns: list[str], command: str) -> np.ndarray:
             raise ConfigError(f"{path}:{lineno}: malformed data row") from exc
         if len(rows[-1]) != len(columns) or not np.all(np.isfinite(rows[-1])):
             raise ConfigError(f"{path}:{lineno}: expected {len(columns)} finite values, got {line!r}")
-    if not rows:
-        raise ConfigError(f"{path}: no data rows")
-    return np.array(rows)
+    return np.array(rows).reshape(-1, len(columns))  # too few rows: the fit refuses them (_fit)
 
 
 # --- subcommands ---------------------------------------------------------
@@ -418,8 +421,9 @@ def cmd_spectrum(cfg: RunConfig, args, out: Path) -> None:
         _write_csv(out / "spectrum.csv", cfg, SPECTRUM_COLUMNS, table)
         print(f"wrote {out / 'spectrum.csv'}")
         return
-    data = spectra.SpectrumData(*_read_csv(args.data, SPECTRUM_COLUMNS, "spectrum").T)
-    result = spectra.fit_transmission(data, model)
+    columns = _read_csv(args.data, SPECTRUM_COLUMNS, "spectrum").T
+    data = _fit(args.data, spectra.SpectrumData, *columns)
+    result = _fit(args.data, spectra.fit_transmission, data, model)
     names = ["od_plus", "od_minus", "delta_plus_hz", "delta_minus_hz", "gamma_hz"]
     sig = result.sigmas
     denom = np.outer(sig, sig)
@@ -456,7 +460,7 @@ def cmd_mw(cfg: RunConfig, args, out: Path) -> None:
         print(f"wrote {out / 'mw.csv'}")
         return
     columns = _read_csv(args.data, MW_COLUMNS, "mw").T
-    result = spectra.fit_mw_spectrum(columns, tau, components=args.components)
+    result = _fit(args.data, spectra.fit_mw_spectrum, columns, tau, components=args.components)
     payload = {
         "centers_hz": [float(v) for v in result.centers_hz],
         "center_sigmas_hz": [float(v) for v in result.center_sigmas_hz],

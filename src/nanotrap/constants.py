@@ -61,11 +61,11 @@ def stripped_lines(path: str | Path, what: str):
             yield lineno, line
 
 
-def read_key_values(path: str | Path, what: str, known, parse=str) -> dict:
+def read_key_values(path: str | Path, what: str, known, parse) -> dict:
     """The ``key = value`` lines of ``path``, keys prefixed by their ``[section]``.
 
     Malformed lines, keys not in ``known``, repeated keys and values that
-    ``parse`` rejects with a ValueError raise a ConfigError naming ``path:line``.
+    ``parse(key, raw)`` rejects with a ValueError raise a ConfigError naming ``path:line``.
     """
     values: dict = {}
     section = ""
@@ -83,13 +83,15 @@ def read_key_values(path: str | Path, what: str, known, parse=str) -> dict:
         if key in values:
             raise ConfigError(f"{where}: duplicate key {key!r}")
         try:
-            values[key] = parse(raw.strip())
+            values[key] = parse(key, raw.strip())
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
     return values
 
 
-def _finite(raw: str) -> float:
+def _finite(key: str, raw: str) -> float:
     value = float(raw)
     if not isfinite(value):
         raise ValueError(f"{raw!r} is not a finite number")

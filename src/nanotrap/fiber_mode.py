@@ -208,38 +208,41 @@ def solve_he11(fiber: FiberSpec, wavelength_m: float) -> GuidedMode:
 
     # fix the global phase: dominant transverse component real and positive
     # just outside the surface on the polarization axis
-    e_r, _, _ = _radial_profiles_e(mode, np.array([a * (1 + 1e-9)]))
-    ph = np.sqrt(2.0) * e_r[0] * norm
+    e_r = _profiles([mode], a * (1 + 1e-9))[0][0]
+    ph = np.sqrt(2.0) * e_r * norm
     return replace(mode, normalization=norm, _phase_fix=np.conj(ph) / abs(ph))
 
 
-def _radial_profiles_e(mode: GuidedMode, r: np.ndarray):
-    """Radial E-field profiles (e_r, e_phi, e_z) of the unit-amplitude p=+1 mode.
+def _profiles(modes, r):
+    """Radial E-field profiles (e_r, e_phi, e_z) of unit-amplitude p=+1 modes of one fiber.
 
-    Each branch (Bessel J inside the core, K outside) is evaluated only at
-    the radii it applies to.
+    Each has shape r.shape + (len(modes),).  Each branch (Bessel J inside the
+    core, K outside) is one Bessel call for every mode at the radii it
+    applies to, and a mode's profiles do not depend on the modes beside it.
     """
-    a = mode.fiber.radius
-    beta, h, q, s = mode.beta, mode.interior_parameter, mode.exterior_parameter, mode.s_parameter
     r = np.asarray(r, dtype=float)
-    inside = r < a
+    if len({m.fiber.radius for m in modes}) != 1:
+        raise DomainError("stacked modes must belong to one fiber")
+    names = ("beta", "interior_parameter", "exterior_parameter", "s_parameter", "exterior_scale")
+    beta, h, q, s, c_out = np.array([[getattr(m, name) for name in names] for m in modes]).T
 
+    # 1j times a real quotient equals the scalar 1j * beta / (2 h) bit for bit: numpy
+    # divides a complex scalar by a real one per component (a complex array would not)
     def interior(rr):
-        j0, j1, j2 = bessel_j((0, 1, 2), h * rr)
-        er_in = 1j * beta / (2 * h) * ((1 - s) * j0 - (1 + s) * j2)
+        j0, j1, j2 = bessel_j((0, 1, 2), rr[:, None] * h)
+        er_in = 1j * (beta / (2 * h)) * ((1 - s) * j0 - (1 + s) * j2)
         ephi_in = -beta / (2 * h) * ((1 - s) * j0 + (1 + s) * j2)
         return er_in, ephi_in, j1
 
     def exterior(rr):
-        c_out = mode.exterior_scale
-        k0, k1, k2 = bessel_k((0, 1, 2), q * rr)
-        er_out = 1j * c_out * beta / (2 * q) * ((1 - s) * k0 + (1 + s) * k2)
+        k0, k1, k2 = bessel_k((0, 1, 2), rr[:, None] * q)
+        er_out = 1j * (c_out * beta / (2 * q)) * ((1 - s) * k0 + (1 + s) * k2)
         ephi_out = -c_out * beta / (2 * q) * ((1 - s) * k0 - (1 + s) * k2)
         return er_out, ephi_out, c_out * k1
 
-    e_r = np.empty(r.shape, dtype=complex)
-    e_phi = np.empty(r.shape)
-    e_z = np.empty(r.shape)
+    inside = r < modes[0].fiber.radius
+    e_r = np.empty(r.shape + (len(modes),), dtype=complex)
+    e_phi, e_z = np.empty(e_r.shape), np.empty(e_r.shape)
     for mask, branch in ((inside, interior), (~inside, exterior)):
         if mask.any():
             e_r[mask], e_phi[mask], e_z[mask] = branch(r[mask])
@@ -301,44 +304,65 @@ class LightField:
             raise ModeStateError("LightField requires a solved GuidedMode")
 
     def beams(self):
-        """(power, propagation sign, extra phase) per physical beam."""
+        """(complex amplitude, 1j * direction * beta, direction) per physical beam."""
+        m = self.mode
         out = [(self.power, self.direction, 0.0)]
         if self.configuration == "standing":
             out.append((self.backward_power, -self.direction, self.relative_phase))
-        return out
+        return [
+            (m.normalization * np.sqrt(p) * m._phase_fix * np.exp(1j * ph), 1j * d * m.beta, d)
+            for p, d, ph in out
+        ]
 
 
-def field_at(light: LightField, r, phi, z, profiles=None):
+def _stack_beams(lights):
+    """``lights`` stacked for ``_fields_at``: per field its mode, polarization angle
+    and first beam, then per beam, in field order, its field and ``beams()`` entry."""
+    rows = [(i, *beam) for i, light in enumerate(lights) for beam in light.beams()]
+    owner, amplitude, wavevector, direction = map(np.array, zip(*rows))
+    angles = np.array([light.polarization_angle for light in lights], dtype=float)
+    first = np.searchsorted(owner, np.arange(len(lights)))
+    return [light.mode for light in lights], angles, first, owner, amplitude, wavevector, direction
+
+
+def field_at(light: LightField, r, phi, z):
     """Complex E field (V/m) of the beam configuration, Cartesian components.
 
     Returns an array of shape broadcast(r, phi, z) + (3,) with components
     along (x, y, z); z is the fiber axis.  Quasi-linear polarization along
     ``polarization_angle``; standing waves sum the two counter-propagating
     fields with their relative phase.  Radial profiles are evaluated on the
-    unbroadcast ``r``, or taken from ``profiles`` (``_radial_profiles_e`` at r).
+    unbroadcast ``r``.
     """
-    mode = light.mode
+    return _fields_at(_stack_beams([light]), r, phi, z)[..., 0, :]
+
+
+def _fields_at(beams, r, phi, z, profiles=None):
+    """``field_at`` of every field of ``beams``, shape broadcast(r, phi, z) + (n_fields, 3).
+
+    One pass over all beams, on a trailing axis of fields or beams; the beams
+    of each field are summed in order.  ``profiles`` may give ``_profiles`` of
+    the fields' modes at ``r``.
+    """
+    modes, angles, first, owner, amplitude, wavevector, direction = beams
     r, phi, z = (np.asarray(v, dtype=float) for v in (r, phi, z))
     if (r < 0).any():
         raise DomainError("radius must be non-negative")
-    theta0 = light.polarization_angle
-    e_r, e_phi, e_z = _radial_profiles_e(mode, r) if profiles is None else profiles
-
-    total = np.zeros(np.broadcast_shapes(r.shape, phi.shape, z.shape) + (3,), dtype=complex)
-    for power, direction, extra_phase in light.beams():
-        if power == 0.0:
-            continue
-        amp = mode.normalization * np.sqrt(power) * mode._phase_fix * np.exp(1j * extra_phase)
-        cosd = np.cos(phi - theta0)
-        sind = np.sin(phi - theta0)
-        prop = np.exp(1j * direction * mode.beta * z)
-        er = np.sqrt(2.0) * e_r * cosd * amp * prop
-        ep = np.sqrt(2.0) * 1j * e_phi * sind * amp * prop
-        ez = np.sqrt(2.0) * e_z * cosd * amp * prop * direction
-        total[..., 0] += er * np.cos(phi) - ep * np.sin(phi)
-        total[..., 1] += er * np.sin(phi) + ep * np.cos(phi)
-        total[..., 2] += ez
-    return total
+    e_r, e_phi, e_z = _profiles(modes, r) if profiles is None else profiles
+    phi = phi[..., None]
+    cosd, sind = np.cos(phi - angles), np.sin(phi - angles)
+    prop = np.exp(wavevector * z[..., None])
+    # each field's beams summed in order; a zero-power beam adds zeros, and adding
+    # 0.0 last makes an all-zero sum +0.0, as a sum started from zero does
+    ez = (np.sqrt(2.0) * e_z * cosd)[..., owner] * amplitude * prop * direction
+    total = np.empty(ez.shape[:-1] + (len(modes), 3), dtype=complex)
+    np.add.reduceat(ez, first, axis=-1, out=total[..., 2])
+    er = (np.sqrt(2.0) * e_r * cosd)[..., owner] * amplitude * prop
+    ep = (np.sqrt(2.0) * 1j * e_phi * sind)[..., owner] * amplitude * prop
+    cos, sin = np.cos(phi), np.sin(phi)
+    np.add.reduceat(er * cos - ep * sin, first, axis=-1, out=total[..., 0])
+    np.add.reduceat(er * sin + ep * cos, first, axis=-1, out=total[..., 1])
+    return np.add(total, 0.0, out=total)
 
 
 @dataclass(frozen=True)
@@ -359,14 +383,10 @@ class PolarGrid:
         if self.n_r < 1 or self.n_phi < 1:
             raise DomainError("grid needs at least one sample per axis")
 
-    def axes(self):
-        r = np.linspace(self.r_min, self.r_max, self.n_r)
-        phi = np.linspace(0.0, 2 * np.pi, self.n_phi, endpoint=False)
-        return r, phi
-
     def mesh(self):
         """Sparse (r, phi) axes, shapes (n_r, 1) and (1, n_phi): row-major, r outer."""
-        r, phi = self.axes()
+        r = np.linspace(self.r_min, self.r_max, self.n_r)
+        phi = np.linspace(0.0, 2 * np.pi, self.n_phi, endpoint=False)
         return np.meshgrid(r, phi, indexing="ij", sparse=True)
 
     def table(self, values: np.ndarray) -> np.ndarray:
@@ -378,9 +398,7 @@ class PolarGrid:
 
 def intensity_map(light: LightField, grid: PolarGrid) -> np.ndarray:
     """|E|^2 sampled on the polar grid, shape (n_r, n_phi), units (V/m)^2."""
-    rr, pp = grid.mesh()
-    e = field_at(light, rr, pp, grid.z)
-    return np.sum(np.abs(e) ** 2, axis=-1)
+    return np.sum(np.abs(field_at(light, *grid.mesh(), grid.z)) ** 2, axis=-1)
 
 
 def ellipticity(e_field) -> np.ndarray:
@@ -398,14 +416,17 @@ def ellipticity(e_field) -> np.ndarray:
 
 
 def _spin_density(e):
-    """i(E x E*) = |E|^2 eps of a complex field array (trailing axis)."""
-    return np.real(1j * np.cross(e, np.conj(e)))
+    """i(E x E*) = |E|^2 eps of a complex field array (trailing axis).
+
+    The products of ``np.cross(e, e.conj())`` written out, equal to it bit for bit.
+    """
+    a, b = e[..., [1, 2, 0]], e[..., [2, 0, 1]]
+    return np.real(1j * (a * b.conj() - b * a.conj()))
 
 
 def ellipticity_map(light: LightField, grid: PolarGrid) -> np.ndarray:
     """Ellipticity vector on the grid, shape (n_r, n_phi, 3); DomainError at a zero of the field."""
-    rr, pp = grid.mesh()
-    return ellipticity(field_at(light, rr, pp, grid.z))
+    return ellipticity(field_at(light, *grid.mesh(), grid.z))
 
 
 @contextmanager
@@ -448,8 +469,7 @@ def write_csv(path, header_lines, columns, table):
 
 def write_field_map_csv(path, light: LightField, grid: PolarGrid, header_lines=()):
     """Write the complex field on the grid as CSV (row-major: r outer, phi inner)."""
-    rr, pp = grid.mesh()
-    e = field_at(light, rr, pp, grid.z)
+    e = field_at(light, *grid.mesh(), grid.z)
     columns = ["Ex_re", "Ex_im", "Ey_re", "Ey_im", "Ez_re", "Ez_im"]  # (re, im) per component
     write_csv(path, header_lines, [*GRID_COLUMNS, *columns], grid.table(e.view(float)))
 

@@ -21,11 +21,11 @@ from .atom_cs import (
     mw_transition_frequency,
 )
 from .errors import DomainError, NoTrapError, SaddlePointError
-from .fiber_mode import FiberSpec, LightField, _radial_profiles_e, _spin_density, field_at
+from .fiber_mode import FiberSpec, LightField, field_at
+from .fiber_mode import _fields_at, _profiles, _spin_density, _stack_beams
 from .fiber_mode import ellipticity  # noqa: F401  re-exported: part of this module's API
 
 __all__ = [
-    "EllipticityVector",
     "MagneticEnvironment",
     "TrapConfig",
     "ClockSplitting",
@@ -45,10 +45,7 @@ __all__ = [
 ]
 
 H_PLANCK = cst.h
-MU_B_J_PER_G = atom_cs.MU_B_J_PER_G
 Y_AXIS = np.array([0.0, 1.0, 0.0])
-
-EllipticityVector = np.ndarray  # real 3-vector, |eps| <= 1
 
 
 def _orthonormal_triad(axis: np.ndarray):
@@ -93,11 +90,7 @@ def scalar_shift(e_field, wavelength_m: float, data: AtomicData | None = None):
     """Scalar AC Stark shift -(1/4) alpha_s |E|^2 in Hz."""
     data = data or default_atomic_data()
     alpha_s = atom_cs.scalar_polarizability(wavelength_m, data)
-    return _scalar_shift(np.asarray(e_field, dtype=complex), alpha_s)
-
-
-def _scalar_shift(e, alpha_s: float):
-    intensity = np.sum(np.abs(e) ** 2, axis=-1)
+    intensity = np.sum(np.abs(np.asarray(e_field, dtype=complex)) ** 2, axis=-1)
     return -0.25 * alpha_s * intensity / H_PLANCK
 
 
@@ -210,32 +203,30 @@ def _potential(config: TrapConfig, state: HyperfineState | None, boff, data: Ato
     """The trap potential of one configuration and sublevel as ``u(r, phi, z)``.
 
     Everything that does not depend on the position is computed here once:
-    each field's scalar polarizability and, for a resolved sublevel, its
-    vector coefficient beta_v, the offset vector and the zero-field
-    Breit-Rabi reference.  ``u`` is the potential ``trap_potential``
-    documents, in Hz; ``profiles`` may give each field's profiles at ``r``.
+    the stacked beams, each field's scalar polarizability and, for a resolved
+    sublevel, its vector coefficient beta_v, the offset vector and the
+    zero-field Breit-Rabi reference.  ``u`` is the potential ``trap_potential``
+    documents, in Hz, from one ``_fields_at`` pass over every field;
+    ``profiles`` may give ``_profiles`` of the fields' modes at ``r``.
     """
     a = config.fiber.radius
     fields = config.fields()
+    beams = _stack_beams(fields)
     alphas = [atom_cs.scalar_polarizability(fld.mode.wavelength, data) for fld in fields]
-    betas = [None] * len(fields)
+    shifts = -0.25 * np.array(alphas)
     if state is not None:
-        betas = _vector_coefficients(fields, state.f, data)
+        betas = np.array(_vector_coefficients(fields, state.f, data))
         boff_vec = _offset_vector(boff)
         zero_field = breit_rabi_energy(state, 0.0, data)
 
-    def u(r, phi, z, profiles=(None,) * len(fields)):
+    def u(r, phi, z, profiles=None):
         r_arr = np.asarray(r, dtype=float)
         if (r_arr <= a).any():
             raise DomainError("trap potential is defined outside the fiber surface")
-        total = np.zeros(np.broadcast(r_arr, np.asarray(phi), np.asarray(z)).shape)
-        bfict = np.zeros(total.shape + (3,))
-        for field, alpha_s, beta_v, at_r in zip(fields, alphas, betas, profiles):
-            e = field_at(field, r, phi, z, profiles=at_r)
-            total = total + _scalar_shift(e, alpha_s)
-            if state is not None:
-                bfict = bfict + beta_v * _spin_density(e)
+        e = _fields_at(beams, r, phi, z, profiles)
+        total = np.sum(shifts * np.sum(np.abs(e) ** 2, axis=-1) / H_PLANCK, axis=-1)
         if state is not None:
+            bfict = np.sum(betas[:, None] * _spin_density(e), axis=-2)
             b_total = np.linalg.norm(boff_vec + bfict, axis=-1)
             total = total + (breit_rabi_energy(state, b_total, data) - zero_field)
         if config.c3 is not None:
@@ -311,7 +302,7 @@ def find_trap_minimum(
         r0 = _zoom_minimize(
             lambda r: u_of(r, phi0, z0), max(r0 - 50e-9, r_clamp), r0 + 50e-9, tol_r
         )
-        at_r0 = [_radial_profiles_e(fld.mode, r0) for fld in config.fields()]
+        at_r0 = _profiles([fld.mode for fld in config.fields()], r0)
         phi0 = _zoom_minimize(lambda p: u_of(r0, p, z0, at_r0), phi0 - 0.5, phi0 + 0.5, tol_r / r0)
         z0 = _zoom_minimize(lambda zz: u_of(r0, phi0, zz, at_r0), z0 - z_half, z0 + z_half, tol_r)
         moved = max(abs(r0 - r_prev), r0 * abs(phi0 - phi_prev), abs(z0 - z_prev))
@@ -370,8 +361,7 @@ def trap_frequencies(
     # map eigenvalues onto the (r, phi, z) axes by dominant eigenvector component
     order = np.argmax(np.abs(evecs), axis=0)
     freqs = np.zeros(3)
-    for k in range(3):
-        freqs[order[k]] = np.sqrt(evals[k]) / (2 * np.pi)
+    freqs[order] = np.sqrt(evals) / (2 * np.pi)
     return tuple(float(f) for f in freqs)
 
 

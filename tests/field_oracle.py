@@ -1,14 +1,17 @@
-"""H field of the HE11 mode: the magnetic half of the Poynting-flux oracle.
+"""Field oracles: the H field of the HE11 mode, and the E field beam by beam.
 
 The package needs only the E field; the tests integrate the axial Poynting
 flux Re(E x H*) by quadrature to check the closed-form power normalisation
-and the tangential continuity of H at the fiber surface.
+and the tangential continuity of H at the fiber surface.  The per-mode
+profiles and per-beam field are the references the stacked evaluation of
+every beam is held to, bit for bit.
 """
 import numpy as np
 from scipy import constants as cst
 from scipy import special
 
 from nanotrap.fiber_mode import GuidedMode
+from nanotrap.numerics import bessel_j, bessel_k
 
 
 def radial_profiles_h(mode: GuidedMode, r: np.ndarray):
@@ -49,3 +52,70 @@ def radial_profiles_h(mode: GuidedMode, r: np.ndarray):
     h_phi = np.where(inside, hphi_in, hphi_out)
     h_z = np.where(inside, hz_in, hz_out)
     return h_r, h_phi, h_z
+
+
+def per_mode_profiles(mode: GuidedMode, r):
+    """Radial E-field profiles (e_r, e_phi, e_z) of one mode, each branch on its own radii.
+
+    One mode at a time, with scalar coefficients and the package's Bessel kernels.
+    """
+    a = mode.fiber.radius
+    beta, h, q, s = mode.beta, mode.interior_parameter, mode.exterior_parameter, mode.s_parameter
+    r = np.asarray(r, dtype=float)
+    inside = r < a
+
+    def interior(rr):
+        j0, j1, j2 = bessel_j((0, 1, 2), h * rr)
+        er_in = 1j * beta / (2 * h) * ((1 - s) * j0 - (1 + s) * j2)
+        ephi_in = -beta / (2 * h) * ((1 - s) * j0 + (1 + s) * j2)
+        return er_in, ephi_in, j1
+
+    def exterior(rr):
+        c_out = mode.exterior_scale
+        k0, k1, k2 = bessel_k((0, 1, 2), q * rr)
+        er_out = 1j * c_out * beta / (2 * q) * ((1 - s) * k0 + (1 + s) * k2)
+        ephi_out = -c_out * beta / (2 * q) * ((1 - s) * k0 - (1 + s) * k2)
+        return er_out, ephi_out, c_out * k1
+
+    e_r = np.empty(r.shape, dtype=complex)
+    e_phi = np.empty(r.shape)
+    e_z = np.empty(r.shape)
+    for mask, branch in ((inside, interior), (~inside, exterior)):
+        if mask.any():
+            e_r[mask], e_phi[mask], e_z[mask] = branch(r[mask])
+    return e_r, e_phi, e_z
+
+
+def per_beam_field(light, r, phi, z):
+    """E field of one LightField, each beam on its own arrays, summed from zero.
+
+    The same per-element arithmetic as the stacked evaluation, one beam at a time.
+    """
+    mode = light.mode
+    r, phi, z = (np.asarray(v, dtype=float) for v in (r, phi, z))
+    e_r, e_phi, e_z = per_mode_profiles(mode, r)
+    total = np.zeros(np.broadcast_shapes(r.shape, phi.shape, z.shape) + (3,), dtype=complex)
+    beams = [(light.power, light.direction, 0.0)]
+    if light.configuration == "standing":
+        beams.append((light.backward_power, -light.direction, light.relative_phase))
+    for power, direction, extra_phase in beams:
+        if power == 0.0:
+            continue
+        amp = mode.normalization * np.sqrt(power) * mode._phase_fix * np.exp(1j * extra_phase)
+        cosd = np.cos(phi - light.polarization_angle)
+        sind = np.sin(phi - light.polarization_angle)
+        prop = np.exp(1j * direction * mode.beta * z)
+        er = np.sqrt(2.0) * e_r * cosd * amp * prop
+        ep = np.sqrt(2.0) * 1j * e_phi * sind * amp * prop
+        ez = np.sqrt(2.0) * e_z * cosd * amp * prop * direction
+        total[..., 0] += er * np.cos(phi) - ep * np.sin(phi)
+        total[..., 1] += er * np.sin(phi) + ep * np.cos(phi)
+        total[..., 2] += ez
+    return total
+
+
+def assert_bitwise_equal(actual, expected):
+    """Same shape and the same bytes: equal values with the same signs of zero."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()

@@ -335,14 +335,14 @@ def test_criterion_9_property_suite(data):
 
     # power normalization of modes to 1e-6 (independent quadrature)
     from scipy import integrate
-    from nanotrap.fiber_mode import _radial_profiles_e
+    from nanotrap.fiber_mode import _profiles
 
     mode = probe.mode
     amp2 = (mode.normalization * np.sqrt(probe.power)) ** 2
 
     def s_z_times_r(r):
         rr = np.array([r])
-        e_r, e_phi, _ = _radial_profiles_e(mode, rr)
+        e_r, e_phi, _ = _profiles([mode], r)
         h_r, h_phi, _ = radial_profiles_h(mode, rr)
         val = np.pi * (np.real(e_r * np.conj(h_phi)) - np.real(e_phi * np.conj(h_r)))
         return amp2 * val[0] * r

@@ -90,6 +90,28 @@ class TestConfig:
         assert f"{bad}:4:" in capsys.readouterr().err
         assert not (tmp_path / "mw_fit.json").exists()
 
+    @pytest.mark.parametrize(
+        "command, rows, message",
+        [
+            ("spectrum", ["-1e6,-3,100", "0.0,40,100", "1e6,80,100"], "counts must be non-negative"),
+            ("spectrum", ["-1e6,30,100", "0.0,40,100"], "need at least 25 spectral points"),
+            ("mw", ["0.0,0.5"], "not enough points"),
+            ("mw", [], "not enough points"),
+        ],
+        ids=["negative count", "two spectrum rows", "one mw row", "no mw rows"],
+    )
+    def test_fit_data_the_fit_refuses_exits_2_naming_the_file(
+        self, tmp_path, capsys, command, rows, message
+    ):
+        # a numerical failure (exit 3) naming no file
+        columns = cli.SPECTRUM_COLUMNS if command == "spectrum" else cli.MW_COLUMNS
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([",".join(columns), *rows]) + "\n")
+        args = [command, "fit", "--config", PAPER_CFG, "--data", str(bad), "--out", str(tmp_path)]
+        assert run(args) == 2
+        assert f"{bad}: {message}" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.json")) == []
+
     def test_repeated_config_key_exits_2_naming_path_line(self, tmp_path, capsys):
         # the last value silently won
         bad = tmp_path / "bad.cfg"
@@ -205,6 +227,16 @@ class TestConfigDomain:
         bad = tmp_path / "bad.cfg"
         bad.write_text(Path(PAPER_CFG).read_text().replace("n_r = 50", "n_r = 0"))
         assert run(["mode", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+    def test_invalid_value_in_config_file_names_path_line_and_key(self, tmp_path, capsys):
+        # named only the key, unlike every other config-file error
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(Path(PAPER_CFG).read_text().replace("n_r = 50", "n_r = 0"))
+        lineno = bad.read_text().splitlines().index("n_r = 0") + 1
+        assert run(["mode", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:{lineno}: grid.n_r: '0' is outside [1, inf)" in err
+        assert not (tmp_path / "mode.json").exists()
 
     @settings(max_examples=300, deadline=None)
     @given(

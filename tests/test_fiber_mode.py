@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from field_oracle import radial_profiles_h
+from field_oracle import assert_bitwise_equal, per_beam_field, per_mode_profiles, radial_profiles_h
 from nanotrap.atom_cs import default_atomic_data
 from nanotrap.errors import DomainError, NoModeError
+from nanotrap import fiber_mode as fm
 from nanotrap.fiber_mode import (
     FiberSpec,
     LightField,
@@ -197,14 +198,14 @@ class TestSolveHe11:
     @pytest.mark.parametrize("nm", [783, 852.347, 880.2524, 1064])
     def test_closed_form_power_matches_quadrature(self, radius_nm, nm):
         """Closed-form flux of the unit-amplitude circular mode against quad."""
-        from nanotrap.fiber_mode import _guided_power_unit_amplitude, _radial_profiles_e
+        from nanotrap.fiber_mode import _guided_power_unit_amplitude, _profiles
 
         m = solve_he11(FiberSpec(radius=radius_nm * 1e-9), nm * 1e-9)
         a = m.fiber.radius
 
         def s_z_times_r(r):
             rr = np.array([r])
-            e_r, e_phi, _ = _radial_profiles_e(m, rr)
+            e_r, e_phi, _ = _profiles([m], r)
             h_r, h_phi, _ = radial_profiles_h(m, rr)
             return 0.5 * np.real(e_r * np.conj(h_phi) - e_phi * np.conj(h_r))[0] * r
 
@@ -241,12 +242,12 @@ class TestFieldStructure:
         assert np.all(np.diff(intensity) < 0)
 
     def test_tangential_continuity(self, modes, fiber):
-        from nanotrap.fiber_mode import _radial_profiles_e
+        from nanotrap.fiber_mode import _profiles
 
         a = fiber.radius
         for m in modes.values():
-            e_in = _radial_profiles_e(m, np.array([a * (1 - 1e-12)]))
-            e_out = _radial_profiles_e(m, np.array([a * (1 + 1e-12)]))
+            e_in = _profiles([m], a * (1 - 1e-12))
+            e_out = _profiles([m], a * (1 + 1e-12))
             for comp in (1, 2):  # e_phi, e_z
                 assert abs(e_in[comp][0] - e_out[comp][0]) < 1e-9 * abs(e_out[comp][0])
             h_in = radial_profiles_h(m, np.array([a * (1 - 1e-12)]))
@@ -275,14 +276,14 @@ class TestFieldStructure:
 
     def test_power_normalization_independent_quadrature(self, probe_field, fiber):
         """Re-integrate the axial Poynting flux of the full quasi-linear field."""
-        from nanotrap.fiber_mode import _radial_profiles_e
+        from nanotrap.fiber_mode import _profiles
 
         m = probe_field.mode
         amp2 = (m.normalization * np.sqrt(probe_field.power)) ** 2
 
         def s_z_times_r(r):
             rr = np.array([r])
-            e_r, e_phi, _ = _radial_profiles_e(m, rr)
+            e_r, e_phi, _ = _profiles([m], r)
             h_r, h_phi, _ = radial_profiles_h(m, rr)
             # quasi-linear: cos^2 and sin^2 azimuthal factors integrate to pi
             val = np.pi * (
@@ -413,3 +414,68 @@ class TestMaps:
         assert r_vals[:4] == [r_vals[0]] * 4
         e = field_at(probe_field, float(rows[0][0]), float(rows[0][1]), 0.0)
         assert float(rows[0][3]) == e[0].real
+
+
+def stacked_lights(modes):
+    """Beams that exercise every branch of the stacked evaluation."""
+    return [
+        # standing wave with unequal powers and a relative phase
+        LightField(mode=modes[1064], power=0.77e-3, configuration="standing",
+                   backward_power=0.8 * 0.77e-3, relative_phase=0.3),
+        # tilted blue beam
+        LightField(mode=modes[783], power=8.5e-3, polarization_angle=np.pi / 2 + np.deg2rad(5.0)),
+        # zero-power backward beam, and a beam of zero power
+        LightField(mode=modes[852.347], power=4e-12, configuration="standing"),
+        LightField(mode=modes[880.2524], power=0.0),
+        LightField(mode=modes[880.2524], power=100e-6, direction=-1, polarization_angle=0.4),
+    ]
+
+
+class TestStackedFields:
+    """One stacked pass over every beam equals the per-mode, per-beam evaluation bit for bit."""
+
+    def test_profiles_equal_per_mode_profiles(self, modes, fiber):
+        stack = [modes[nm] for nm in (783, 1064, 852.347, 880.2524)]
+        a = fiber.radius
+        for r in (
+            np.linspace(0.2 * a, 3 * a, 41),  # the core (J) and the cladding (K)
+            a + np.linspace(20e-9, 1200e-9, 250)[:, None],
+            a + 230e-9,
+            a,
+        ):
+            stacked = fm._profiles(stack, r)
+            for k, mode in enumerate(stack):
+                for got, want in zip(stacked, per_mode_profiles(mode, r)):
+                    assert_bitwise_equal(got[..., k], want)
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            lambda a: (a * np.linspace(0.5, 4.0, 17)[:, None], np.arange(12) * np.pi / 6, 0.0),
+            lambda a: (
+                a + np.linspace(30e-9, 800e-9, 17), np.linspace(-0.5, np.pi, 17), np.linspace(-3e-7, 3e-7, 17)
+            ),
+            lambda a: (a + 230e-9, 0.0, 0.0),
+            lambda a: (a + 230e-9, np.linspace(-0.5, 0.5, 33), 37e-9),
+        ],
+        ids=["r-phi grid through the core", "line", "point on plane P", "azimuth line"],
+    )
+    def test_fields_equal_per_beam_fields(self, modes, fiber, where):
+        r, phi, z = where(fiber.radius)
+        lights = stacked_lights(modes)
+        stacked = fm._fields_at(fm._stack_beams(lights), r, phi, z)
+        for k, light in enumerate(lights):
+            expected = per_beam_field(light, r, phi, z)
+            assert_bitwise_equal(stacked[..., k, :], expected)
+            assert_bitwise_equal(field_at(light, r, phi, z), expected)
+
+    def test_spin_density_equals_cross_product_oracle(self):
+        rng = np.random.default_rng(5)
+        for shape in [(3,), (1, 3), (33, 3), (4, 19, 3), (2, 5, 7, 3)]:
+            scale = 10.0 ** rng.integers(-3, 4, shape)
+            e = rng.standard_normal(shape) * scale + 1j * rng.standard_normal(shape)
+            e[rng.random(shape) < 0.2] = 0.0  # exact zeros of either sign
+            e.real[rng.random(shape) < 0.2] = -0.0
+            e.imag[rng.random(shape) < 0.2] = -0.0
+            e[..., :1] = e[..., :1].real  # and some purely real components
+            assert_bitwise_equal(fm._spin_density(e), np.real(1j * np.cross(e, e.conj())))

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import constants as cst
 
-from nanotrap import atom_cs, light_matter as lm
+from field_oracle import assert_bitwise_equal, per_beam_field
+
+from nanotrap import atom_cs, fiber_mode as fm, light_matter as lm
 from nanotrap.atom_cs import ground_state
 from nanotrap.errors import DomainError, NoTrapError, SaddlePointError
 from nanotrap.fiber_mode import FiberSpec, LightField, field_at, solve_he11
@@ -163,13 +165,13 @@ class TestShifts:
             assert direct == pytest.approx(zeeman, rel=1e-12)
 
 
-def reference_potential(config, position, state, boff, data):
+def reference_potential(config, position, state, boff, data, field=field_at):
     """The trap potential at one point, summed from the public shift functions."""
     r, phi, z = position
     total = 0.0
     bfict = np.zeros(3)
     for fld in config.fields():
-        e = field_at(fld, r, phi, z)
+        e = field(fld, r, phi, z)
         total = total + scalar_shift(e, fld.mode.wavelength, data)
         if state is not None:
             bfict = bfict + fictitious_field(e, fld.mode.wavelength, state.f, data)
@@ -207,6 +209,57 @@ class TestTrapPotential:
         )
         for i, j in np.ndindex(grid.shape):
             assert grid[i, j] == u(r[i], phi[j], z[2])
+
+    @pytest.mark.parametrize(
+        "scheme, state",
+        [
+            ("imbalance and phase", None),
+            ("imbalance and phase", ground_state(4, 4)),
+            ("tilt and a zero-power beam", ground_state(3, -3)),
+            ("tune-out beam", ground_state(4, 4)),
+        ],
+    )
+    def test_stacked_potential_equals_per_beam_reference(
+        self, trap_config, manipulation_field, trap_minimum, data, scheme, state
+    ):
+        # the reference evaluates each beam of each field on its own and sums them from zero
+        cfg = {
+            "imbalance and phase": replace(
+                trap_config,
+                red=replace(trap_config.red, backward_power=0.8 * 0.77e-3, relative_phase=0.3),
+            ),
+            "tilt and a zero-power beam": replace(
+                lm.with_scheme(trap_config, np.deg2rad(5.0), 1.0),
+                manipulation=replace(manipulation_field, power=0.0),
+            ),
+            "tune-out beam": replace(trap_config, manipulation=manipulation_field),
+        }[scheme]
+        u = lm._potential(cfg, state, 28.0, data)
+        r0, phi0, z0 = trap_minimum
+        r = r0 + np.linspace(-80e-9, 300e-9, 7)
+        points = list(zip(r, phi0 + np.linspace(-0.4, 0.4, 7), z0 + np.linspace(-1e-7, 1e-7, 7)))
+        expected = [reference_potential(cfg, p, state, 28.0, data, field=per_beam_field) for p in points]
+        assert [u(*p) for p in points] == expected
+        assert list(u(*np.array(points).T)) == expected
+
+    @pytest.mark.parametrize("state", [None, ground_state(4, 4)], ids=["mF-averaged", "4,4"])
+    def test_profiles_at_a_fixed_radius_reused_exactly(
+        self, trap_config, manipulation_field, trap_minimum, data, state
+    ):
+        # find_trap_minimum's azimuth and height steps take the stacked profiles at r0
+        cfg = replace(trap_config, manipulation=manipulation_field)
+        u = lm._potential(cfg, state, 28.0, data)
+        r0, phi0, z0 = trap_minimum
+        at_r0 = fm._profiles([fld.mode for fld in cfg.fields()], r0)
+        steps = np.linspace(-1.0, 1.0, 33)
+        for phi, z in ((phi0 + 0.5 * steps, z0), (phi0, z0 + 1e-7 * steps)):
+            reused = u(r0, phi, z, at_r0)
+            assert_bitwise_equal(reused, u(r0, phi, z))
+            expected = [
+                reference_potential(cfg, (r0, p, zz), state, 28.0, data, field=per_beam_field)
+                for p, zz in np.broadcast(phi, z)
+            ]
+            assert list(reused) == expected
 
     def test_blue_only_is_repulsive(self, fiber, modes, data):
         blue = LightField(mode=modes[783], power=8.5e-3, polarization_angle=np.pi / 2)
@@ -349,23 +402,33 @@ class TestTrapSearch:
         assert abs(found[2] - ref[2]) < 0.02e-9
 
     def test_field_evaluation_counts(self, trap_config, manipulation_field, data, monkeypatch):
-        calls = []
+        # the potential evaluates every field in one stacked _fields_at call;
+        # site_environment makes one field_at call per field
+        stacked, per_field = [], []
+        fields_at = lm._fields_at
 
-        def counted(light, r, phi, z, **kwargs):
-            calls.append(np.size(r))
-            return field_at(light, r, phi, z, **kwargs)
+        def stacked_counted(beams, r, *args, **kwargs):
+            stacked.append((len(beams[0]), np.size(r)))
+            return fields_at(beams, r, *args, **kwargs)
 
-        monkeypatch.setattr(lm, "field_at", counted)
+        def per_field_counted(light, r, phi, z):
+            per_field.append(np.size(r))
+            return field_at(light, r, phi, z)
+
+        monkeypatch.setattr(lm, "_fields_at", stacked_counted)
+        monkeypatch.setattr(lm, "field_at", per_field_counted)
         minimum = find_trap_minimum(trap_config, data=data)
-        assert len(calls) <= 60  # two fields; a golden-section search made 230
+        # field evaluations: two fields per call; a golden-section search made 230
+        assert sum(n for n, _ in stacked) <= 60 and per_field == []
         for cfg in (trap_config, replace(trap_config, manipulation=manipulation_field)):
             n_fields = len(cfg.fields())
-            calls.clear()
+            stacked.clear()
             trap_frequencies(cfg, ground_state(4, 4), 28.0, minimum=minimum, data=data)
-            assert calls == [19] * n_fields
-            calls.clear()
+            assert stacked == [(n_fields, 19)] and per_field == []
+            stacked.clear()
             lm.site_environment(cfg, 28.0, minimum, data)
-            assert calls == [2] * n_fields
+            assert per_field == [2] * n_fields and stacked == []
+            per_field.clear()
 
 
 def pointwise_frequencies(config, state, boff, minimum, data):
