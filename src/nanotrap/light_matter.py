@@ -244,23 +244,45 @@ def _vector_coefficients(fields, f: int, data: AtomicData) -> list:
 
 
 _ZOOM_POINTS = 33  # abscissae per call: 32 cells, so each call shrinks the bracket 16x
+_ZOOM_STEPS = np.arange(float(_ZOOM_POINTS))
 
 
 def _zoom_minimize(f, lo, hi, tol):
     """Bracket-zoom minimiser; deterministic, no derivatives.
 
     ``f`` takes an array of abscissae.  Each step evaluates it once on
-    ``_ZOOM_POINTS`` equispaced points across [lo, hi] and keeps the two grid
-    cells either side of the smallest value (one cell at an end of the
-    bracket), until the bracket is no wider than ``tol``; returns its
-    midpoint.
+    ``_ZOOM_POINTS`` equispaced points across [lo, hi] (the values of
+    ``np.linspace``, without its set-up) and keeps the two grid cells either
+    side of the smallest value (one cell at an end of the bracket), until the
+    bracket is no wider than ``tol``; returns its midpoint.
     """
     last = _ZOOM_POINTS - 1
     while hi - lo > tol:
-        x = np.linspace(lo, hi, _ZOOM_POINTS)
+        x = _ZOOM_STEPS * ((hi - lo) / last) + lo
+        x[last] = hi
         k = int(np.argmin(f(x)))
         lo, hi = x[max(k - 1, 0)], x[min(k + 1, last)]
     return float(0.5 * (lo + hi))
+
+
+# the 19-point stencil in local (dr, r dphi, dz), 1 nm steps: the centre, then +-d_i
+# per axis, then +-d_i +-d_j per pair (i, j) of _PAIRS (i < j)
+_STEP, _PAIRS = 1e-9, np.triu_indices(3, 1)
+_D = _STEP * np.eye(3)
+_STENCIL = np.array([np.zeros(3)] + [s * d for d in _D for s in (1, -1)] + [
+    si * _D[i] + sj * _D[j] for i, j in zip(*_PAIRS) for si in (1, -1) for sj in (1, -1)])
+
+
+def _stencil_derivatives(u, point):
+    """Central-difference gradient and Hessian of ``u`` at ``point`` = (r, phi, z)
+    in local (dr, r dphi, dz), from one call of ``u`` on ``_STENCIL``."""
+    r0, phi0, z0 = point
+    vals = u(r0 + _STENCIL[:, 0], phi0 + _STENCIL[:, 1] / r0, z0 + _STENCIL[:, 2])
+    plus, minus = vals[1:7:2], vals[2:7:2]
+    hess = np.diag((plus - 2.0 * vals[0] + minus) / _STEP**2)
+    pp, pm, mp, mm = vals[7:].reshape(3, 4).T
+    hess[_PAIRS] = hess[_PAIRS[::-1]] = (pp - pm - mp + mm) / (4.0 * _STEP**2)
+    return (plus - minus) / (2.0 * _STEP), hess
 
 
 def find_trap_minimum(
@@ -272,14 +294,13 @@ def find_trap_minimum(
 ):
     """Locate the trap minimum near the upper site, to 0.1 nm.
 
-    Starts from the analytic guess (red standing-wave antinode at z = 0,
-    azimuth in plane P) and refines coordinate-wise (r, phi, z) by bracket
-    zoom: each step evaluates the potential on 33 points of the bracket in
-    one call and keeps the cells either side of the lowest, to 0.1 nm; the
-    azimuth and height steps at one radius share its radial profiles.
-    Raises NoTrapError when no bound radial minimum brackets, or when the
-    radial search ends pinned at its clamp 1 nm above the surface (the
-    potential falls all the way to the fiber).
+    One 250-point radial scan at z = 0 and one (r, phi, z) sweep of 33-point
+    bracket zooms find the minimum to 0.1 nm; Newton steps on
+    ``_stencil_derivatives`` follow until one is below 0.1 nm.  A sweep
+    replaces a step where H is not positive definite, or that would leave the
+    sweep's brackets or end within 0.1 nm of the radial clamp 1 nm above the
+    surface, and ends the search if it moves < 0.1 nm.  Raises NoTrapError
+    when no bound radial minimum brackets or the search ends at the clamp.
     """
     data = data or default_atomic_data()
     a = config.fiber.radius
@@ -293,26 +314,38 @@ def find_trap_minimum(
         raise NoTrapError("no bound radial minimum for this configuration")
     idx = int(candidates[np.argmin(u_scan[candidates])])
 
-    tol_r = 0.1e-9
+    tol_r, r_clamp = 0.1e-9, a + 1e-9
     z_half = 0.25 * config.red.mode.guided_wavelength
-    r_clamp = a + 1e-9
-    r0, phi0, z0 = r_scan[idx], phi_start, 0.0
-    for _ in range(40):
-        r_prev, phi_prev, z_prev = r0, phi0, z0
+
+    def sweep(r0, phi0, z0):
         r0 = _zoom_minimize(
             lambda r: u_of(r, phi0, z0), max(r0 - 50e-9, r_clamp), r0 + 50e-9, tol_r
         )
         at_r0 = _profiles([fld.mode for fld in config.fields()], r0)
         phi0 = _zoom_minimize(lambda p: u_of(r0, p, z0, at_r0), phi0 - 0.5, phi0 + 0.5, tol_r / r0)
         z0 = _zoom_minimize(lambda zz: u_of(r0, phi0, zz, at_r0), z0 - z_half, z0 + z_half, tol_r)
-        moved = max(abs(r0 - r_prev), r0 * abs(phi0 - phi_prev), abs(z0 - z_prev))
+        return r0, phi0, z0
+
+    point = sweep(r_scan[idx], phi_start, 0.0)
+    for _ in range(39):
+        r0, phi0, z0 = point
+        grad, hess = _stencil_derivatives(u_of, point)
+        try:
+            chol = np.linalg.cholesky(hess)
+            dr, rdphi, dz = -np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
+        except np.linalg.LinAlgError:
+            dr = rdphi = dz = np.nan  # not positive definite: sweep
+        inside = abs(dr) < 50e-9 and abs(rdphi) < 0.5 * r0 and abs(dz) < z_half
+        newton = inside and r0 + dr >= r_clamp + tol_r
+        point = (r0 + dr, phi0 + rdphi / r0, z0 + dz) if newton else sweep(*point)
+        moved = max(abs(point[0] - r0), point[0] * abs(point[1] - phi0), abs(point[2] - z0))
         if moved < tol_r:
             break
-    if r0 < r_clamp + tol_r:
+    if point[0] < r_clamp + tol_r:
         raise NoTrapError(
-            f"radial search ended at the surface clamp ({(r0 - a) * 1e9:.3f} nm above the fiber)"
+            f"radial search ended at the surface clamp ({(point[0] - a) * 1e9:.3f} nm above the fiber)"
         )
-    return float(r0), float(phi0), float(z0)
+    return tuple(float(v) for v in point)
 
 
 def trap_frequencies(
@@ -331,30 +364,7 @@ def trap_frequencies(
     data = data or default_atomic_data()
     if minimum is None:
         minimum = find_trap_minimum(config, state, boff, data)
-    r0, phi0, z0 = minimum
-    step = 1e-9
-    u = _potential(config, state, boff, data)
-
-    # the 19-point stencil: the centre, then +-d_i per axis, then +-d_i +-d_j per pair
-    axes = step * np.eye(3)
-    pairs = [(i, j) for i in range(3) for j in range(i + 1, 3)]
-    stencil = [np.zeros(3)]
-    for d in axes:
-        stencil += [d, -d]
-    for i, j in pairs:
-        di, dj = axes[i], axes[j]
-        stencil += [di + dj, di - dj, -di + dj, -di - dj]
-    d = np.array(stencil)
-    vals = u(r0 + d[:, 0], phi0 + d[:, 1] / r0, z0 + d[:, 2])
-
-    hess = np.zeros((3, 3))
-    u0 = vals[0]
-    for i in range(3):
-        hess[i, i] = (vals[1 + 2 * i] - 2.0 * u0 + vals[2 + 2 * i]) / step**2
-    for k, (i, j) in enumerate(pairs):
-        pp, pm, mp, mm = vals[7 + 4 * k : 11 + 4 * k]
-        hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * step**2)
-
+    _, hess = _stencil_derivatives(_potential(config, state, boff, data), minimum)
     evals, evecs = np.linalg.eigh(hess * H_PLANCK / data.mass_kg)
     if np.any(evals <= 0):
         raise SaddlePointError("curvature matrix is not positive definite at the minimum")

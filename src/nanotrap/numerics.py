@@ -76,14 +76,16 @@ def bessel_k(order, x):
     if _within(x, K_MIN_ARG, 40.0):
         # in blocks of _K_BLOCK arguments, computed in place, so that no temporary reaches
         # glibc's 128 KiB mmap threshold (above it, glibc maps each temporary or trims the
-        # heap after it, and every call faults in fresh pages); clamped at -700, where exp
-        # stays in numpy's vector loop: adds < 1e-240 relative
+        # heap after it, and every call faults in fresh pages); terms clamped at -700 keep exp
+        # in numpy's vector loop (< 1e-240 relative), and nodes clamped block-wide are dropped
         flat = x.reshape(-1, 1)
         out = np.empty((len(weights), flat.shape[0]))
         for start in range(0, flat.shape[0], _K_BLOCK):
-            terms = np.multiply(flat[start : start + _K_BLOCK], _K_NEG_COSH)
+            block = flat[start : start + _K_BLOCK]
+            kept = np.count_nonzero(block.min() * _K_NEG_COSH > -700.0)
+            terms = np.multiply(block, _K_NEG_COSH[:kept])
             np.exp(np.maximum(terms, -700.0, out=terms), out=terms)
-            np.einsum("bk,nk->nb", terms, weights, out=out[:, start : start + _K_BLOCK])
+            np.einsum("bk,nk->nb", terms, weights[:, :kept], out=out[:, start : start + _K_BLOCK])
         out = out.reshape(len(weights), *x.shape)
     else:
         out = np.empty((len(weights), *x.shape))

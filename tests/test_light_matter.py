@@ -384,6 +384,21 @@ class TestZoomMinimize:
         lm._zoom_minimize(f, -1.0, 1.0, 2.0 / 16**3)
         assert calls == [33, 33, 33]
 
+    def test_abscissae_equal_linspace(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            lo, hi = np.sort(rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.uniform(-9, 3, 2))
+            grids = []
+
+            def f(x):
+                grids.append(x.copy())
+                return np.sin(3.0 * x / (hi - lo))
+
+            lm._zoom_minimize(f, lo, hi, 1e-9 * (hi - lo))
+            assert grids[0][0] == lo and grids[0][-1] == hi
+            for x in grids:
+                assert np.array_equal(x, np.linspace(x[0], x[-1], 33))
+
 
 class TestTrapSearch:
     @pytest.mark.parametrize(
@@ -397,6 +412,46 @@ class TestTrapSearch:
         cfg = replace(trap_config, manipulation=manipulation_field if manipulated else None)
         found = find_trap_minimum(cfg, state, 28.0, data=data)
         ref = reference_minimum(cfg, state, 28.0, data, found, 0.1e-9 / 1000)
+        assert abs(found[0] - ref[0]) < 0.02e-9
+        assert ref[0] * abs(found[1] - ref[1]) < 0.02e-9
+        assert abs(found[2] - ref[2]) < 0.02e-9
+
+    @pytest.mark.parametrize(
+        "state, manipulated",
+        [(None, False), (ground_state(4, 4), False), (ground_state(4, 4), True)],
+        ids=["mF-averaged", "4,4", "4,4-manipulated"],
+    )
+    def test_minimum_is_a_stationary_point(
+        self, trap_config, manipulation_field, data, state, manipulated
+    ):
+        # a Newton step on the stencil's gradient and Hessian from the result is below
+        # 1 pm; the zoom sweeps alone stopped 4-8 pm from it on these configurations
+        cfg = replace(trap_config, manipulation=manipulation_field if manipulated else None)
+        found = find_trap_minimum(cfg, state, 28.0, data=data)
+        grad, hess = lm._stencil_derivatives(lm._potential(cfg, state, 28.0, data), found)
+        assert np.max(np.abs(np.linalg.solve(hess, grad))) < 0.001e-9
+
+    def test_sweeps_again_where_the_hessian_is_not_positive_definite(
+        self, trap_config, data, monkeypatch
+    ):
+        derivatives, zooms = lm._stencil_derivatives, []
+        zoom = lm._zoom_minimize
+
+        def saddle_once(u, point):
+            grad, hess = derivatives(u, point)
+            if len(zooms) == 3:  # after the first sweep only
+                hess = -hess
+            return grad, hess
+
+        def zoom_counted(*args):
+            zooms.append(args)
+            return zoom(*args)
+
+        monkeypatch.setattr(lm, "_stencil_derivatives", saddle_once)
+        monkeypatch.setattr(lm, "_zoom_minimize", zoom_counted)
+        found = find_trap_minimum(trap_config, None, 28.0, data=data)
+        assert len(zooms) >= 6  # the first sweep, and a second one after the saddle
+        ref = reference_minimum(trap_config, None, 28.0, data, found, 0.1e-9 / 1000)
         assert abs(found[0] - ref[0]) < 0.02e-9
         assert ref[0] * abs(found[1] - ref[1]) < 0.02e-9
         assert abs(found[2] - ref[2]) < 0.02e-9
@@ -419,7 +474,7 @@ class TestTrapSearch:
         monkeypatch.setattr(lm, "field_at", per_field_counted)
         minimum = find_trap_minimum(trap_config, data=data)
         # field evaluations: two fields per call; a golden-section search made 230
-        assert sum(n for n, _ in stacked) <= 60 and per_field == []
+        assert sum(n for n, _ in stacked) <= 26 and per_field == []
         for cfg in (trap_config, replace(trap_config, manipulation=manipulation_field)):
             n_fields = len(cfg.fields())
             stacked.clear()
