@@ -296,6 +296,5 @@ def pi_pulse_fwhm(tau_s: float) -> float:
     def half_crossing(detuning_hz):
         return rabi_transfer(PulseSpec.pi_pulse(tau_s, detuning_hz)) - 0.5
 
-    upper = find_root(half_crossing, 0.0, 1.0 / tau_s, 1e-9 / tau_s)
-    lower = find_root(half_crossing, -1.0 / tau_s, 0.0, 1e-9 / tau_s)
-    return upper - lower
+    # the line is even in detuning: the lower crossing is the upper one mirrored
+    return 2.0 * find_root(half_crossing, 0.0, 1.0 / tau_s, 1e-9 / tau_s)

@@ -337,18 +337,17 @@ def field_at(light: LightField, r, phi, z):
     return _fields_at(_stack_beams([light]), r, phi, z)[..., 0, :]
 
 
-def _fields_at(beams, r, phi, z, profiles=None):
+def _fields_at(beams, r, phi, z):
     """``field_at`` of every field of ``beams``, shape broadcast(r, phi, z) + (n_fields, 3).
 
     One pass over all beams, on a trailing axis of fields or beams; the beams
-    of each field are summed in order.  ``profiles`` may give ``_profiles`` of
-    the fields' modes at ``r``.
+    of each field are summed in order.
     """
     modes, angles, first, owner, amplitude, wavevector, direction = beams
     r, phi, z = (np.asarray(v, dtype=float) for v in (r, phi, z))
     if (r < 0).any():
         raise DomainError("radius must be non-negative")
-    e_r, e_phi, e_z = _profiles(modes, r) if profiles is None else profiles
+    e_r, e_phi, e_z = _profiles(modes, r)
     phi = phi[..., None]
     cosd, sind = np.cos(phi - angles), np.sin(phi - angles)
     prop = np.exp(wavevector * z[..., None])

@@ -22,7 +22,7 @@ from .atom_cs import (
 )
 from .errors import DomainError, NoTrapError, SaddlePointError
 from .fiber_mode import FiberSpec, LightField, field_at
-from .fiber_mode import _fields_at, _profiles, _spin_density, _stack_beams
+from .fiber_mode import _fields_at, _spin_density, _stack_beams
 from .fiber_mode import ellipticity  # noqa: F401  re-exported: part of this module's API
 
 __all__ = [
@@ -206,8 +206,7 @@ def _potential(config: TrapConfig, state: HyperfineState | None, boff, data: Ato
     the stacked beams, each field's scalar polarizability and, for a resolved
     sublevel, its vector coefficient beta_v, the offset vector and the
     zero-field Breit-Rabi reference.  ``u`` is the potential ``trap_potential``
-    documents, in Hz, from one ``_fields_at`` pass over every field;
-    ``profiles`` may give ``_profiles`` of the fields' modes at ``r``.
+    documents, in Hz, from one ``_fields_at`` pass over every field.
     """
     a = config.fiber.radius
     fields = config.fields()
@@ -219,11 +218,11 @@ def _potential(config: TrapConfig, state: HyperfineState | None, boff, data: Ato
         boff_vec = _offset_vector(boff)
         zero_field = breit_rabi_energy(state, 0.0, data)
 
-    def u(r, phi, z, profiles=None):
+    def u(r, phi, z):
         r_arr = np.asarray(r, dtype=float)
         if (r_arr <= a).any():
             raise DomainError("trap potential is defined outside the fiber surface")
-        e = _fields_at(beams, r, phi, z, profiles)
+        e = _fields_at(beams, r, phi, z)
         total = np.sum(shifts * np.sum(np.abs(e) ** 2, axis=-1) / H_PLANCK, axis=-1)
         if state is not None:
             bfict = np.sum(betas[:, None] * _spin_density(e), axis=-2)
@@ -241,28 +240,6 @@ def _potential(config: TrapConfig, state: HyperfineState | None, boff, data: Ato
 def _vector_coefficients(fields, f: int, data: AtomicData) -> list:
     """beta_v of ground manifold ``f`` for each field (G per (V/m)^2)."""
     return [atom_cs.vector_shift_coefficient_g_per_v2m2(fld.mode.wavelength, f, data) for fld in fields]
-
-
-_ZOOM_POINTS = 33  # abscissae per call: 32 cells, so each call shrinks the bracket 16x
-_ZOOM_STEPS = np.arange(float(_ZOOM_POINTS))
-
-
-def _zoom_minimize(f, lo, hi, tol):
-    """Bracket-zoom minimiser; deterministic, no derivatives.
-
-    ``f`` takes an array of abscissae.  Each step evaluates it once on
-    ``_ZOOM_POINTS`` equispaced points across [lo, hi] (the values of
-    ``np.linspace``, without its set-up) and keeps the two grid cells either
-    side of the smallest value (one cell at an end of the bracket), until the
-    bracket is no wider than ``tol``; returns its midpoint.
-    """
-    last = _ZOOM_POINTS - 1
-    while hi - lo > tol:
-        x = _ZOOM_STEPS * ((hi - lo) / last) + lo
-        x[last] = hi
-        k = int(np.argmin(f(x)))
-        lo, hi = x[max(k - 1, 0)], x[min(k + 1, last)]
-    return float(0.5 * (lo + hi))
 
 
 # the 19-point stencil in local (dr, r dphi, dz), 1 nm steps: the centre, then +-d_i
@@ -294,13 +271,15 @@ def find_trap_minimum(
 ):
     """Locate the trap minimum near the upper site, to 0.1 nm.
 
-    One 250-point radial scan at z = 0 and one (r, phi, z) sweep of 33-point
-    bracket zooms find the minimum to 0.1 nm; Newton steps on
-    ``_stencil_derivatives`` follow until one is below 0.1 nm.  A sweep
-    replaces a step where H is not positive definite, or that would leave the
-    sweep's brackets or end within 0.1 nm of the radial clamp 1 nm above the
-    surface, and ends the search if it moves < 0.1 nm.  Raises NoTrapError
-    when no bound radial minimum brackets or the search ends at the clamp.
+    A 250-point radial scan at z = 0 starts safeguarded Newton steps in local
+    (dr, r dphi, dz) on ``_stencil_derivatives``: along each eigenvector of H
+    the step is -g/lambda, or downhill to the edge of the box |dr| <= 50 nm,
+    |dphi| <= 0.5 rad, |dz| <= a quarter guided red wavelength where
+    lambda <= 0.  The step is scaled into that box, keeps r at least 0.1 nm
+    above the radial clamp 1 nm above the surface, and is halved until the
+    potential does not rise; the search stops once a step is below 0.1 nm.
+    Raises NoTrapError when no bound radial minimum brackets or the search
+    ends at the clamp.
     """
     data = data or default_atomic_data()
     a = config.fiber.radius
@@ -314,34 +293,32 @@ def find_trap_minimum(
         raise NoTrapError("no bound radial minimum for this configuration")
     idx = int(candidates[np.argmin(u_scan[candidates])])
 
-    tol_r, r_clamp = 0.1e-9, a + 1e-9
+    tol_r = 0.1e-9
+    r_low = a + 1e-9 + tol_r  # 0.1 nm above the clamp: the 1 nm stencil stays outside the fiber
     z_half = 0.25 * config.red.mode.guided_wavelength
-
-    def sweep(r0, phi0, z0):
-        r0 = _zoom_minimize(
-            lambda r: u_of(r, phi0, z0), max(r0 - 50e-9, r_clamp), r0 + 50e-9, tol_r
-        )
-        at_r0 = _profiles([fld.mode for fld in config.fields()], r0)
-        phi0 = _zoom_minimize(lambda p: u_of(r0, p, z0, at_r0), phi0 - 0.5, phi0 + 0.5, tol_r / r0)
-        z0 = _zoom_minimize(lambda zz: u_of(r0, phi0, zz, at_r0), z0 - z_half, z0 + z_half, tol_r)
-        return r0, phi0, z0
-
-    point = sweep(r_scan[idx], phi_start, 0.0)
-    for _ in range(39):
-        r0, phi0, z0 = point
+    point, u_point = np.array([r_scan[idx], phi_start, 0.0]), u_scan[idx]
+    for _ in range(40):
+        r0 = point[0]
+        box = np.array([50e-9, 0.5 * r0, z_half])
         grad, hess = _stencil_derivatives(u_of, point)
-        try:
-            chol = np.linalg.cholesky(hess)
-            dr, rdphi, dz = -np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
-        except np.linalg.LinAlgError:
-            dr = rdphi = dz = np.nan  # not positive definite: sweep
-        inside = abs(dr) < 50e-9 and abs(rdphi) < 0.5 * r0 and abs(dz) < z_half
-        newton = inside and r0 + dr >= r_clamp + tol_r
-        point = (r0 + dr, phi0 + rdphi / r0, z0 + dz) if newton else sweep(*point)
-        moved = max(abs(point[0] - r0), point[0] * abs(point[1] - phi0), abs(point[2] - z0))
-        if moved < tol_r:
+        lam, vec = np.linalg.eigh(hess)
+        slope = grad @ vec
+        edge = 1.0 / np.max(np.abs(vec) / box[:, None], axis=0)  # to the box edge per eigenvector
+        newton = -slope / np.where(lam > 0, lam, 1.0)
+        step = vec @ np.where(lam > 0, newton, -np.copysign(edge, slope))
+        step /= max(1.0, np.max(np.abs(step) / box))
+        step[0] = max(step[0], r_low - r0)  # exact: a search pinned here ends on r_low
+        while np.max(np.abs(step)) >= tol_r:
+            trial = point + step / (1.0, r0, 1.0)
+            u_trial = u_of(*trial)
+            if u_trial <= u_point:
+                break
+            step = 0.5 * step
+        else:  # a step below 0.1 nm is the last one
+            point = point + step / (1.0, r0, 1.0)
             break
-    if point[0] < r_clamp + tol_r:
+        point, u_point = trial, u_trial
+    if point[0] <= r_low:
         raise NoTrapError(
             f"radial search ended at the surface clamp ({(point[0] - a) * 1e9:.3f} nm above the fiber)"
         )

@@ -89,28 +89,31 @@ def per_mode_profiles(mode: GuidedMode, r):
 def per_beam_field(light, r, phi, z):
     """E field of one LightField, each beam on its own arrays, summed from zero.
 
-    The same per-element arithmetic as the stacked evaluation, one beam at a time.
+    The same per-element arithmetic as the stacked evaluation, one beam at a
+    time.  Every factor carries a trailing axis of length one, as the stacked
+    evaluation's axis of beams: numpy may round the complex product of two
+    arrays differently from that of an array and a scalar.
     """
     mode = light.mode
-    r, phi, z = (np.asarray(v, dtype=float) for v in (r, phi, z))
-    e_r, e_phi, e_z = per_mode_profiles(mode, r)
-    total = np.zeros(np.broadcast_shapes(r.shape, phi.shape, z.shape) + (3,), dtype=complex)
+    r, phi, z = (np.asarray(v, dtype=float)[..., None] for v in (r, phi, z))
+    e_r, e_phi, e_z = (p[..., None] for p in per_mode_profiles(mode, r[..., 0]))
+    total = np.zeros(np.broadcast_shapes(r.shape, phi.shape, z.shape)[:-1] + (3,), dtype=complex)
     beams = [(light.power, light.direction, 0.0)]
     if light.configuration == "standing":
         beams.append((light.backward_power, -light.direction, light.relative_phase))
     for power, direction, extra_phase in beams:
         if power == 0.0:
             continue
-        amp = mode.normalization * np.sqrt(power) * mode._phase_fix * np.exp(1j * extra_phase)
+        amp = np.array([mode.normalization * np.sqrt(power) * mode._phase_fix * np.exp(1j * extra_phase)])
         cosd = np.cos(phi - light.polarization_angle)
         sind = np.sin(phi - light.polarization_angle)
-        prop = np.exp(1j * direction * mode.beta * z)
+        prop = np.exp(np.array([1j * direction * mode.beta]) * z)
         er = np.sqrt(2.0) * e_r * cosd * amp * prop
         ep = np.sqrt(2.0) * 1j * e_phi * sind * amp * prop
-        ez = np.sqrt(2.0) * e_z * cosd * amp * prop * direction
-        total[..., 0] += er * np.cos(phi) - ep * np.sin(phi)
-        total[..., 1] += er * np.sin(phi) + ep * np.cos(phi)
-        total[..., 2] += ez
+        ez = np.sqrt(2.0) * e_z * cosd * amp * prop * np.array([direction])
+        total[..., 0] += (er * np.cos(phi) - ep * np.sin(phi))[..., 0]
+        total[..., 1] += (er * np.sin(phi) + ep * np.cos(phi))[..., 0]
+        total[..., 2] += ez[..., 0]
     return total
 
 

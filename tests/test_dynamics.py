@@ -16,6 +16,7 @@ from nanotrap.dynamics import (
     scattering_rate,
 )
 from nanotrap.errors import DomainError, SelectionRuleError
+from nanotrap.numerics import find_root
 
 # (sigma+, pi, sigma-) drive fractions: mixed, pure, and the probe's
 DRIVES = [(0.7, 0.1, 0.2), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.92, 0.0, 0.08)]
@@ -282,3 +283,13 @@ class TestPiPulseFwhm:
 
     def test_time_frequency_scaling(self):
         assert pi_pulse_fwhm(80e-6) == pytest.approx(pi_pulse_fwhm(40e-6) / 2.0, rel=1e-9)
+
+    def test_equals_the_distance_between_both_half_crossings(self):
+        for tau in np.geomspace(1e-8, 0.1, 61):
+
+            def half_crossing(detuning_hz):
+                return rabi_transfer(PulseSpec.pi_pulse(tau, detuning_hz)) - 0.5
+
+            upper = find_root(half_crossing, 0.0, 1.0 / tau, 1e-9 / tau)
+            lower = find_root(half_crossing, -1.0 / tau, 0.0, 1e-9 / tau)
+            assert pi_pulse_fwhm(tau) == upper - lower

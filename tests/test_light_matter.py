@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import constants as cst
 
-from field_oracle import assert_bitwise_equal, per_beam_field
+from field_oracle import per_beam_field
 
-from nanotrap import atom_cs, fiber_mode as fm, light_matter as lm
+from nanotrap import atom_cs, light_matter as lm
 from nanotrap.atom_cs import ground_state
 from nanotrap.errors import DomainError, NoTrapError, SaddlePointError
 from nanotrap.fiber_mode import FiberSpec, LightField, field_at, solve_he11
@@ -242,25 +242,6 @@ class TestTrapPotential:
         assert [u(*p) for p in points] == expected
         assert list(u(*np.array(points).T)) == expected
 
-    @pytest.mark.parametrize("state", [None, ground_state(4, 4)], ids=["mF-averaged", "4,4"])
-    def test_profiles_at_a_fixed_radius_reused_exactly(
-        self, trap_config, manipulation_field, trap_minimum, data, state
-    ):
-        # find_trap_minimum's azimuth and height steps take the stacked profiles at r0
-        cfg = replace(trap_config, manipulation=manipulation_field)
-        u = lm._potential(cfg, state, 28.0, data)
-        r0, phi0, z0 = trap_minimum
-        at_r0 = fm._profiles([fld.mode for fld in cfg.fields()], r0)
-        steps = np.linspace(-1.0, 1.0, 33)
-        for phi, z in ((phi0 + 0.5 * steps, z0), (phi0, z0 + 1e-7 * steps)):
-            reused = u(r0, phi, z, at_r0)
-            assert_bitwise_equal(reused, u(r0, phi, z))
-            expected = [
-                reference_potential(cfg, (r0, p, zz), state, 28.0, data, field=per_beam_field)
-                for p, zz in np.broadcast(phi, z)
-            ]
-            assert list(reused) == expected
-
     def test_blue_only_is_repulsive(self, fiber, modes, data):
         blue = LightField(mode=modes[783], power=8.5e-3, polarization_angle=np.pi / 2)
         red_off = LightField(mode=modes[1064], power=0.0, configuration="standing")
@@ -327,7 +308,7 @@ class TestTrapPotential:
 
 
 def golden_minimize(f, lo, hi, tol):
-    """Scalar golden-section search, the reference the zoom search is held to."""
+    """Scalar golden-section search, the reference the trap-minimum search is held to."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
     f1, f2 = f(x1), f(x2)
@@ -358,48 +339,6 @@ def reference_minimum(config, state, boff, data, start, tol):
     return r0, phi0, z0
 
 
-class TestZoomMinimize:
-    def test_quadratic_minimum_within_tol(self):
-        tol = 1e-9
-        x = lm._zoom_minimize(lambda x: (x - 0.3137) ** 2, -1.0, 2.0, tol)
-        assert abs(x - 0.3137) <= tol
-
-    def test_minimum_at_lower_bound(self):
-        tol = 1e-7
-        x = lm._zoom_minimize(lambda x: 3.0 * x, 1.0, 5.0, tol)
-        assert abs(x - 1.0) <= tol
-
-    @pytest.mark.parametrize("width", [1.0, 0.37, 242.3e-9, 3e-4])
-    def test_symmetric_function_on_symmetric_bracket(self, width):
-        x = lm._zoom_minimize(lambda x: np.cosh(x / width), -width, width, 1e-6 * width)
-        assert abs(x) <= 1e-12 * width
-
-    def test_one_call_per_zoom(self):
-        calls = []
-
-        def f(x):
-            calls.append(np.size(x))
-            return (x - 0.1) ** 2
-
-        lm._zoom_minimize(f, -1.0, 1.0, 2.0 / 16**3)
-        assert calls == [33, 33, 33]
-
-    def test_abscissae_equal_linspace(self):
-        rng = np.random.default_rng(14)
-        for _ in range(200):
-            lo, hi = np.sort(rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.uniform(-9, 3, 2))
-            grids = []
-
-            def f(x):
-                grids.append(x.copy())
-                return np.sin(3.0 * x / (hi - lo))
-
-            lm._zoom_minimize(f, lo, hi, 1e-9 * (hi - lo))
-            assert grids[0][0] == lo and grids[0][-1] == hi
-            for x in grids:
-                assert np.array_equal(x, np.linspace(x[0], x[-1], 33))
-
-
 class TestTrapSearch:
     @pytest.mark.parametrize(
         "state, manipulated",
@@ -424,37 +363,25 @@ class TestTrapSearch:
     def test_minimum_is_a_stationary_point(
         self, trap_config, manipulation_field, data, state, manipulated
     ):
-        # a Newton step on the stencil's gradient and Hessian from the result is below
-        # 1 pm; the zoom sweeps alone stopped 4-8 pm from it on these configurations
+        # a Newton step on the stencil's gradient and Hessian from the result is below 1 pm
         cfg = replace(trap_config, manipulation=manipulation_field if manipulated else None)
         found = find_trap_minimum(cfg, state, 28.0, data=data)
         grad, hess = lm._stencil_derivatives(lm._potential(cfg, state, 28.0, data), found)
         assert np.max(np.abs(np.linalg.solve(hess, grad))) < 0.001e-9
 
-    def test_sweeps_again_where_the_hessian_is_not_positive_definite(
-        self, trap_config, data, monkeypatch
-    ):
-        derivatives, zooms = lm._stencil_derivatives, []
-        zoom = lm._zoom_minimize
-
-        def saddle_once(u, point):
-            grad, hess = derivatives(u, point)
-            if len(zooms) == 3:  # after the first sweep only
-                hess = -hess
-            return grad, hess
-
-        def zoom_counted(*args):
-            zooms.append(args)
-            return zoom(*args)
-
-        monkeypatch.setattr(lm, "_stencil_derivatives", saddle_once)
-        monkeypatch.setattr(lm, "_zoom_minimize", zoom_counted)
-        found = find_trap_minimum(trap_config, None, 28.0, data=data)
-        assert len(zooms) >= 6  # the first sweep, and a second one after the saddle
-        ref = reference_minimum(trap_config, None, 28.0, data, found, 0.1e-9 / 1000)
+    def test_leaves_a_zero_gradient_saddle(self, trap_config, data):
+        # at relative phase pi the red standing wave puts a maximum along z at z = 0,
+        # the height the search starts from, and its gradient along z is zero there
+        cfg = replace(trap_config, red=replace(trap_config.red, relative_phase=np.pi))
+        found = find_trap_minimum(cfg, None, 28.0, data=data)
+        grad, hess = lm._stencil_derivatives(lm._potential(cfg, None, 28.0, data), (*found[:2], 0.0))
+        assert grad[2] == 0.0 and hess[2, 2] < 0.0
+        assert abs(found[2]) > 200e-9
+        ref = reference_minimum(cfg, None, 28.0, data, found, 0.1e-9 / 1000)
         assert abs(found[0] - ref[0]) < 0.02e-9
         assert ref[0] * abs(found[1] - ref[1]) < 0.02e-9
         assert abs(found[2] - ref[2]) < 0.02e-9
+        assert all(nu > 0 for nu in trap_frequencies(cfg, None, 28.0, minimum=found, data=data))
 
     def test_field_evaluation_counts(self, trap_config, manipulation_field, data, monkeypatch):
         # the potential evaluates every field in one stacked _fields_at call;
@@ -474,7 +401,7 @@ class TestTrapSearch:
         monkeypatch.setattr(lm, "field_at", per_field_counted)
         minimum = find_trap_minimum(trap_config, data=data)
         # field evaluations: two fields per call; a golden-section search made 230
-        assert sum(n for n, _ in stacked) <= 26 and per_field == []
+        assert sum(n for n, _ in stacked) <= 8 and per_field == []
         for cfg in (trap_config, replace(trap_config, manipulation=manipulation_field)):
             n_fields = len(cfg.fields())
             stacked.clear()
