@@ -229,23 +229,24 @@ def _profiles(modes, r):
     # 1j times a real quotient equals the scalar 1j * beta / (2 h) bit for bit: numpy
     # divides a complex scalar by a real one per component (a complex array would not)
     def interior(rr):
-        j0, j1, j2 = bessel_j((0, 1, 2), rr[:, None] * h)
+        j0, j1, j2 = bessel_j((0, 1, 2), rr[..., None] * h)
         er_in = 1j * (beta / (2 * h)) * ((1 - s) * j0 - (1 + s) * j2)
         ephi_in = -beta / (2 * h) * ((1 - s) * j0 + (1 + s) * j2)
         return er_in, ephi_in, j1
 
     def exterior(rr):
-        k0, k1, k2 = bessel_k((0, 1, 2), rr[:, None] * q)
+        k0, k1, k2 = bessel_k((0, 1, 2), rr[..., None] * q)
         er_out = 1j * (c_out * beta / (2 * q)) * ((1 - s) * k0 + (1 + s) * k2)
         ephi_out = -c_out * beta / (2 * q) * ((1 - s) * k0 - (1 + s) * k2)
         return er_out, ephi_out, c_out * k1
 
     inside = r < modes[0].fiber.radius
+    if (n_inside := np.count_nonzero(inside)) in (0, r.size):  # one side of the surface: no scatter
+        return (interior if n_inside else exterior)(r)
     e_r = np.empty(r.shape + (len(modes),), dtype=complex)
     e_phi, e_z = np.empty(e_r.shape), np.empty(e_r.shape)
     for mask, branch in ((inside, interior), (~inside, exterior)):
-        if mask.any():
-            e_r[mask], e_phi[mask], e_z[mask] = branch(r[mask])
+        e_r[mask], e_phi[mask], e_z[mask] = branch(r[mask])
     return e_r, e_phi, e_z
 
 

@@ -21,8 +21,8 @@ from .atom_cs import (
     mw_transition_frequency,
 )
 from .errors import DomainError, NoTrapError, SaddlePointError
-from .fiber_mode import FiberSpec, LightField, field_at
-from .fiber_mode import _fields_at, _spin_density, _stack_beams
+from .fiber_mode import FiberSpec, LightField, _fields_at, _spin_density, _stack_beams
+from .fiber_mode import field_at  # noqa: F401  unused; perfbench/tracer.py patches this name
 from .fiber_mode import ellipticity  # noqa: F401  re-exported: part of this module's API
 
 __all__ = [
@@ -251,15 +251,15 @@ _STENCIL = np.array([np.zeros(3)] + [s * d for d in _D for s in (1, -1)] + [
 
 
 def _stencil_derivatives(u, point):
-    """Central-difference gradient and Hessian of ``u`` at ``point`` = (r, phi, z)
-    in local (dr, r dphi, dz), from one call of ``u`` on ``_STENCIL``."""
+    """``u(*point)`` (the centre node is ``point`` + 0.0) and the central-difference gradient
+    and Hessian in local (dr, r dphi, dz) at ``point``, from one call of ``u`` on ``_STENCIL``."""
     r0, phi0, z0 = point
     vals = u(r0 + _STENCIL[:, 0], phi0 + _STENCIL[:, 1] / r0, z0 + _STENCIL[:, 2])
     plus, minus = vals[1:7:2], vals[2:7:2]
     hess = np.diag((plus - 2.0 * vals[0] + minus) / _STEP**2)
     pp, pm, mp, mm = vals[7:].reshape(3, 4).T
     hess[_PAIRS] = hess[_PAIRS[::-1]] = (pp - pm - mp + mm) / (4.0 * _STEP**2)
-    return (plus - minus) / (2.0 * _STEP), hess
+    return vals[0], (plus - minus) / (2.0 * _STEP), hess
 
 
 def find_trap_minimum(
@@ -278,9 +278,13 @@ def find_trap_minimum(
     lambda <= 0.  The step is scaled into that box, keeps r at least 0.1 nm
     above the radial clamp 1 nm above the surface, and is halved until the
     potential does not rise; the search stops once a step is below 0.1 nm.
-    Raises NoTrapError when no bound radial minimum brackets or the search
-    ends at the clamp.
+    Each trial is one stencil call, whose g and H start the next step once it is accepted.
+    Raises NoTrapError when no field is a standing wave with both beams on (nothing
+    confines along z), no bound radial minimum brackets, or the search ends at the clamp.
     """
+    standing = [f for f in config.fields() if f.configuration == "standing"]
+    if not any(min(f.power, f.backward_power) > 0 for f in standing):
+        raise NoTrapError("no axial confinement: no field is a standing wave with both beams on")
     data = data or default_atomic_data()
     a = config.fiber.radius
     u_of = _potential(config, state, boff, data)
@@ -296,11 +300,11 @@ def find_trap_minimum(
     tol_r = 0.1e-9
     r_low = a + 1e-9 + tol_r  # 0.1 nm above the clamp: the 1 nm stencil stays outside the fiber
     z_half = 0.25 * config.red.mode.guided_wavelength
-    point, u_point = np.array([r_scan[idx], phi_start, 0.0]), u_scan[idx]
+    point = np.array([r_scan[idx], phi_start, 0.0])
+    u_point, grad, hess = _stencil_derivatives(u_of, point)
     for _ in range(40):
         r0 = point[0]
         box = np.array([50e-9, 0.5 * r0, z_half])
-        grad, hess = _stencil_derivatives(u_of, point)
         lam, vec = np.linalg.eigh(hess)
         slope = grad @ vec
         edge = 1.0 / np.max(np.abs(vec) / box[:, None], axis=0)  # to the box edge per eigenvector
@@ -310,14 +314,14 @@ def find_trap_minimum(
         step[0] = max(step[0], r_low - r0)  # exact: a search pinned here ends on r_low
         while np.max(np.abs(step)) >= tol_r:
             trial = point + step / (1.0, r0, 1.0)
-            u_trial = u_of(*trial)
+            u_trial, g_trial, h_trial = _stencil_derivatives(u_of, trial)
             if u_trial <= u_point:
                 break
             step = 0.5 * step
         else:  # a step below 0.1 nm is the last one
             point = point + step / (1.0, r0, 1.0)
             break
-        point, u_point = trial, u_trial
+        point, u_point, grad, hess = trial, u_trial, g_trial, h_trial
     if point[0] <= r_low:
         raise NoTrapError(
             f"radial search ended at the surface clamp ({(point[0] - a) * 1e9:.3f} nm above the fiber)"
@@ -341,7 +345,7 @@ def trap_frequencies(
     data = data or default_atomic_data()
     if minimum is None:
         minimum = find_trap_minimum(config, state, boff, data)
-    _, hess = _stencil_derivatives(_potential(config, state, boff, data), minimum)
+    _, _, hess = _stencil_derivatives(_potential(config, state, boff, data), minimum)
     evals, evecs = np.linalg.eigh(hess * H_PLANCK / data.mass_kg)
     if np.any(evals <= 0):
         raise SaddlePointError("curvature matrix is not positive definite at the minimum")
@@ -393,12 +397,10 @@ def site_environment(
     r0, phi0, z0 = upper
     lower = (r0, phi0 + np.pi, z0)
     fields = config.fields()
-    betas = _vector_coefficients(fields, f, data)
-
-    sites = np.array([upper, lower])  # one field_at call per field covers both sites
-    total = np.zeros((2, 3))
-    for fld, beta_v in zip(fields, betas):
-        total = total + beta_v * _spin_density(field_at(fld, sites[:, 0], sites[:, 1], sites[:, 2]))
+    betas = np.array(_vector_coefficients(fields, f, data))
+    # both sites in one stacked pass; + 0.0 makes an all-zero sum +0.0, as _fields_at does
+    e = _fields_at(_stack_beams(fields), *np.array([upper, lower]).T)
+    total = np.sum(betas[:, None] * _spin_density(e), axis=-2) + 0.0
 
     return MagneticEnvironment(
         offset_field=_offset_vector(boff),

@@ -538,6 +538,21 @@ def test_zero_field_ellipticity_map_exits_3(tmp_path, capsys):
     assert not (tmp_path / "fieldmap.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "override", ["scheme.red_imbalance=0", "red.backward_power=0 mW", "red.power=0 mW"]
+)
+@pytest.mark.parametrize(
+    "command", [["trap"], ["bfict", "--scheme", "tilt"], ["pump"]], ids=["trap", "bfict", "pump"]
+)
+def test_trap_without_axial_confinement_is_a_no_trap_error(tmp_path, capsys, command, override):
+    # with one red beam off every field is a running wave, so nothing confines along z;
+    # this once surfaced as "curvature matrix is not positive definite"
+    assert run([*command, "--config", PAPER_CFG, "--out", str(tmp_path), "--set", override]) == 3
+    err = capsys.readouterr().err
+    assert f"numerical failure in {command[0]}: no axial confinement" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_interrupted_field_map_leaves_earlier_file_intact(tmp_path, monkeypatch):
     from nanotrap import fiber_mode
 

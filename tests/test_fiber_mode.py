@@ -439,6 +439,7 @@ class TestStackedFields:
         a = fiber.radius
         for r in (
             np.linspace(0.2 * a, 3 * a, 41),  # the core (J) and the cladding (K)
+            np.linspace(0.1 * a, 0.9 * a, 9),  # the core alone
             a + np.linspace(20e-9, 1200e-9, 250)[:, None],
             a + 230e-9,
             a,

@@ -366,7 +366,7 @@ class TestTrapSearch:
         # a Newton step on the stencil's gradient and Hessian from the result is below 1 pm
         cfg = replace(trap_config, manipulation=manipulation_field if manipulated else None)
         found = find_trap_minimum(cfg, state, 28.0, data=data)
-        grad, hess = lm._stencil_derivatives(lm._potential(cfg, state, 28.0, data), found)
+        _, grad, hess = lm._stencil_derivatives(lm._potential(cfg, state, 28.0, data), found)
         assert np.max(np.abs(np.linalg.solve(hess, grad))) < 0.001e-9
 
     def test_leaves_a_zero_gradient_saddle(self, trap_config, data):
@@ -374,7 +374,8 @@ class TestTrapSearch:
         # the height the search starts from, and its gradient along z is zero there
         cfg = replace(trap_config, red=replace(trap_config.red, relative_phase=np.pi))
         found = find_trap_minimum(cfg, None, 28.0, data=data)
-        grad, hess = lm._stencil_derivatives(lm._potential(cfg, None, 28.0, data), (*found[:2], 0.0))
+        u = lm._potential(cfg, None, 28.0, data)
+        _, grad, hess = lm._stencil_derivatives(u, (*found[:2], 0.0))
         assert grad[2] == 0.0 and hess[2, 2] < 0.0
         assert abs(found[2]) > 200e-9
         ref = reference_minimum(cfg, None, 28.0, data, found, 0.1e-9 / 1000)
@@ -383,9 +384,60 @@ class TestTrapSearch:
         assert abs(found[2] - ref[2]) < 0.02e-9
         assert all(nu > 0 for nu in trap_frequencies(cfg, None, 28.0, minimum=found, data=data))
 
+    @pytest.mark.parametrize(
+        "state, manipulated",
+        [(None, False), (ground_state(4, 4), False), (ground_state(4, 4), True)],
+        ids=["mF-averaged", "4,4", "4,4-manipulated"],
+    )
+    def test_stencil_centre_is_the_point(
+        self, trap_config, manipulation_field, trap_minimum, data, state, manipulated
+    ):
+        # the search accepts a step on the centre value of the trial's stencil, so that
+        # value must be the potential at the trial point bit for bit
+        cfg = replace(trap_config, manipulation=manipulation_field if manipulated else None)
+        u = lm._potential(cfg, state, 28.0, data)
+        r0, phi0, z0 = trap_minimum
+        for point in ((r0, phi0, z0), (r0 + 13.7e-9, phi0 - 0.21, z0 + 41.3e-9),
+                      (r0 - 37.1e-9, 0.37, -1.234e-7)):
+            assert lm._stencil_derivatives(u, point)[0] == u(*point)
+
+    def test_each_search_step_is_one_stencil_call(self, trap_config, data, monkeypatch):
+        # after the 250-point radial scan every potential call is a 19-point stencil:
+        # each trial point's centre value decides the step, and its g and H start the next
+        sizes = []
+        potential = lm._potential
+
+        def counted(*args):
+            u = potential(*args)
+
+            def u_counted(r, phi, z):
+                sizes.append(np.size(r))
+                return u(r, phi, z)
+
+            return u_counted
+
+        monkeypatch.setattr(lm, "_potential", counted)
+        find_trap_minimum(trap_config, data=data)
+        assert sizes[0] == 250 and set(sizes[1:]) == {19} and len(sizes) <= 4
+        sizes.clear()
+        saddle = replace(trap_config, red=replace(trap_config.red, relative_phase=np.pi))
+        find_trap_minimum(saddle, None, 28.0, data=data)
+        assert sizes[0] == 250 and set(sizes[1:]) == {19}
+
+    @pytest.mark.parametrize(
+        "red_change", [{"backward_power": 0.0}, {"power": 0.0}, {"configuration": "running"}]
+    )
+    @pytest.mark.parametrize("state", [None, ground_state(4, 4)], ids=["mF-averaged", "4,4"])
+    def test_no_axial_confinement_is_a_no_trap_error(self, trap_config, data, red_change, state):
+        # without a standing wave of two non-zero beams nothing depends on z, and the
+        # (4,4) search once ended 9962 nm down the fiber
+        cfg = replace(trap_config, red=replace(trap_config.red, **red_change))
+        with pytest.raises(NoTrapError, match="no axial confinement"):
+            find_trap_minimum(cfg, state, 28.0, data=data)
+
     def test_field_evaluation_counts(self, trap_config, manipulation_field, data, monkeypatch):
-        # the potential evaluates every field in one stacked _fields_at call;
-        # site_environment makes one field_at call per field
+        # the potential and site_environment each evaluate every field, at every
+        # point, in one stacked _fields_at call; neither calls field_at
         stacked, per_field = [], []
         fields_at = lm._fields_at
 
@@ -409,8 +461,7 @@ class TestTrapSearch:
             assert stacked == [(n_fields, 19)] and per_field == []
             stacked.clear()
             lm.site_environment(cfg, 28.0, minimum, data)
-            assert per_field == [2] * n_fields and stacked == []
-            per_field.clear()
+            assert stacked == [(n_fields, 2)] and per_field == []
 
 
 def pointwise_frequencies(config, state, boff, minimum, data):
