@@ -43,6 +43,16 @@ _PADE_13 = [
 ]
 _THETA_13 = 5.371920351148152
 
+# Clebsch-Gordan weights of (4,mF) -> (5,mF+q): rows mF = -4..4, columns
+# q = +1, 0, -1 (the order of the drive fractions), with the generator indices
+# of each transition's ground and excited sublevel
+_STRENGTHS = np.array([
+    [atom_cs.transition_strength((4, m), q, (5, m + q)) for q in (1, 0, -1)] for m in range(-4, 5)
+])
+_MF = np.arange(-4, 5)[:, None]
+_GROUND = _MF + 4
+_EXCITED = N_GROUND + 5 + _MF + np.array([1, 0, -1])
+
 
 @dataclass(frozen=True)
 class PopulationVector:
@@ -89,13 +99,6 @@ class PulseSpec:
             raise DomainError("Rabi frequency and duration must be positive")
 
 
-def _strength(mf: int, q: int) -> float:
-    """Clebsch-Gordan weight of (4,mF) -> (5,mF+q); 0 outside the ladder."""
-    if abs(mf + q) > 5:
-        return 0.0
-    return atom_cs.transition_strength((4, mf), q, (5, mf + q))
-
-
 def pump_rates(fractions, saturation: float, data: AtomicData | None = None) -> np.ndarray:
     """Rate-equation generator (20 x 20, units 1/s) for given drive fractions.
 
@@ -113,29 +116,15 @@ def pump_rates(fractions, saturation: float, data: AtomicData | None = None) -> 
         raise DomainError("intensity fractions must sum to 1")
 
     gamma = 2 * np.pi * data.d2_linewidth_hz  # radiative decay rate, 1/s
+    excitation = 0.5 * gamma * saturation * fr * _STRENGTHS
+    branching = gamma * _STRENGTHS  # decay weights sum to 1 per excited state
     gen = np.zeros((N_GROUND + N_EXCITED, N_GROUND + N_EXCITED))
-
-    for i_g, mf in enumerate(range(-4, 5)):
-        for frac, q in zip(fr, (+1, 0, -1)):
-            st = _strength(mf, q)
-            if st == 0.0 or frac == 0.0:
-                continue
-            rate = 0.5 * gamma * saturation * frac * st
-            i_e = N_GROUND + (mf + q) + 5
-            gen[i_e, i_g] += rate
-            gen[i_g, i_g] -= rate
-
-    for i_e_local, mfe in enumerate(range(-5, 6)):
-        i_e = N_GROUND + i_e_local
-        for q in (+1, 0, -1):
-            mf = mfe - q
-            if abs(mf) > 4:
-                continue
-            branch = _strength(mf, q)  # decay weights sum to 1 per excited state
-            rate = gamma * branch
-            i_g = mf + 4
-            gen[i_g, i_e] += rate
-            gen[i_e, i_e] -= rate
+    gen[_EXCITED, _GROUND] = excitation
+    gen[_GROUND, _EXCITED] = branching
+    # every sublevel's loss per q, summed in the order +1, 0, -1 of a running sum
+    loss = np.concatenate([excitation, np.zeros((N_EXCITED, 3))])
+    loss[_EXCITED, [0, 1, 2]] = branching
+    gen[np.diag_indices_from(gen)] -= loss[:, 0] + loss[:, 1] + loss[:, 2]
     return gen
 
 
@@ -294,7 +283,7 @@ def pi_pulse_fwhm(tau_s: float) -> float:
         raise DomainError("pulse duration must be positive")
 
     def half_crossing(detuning_hz):
-        return rabi_transfer(PulseSpec.pi_pulse(tau_s, detuning_hz)) - 0.5
+        return _transfer(np.pi / tau_s, tau_s, detuning_hz) - 0.5
 
     # the line is even in detuning: the lower crossing is the upper one mirrored
     return 2.0 * find_root(half_crossing, 0.0, 1.0 / tau_s, 1e-9 / tau_s)

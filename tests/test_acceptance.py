@@ -6,6 +6,7 @@ stated runtime budgets include the mode solves.
 """
 import time
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 from scipy import constants as cst
@@ -13,6 +14,7 @@ from scipy import constants as cst
 from field_oracle import radial_profiles_h
 from nanotrap import atom_cs, dynamics, light_matter, spectra
 from nanotrap.atom_cs import ground_state
+from nanotrap.cli import RunConfig
 from nanotrap.fiber_mode import FiberSpec, LightField, field_at, solve_he11
 from nanotrap.light_matter import (
     MagneticEnvironment,
@@ -27,6 +29,7 @@ from nanotrap.light_matter import (
 )
 
 MU_B_HZ_PER_G = cst.physical_constants["Bohr magneton"][0] * 1e-4 / cst.h
+PAPER_CFG = str(resources.files("nanotrap").joinpath("data/paper.cfg"))
 
 
 def report(index, name, ok, detail):
@@ -406,3 +409,29 @@ def test_criterion_9_property_suite(data):
     ok = all(checks.values())
     report(9, "property suite", ok, ", ".join(f"{k}: {'ok' if v else 'FAIL'}" for k, v in checks.items()))
     assert ok, checks
+
+
+def test_criterion_9_diametric_sites_pumped_to_opposite_states():
+    """The paper's headline: one guided probe pumps the ensembles on both
+    sides of the fiber to opposite stretched states.  On the bundled config,
+    the trap minimum and its image at phi + pi see swapped (sigma+, pi, sigma-)
+    fractions about +y, so their steady states are reversed in mF."""
+    cfg = RunConfig.load(PAPER_CFG, [])
+    r, phi, z = find_trap_minimum(cfg.trap_config(), data=cfg.data)
+    e_sites = field_at(cfg.field("probe"), r, np.array([phi, phi + np.pi]), z)
+    intensities = np.abs(light_matter.spherical_components(e_sites, [0.0, 1.0, 0.0])) ** 2
+    upper, lower = (intensities / intensities.sum(axis=0)).T
+    rates = [dynamics.pump_rates(f, cfg["pump.saturation"], cfg.data) for f in (upper, lower)]
+    p_upper, p_lower = (dynamics.pump_steady_state(g, cfg.data).populations for g in rates)
+    taus = [dynamics.pumping_time_constant(g) for g in rates]
+
+    swap = np.max(np.abs(upper - lower[::-1]))
+    mirror = np.max(np.abs(p_upper - p_lower[::-1]))
+    contrast = p_upper[8] - p_lower[8]  # stretched-state population, upper minus lower
+    ok = swap < 1e-12 and mirror < 1e-12
+    report(9, "diametric sites pumped to opposite stretched states", ok,
+           f"sigma+ fraction {upper[0]:.5f} / {lower[0]:.5f}, P(mF=+4) {p_upper[8]:.5f} / "
+           f"{p_lower[8]:.2e}, contrast {contrast:.5f}, 1/e time {taus[0] * 1e6:.1f} / "
+           f"{taus[1] * 1e6:.1f} us, fraction swap {swap:.1e}, population mirror {mirror:.1e}")
+    assert swap < 1e-12
+    assert mirror < 1e-12

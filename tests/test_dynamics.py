@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nanotrap import dynamics as dy
+from nanotrap import atom_cs, dynamics as dy
 from nanotrap.dynamics import (
     PopulationVector,
     PulseSpec,
@@ -45,7 +45,59 @@ class TestPopulationVector:
         assert p.rabi_rad_s * p.duration_s == pytest.approx(np.pi, rel=1e-12)
 
 
+def reference_generator(fractions, saturation, data):
+    """The pump generator entry by entry, as two loops over the sublevels.
+
+    Each Clebsch-Gordan weight comes from ``atom_cs.transition_strength``;
+    an undriven transition is skipped, and every diagonal entry accumulates
+    its losses in the order q = +1, 0, -1.
+    """
+    gamma = 2 * np.pi * data.d2_linewidth_hz
+    gen = np.zeros((20, 20))
+    for i_g, mf in enumerate(range(-4, 5)):
+        for frac, q in zip(np.array(fractions, dtype=float), (+1, 0, -1)):
+            if frac == 0.0:
+                continue
+            strength = atom_cs.transition_strength((4, mf), q, (5, mf + q))
+            rate = 0.5 * gamma * saturation * frac * strength
+            i_e = 9 + (mf + q) + 5
+            gen[i_e, i_g] += rate
+            gen[i_g, i_g] -= rate
+    for i_e, mfe in enumerate(range(-5, 6), start=9):
+        for q in (+1, 0, -1):
+            mf = mfe - q
+            if abs(mf) > 4:
+                continue
+            rate = gamma * atom_cs.transition_strength((4, mf), q, (5, mfe))
+            gen[mf + 4, i_e] += rate
+            gen[i_e, i_e] -= rate
+    return gen
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@st.composite
+def simplex_fractions(draw):
+    low, high = sorted(draw(st.floats(0.0, 1.0)) for _ in range(2))
+    return (low, high - low, 1.0 - high)
+
+
 class TestPumpRates:
+    @pytest.mark.parametrize("drive", DRIVES + [(0.08, 0.0, 0.92), (0.5, 0.5, 0.0)])
+    @pytest.mark.parametrize("saturation", [0.0, 1e-6, 0.01, 1.0, 100.0])
+    def test_equals_reference_generator_bit_for_bit(self, data, drive, saturation):
+        gen = pump_rates(drive, saturation, data)
+        assert_same_bits(gen, reference_generator(drive, saturation, data))
+
+    @settings(max_examples=200, deadline=None)
+    @given(drive=simplex_fractions(), saturation=st.floats(1e-6, 100.0))
+    def test_simplex_drives_equal_reference_bit_for_bit(self, data, drive, saturation):
+        gen = pump_rates(drive, saturation, data)
+        assert_same_bits(gen, reference_generator(drive, saturation, data))
+
     def test_columns_conserve_probability(self, data):
         gen = pump_rates((0.5, 0.2, 0.3), 0.05, data)
         scale = np.max(np.abs(gen))
