@@ -110,8 +110,8 @@ def pump_rates(fractions, saturation: float, data: AtomicData | None = None) -> 
     data = data or default_atomic_data()
     f_plus, f_zero, f_minus = fractions
     fr = np.array([f_plus, f_zero, f_minus], dtype=float)
-    if np.any(fr < 0) or saturation < 0:
-        raise DomainError("fractions and saturation must be non-negative")
+    if not (np.all(fr >= 0) and 0 <= saturation < np.inf):  # NaN fails both
+        raise DomainError("fractions and saturation must be non-negative and finite")
     if abs(fr.sum() - 1.0) > 1e-9:
         raise DomainError("intensity fractions must sum to 1")
 

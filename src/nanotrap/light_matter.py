@@ -271,7 +271,7 @@ def find_trap_minimum(
 ):
     """Locate the trap minimum near the upper site, to 0.1 nm.
 
-    A 250-point radial scan at z = 0 starts safeguarded Newton steps in local
+    A 64-point radial scan at z = 0 starts safeguarded Newton steps in local
     (dr, r dphi, dz) on ``_stencil_derivatives``: along each eigenvector of H
     the step is -g/lambda, or downhill to the edge of the box |dr| <= 50 nm,
     |dphi| <= 0.5 rad, |dz| <= a quarter guided red wavelength where
@@ -289,7 +289,7 @@ def find_trap_minimum(
     a = config.fiber.radius
     u_of = _potential(config, state, boff, data)
 
-    r_scan = a + np.linspace(20e-9, 1200e-9, 250)
+    r_scan = a + np.linspace(20e-9, 1200e-9, 64)
     u_scan = u_of(r_scan, phi_start, 0.0)
     interior = (u_scan[1:-1] < u_scan[:-2]) & (u_scan[1:-1] < u_scan[2:])
     candidates = np.nonzero(interior)[0] + 1

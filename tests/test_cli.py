@@ -661,6 +661,42 @@ class TestDeterminism:
         for name in ("spectrum.csv", "mw.csv", "tuneout.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    def test_outputs_independent_of_simd_dispatch(self, tmp_path):
+        # numpy picks its SIMD kernels per host; a child restricted to X86_V2 dispatch must
+        # write the same bytes, and trap.json (its potential sums round differently) the
+        # same numbers within 1e-9 relative; numpy ignores feature names a host lacks
+        script = f"""
+import sys
+from nanotrap.cli import main
+common = ["--config", {PAPER_CFG!r}, "--out", sys.argv[1], "--seed", "1"]
+for args in (["mode"], ["trap"], ["tuneout"], ["spectrum", "simulate"], ["mw", "simulate"],
+             ["mw", "fit", "--data", sys.argv[1] + "/mw.csv"]):
+    assert main([*args, *common]) == 0, args
+"""
+        src = str(Path(nanotrap.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        restricted = dict(env, NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
+        for out, child_env in ((tmp_path / "full", env), (tmp_path / "v2", restricted)):
+            proc = subprocess.run([sys.executable, "-c", script, str(out)], env=child_env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+        for name in ("mode.json", "tuneout.json", "spectrum.csv", "mw.csv", "mw_fit.json"):
+            assert (tmp_path / "full" / name).read_bytes() == (tmp_path / "v2" / name).read_bytes(), name
+
+        def numbers(node):
+            if isinstance(node, dict):
+                return [v for key in sorted(node) for v in numbers(node[key])]
+            if isinstance(node, list):
+                return [v for item in node for v in numbers(item)]
+            return [node]
+
+        full, v2 = (numbers(json.loads((tmp_path / side / "trap.json").read_text()))
+                    for side in ("full", "v2"))
+        assert len(full) == len(v2)
+        for a, b in zip(full, v2):
+            assert b == (pytest.approx(a, rel=1e-9, abs=0) if isinstance(a, float) else a)
+
     def test_different_seed_changes_counts(self, tmp_path):
         out1 = tmp_path / "s1"
         out2 = tmp_path / "s2"

@@ -126,6 +126,17 @@ class TestPumpRates:
         with pytest.raises(DomainError):
             pump_rates((0.5, 0.25, 0.25), -1.0, data)
 
+    @pytest.mark.parametrize(
+        "fractions, saturation",
+        [((np.nan, 0.0, 1.0), 0.01), ((0.92, np.nan, 0.08), 0.01), ((np.inf, 0.0, 0.0), 0.01),
+         ((0.92, 0.0, 0.08), np.nan), ((0.92, 0.0, 0.08), np.inf)],
+        ids=["nan-sigma-plus", "nan-pi", "inf-fraction", "nan-saturation", "inf-saturation"],
+    )
+    def test_non_finite_inputs_rejected(self, data, fractions, saturation):
+        # NaN passes every comparison, so each check must ask for a true one
+        with pytest.raises(DomainError):
+            pump_rates(fractions, saturation, data)
+
 
 class TestSteadyState:
     def test_pure_sigma_plus(self, data):

@@ -402,7 +402,7 @@ class TestTrapSearch:
             assert lm._stencil_derivatives(u, point)[0] == u(*point)
 
     def test_each_search_step_is_one_stencil_call(self, trap_config, data, monkeypatch):
-        # after the 250-point radial scan every potential call is a 19-point stencil:
+        # after the 64-point radial scan every potential call is a 19-point stencil:
         # each trial point's centre value decides the step, and its g and H start the next
         sizes = []
         potential = lm._potential
@@ -418,11 +418,11 @@ class TestTrapSearch:
 
         monkeypatch.setattr(lm, "_potential", counted)
         find_trap_minimum(trap_config, data=data)
-        assert sizes[0] == 250 and set(sizes[1:]) == {19} and len(sizes) <= 4
+        assert sizes[0] == 64 and set(sizes[1:]) == {19} and len(sizes) <= 4
         sizes.clear()
         saddle = replace(trap_config, red=replace(trap_config.red, relative_phase=np.pi))
         find_trap_minimum(saddle, None, 28.0, data=data)
-        assert sizes[0] == 250 and set(sizes[1:]) == {19}
+        assert sizes[0] == 64 and set(sizes[1:]) == {19}
 
     @pytest.mark.parametrize(
         "red_change", [{"backward_power": 0.0}, {"power": 0.0}, {"configuration": "running"}]
@@ -462,6 +462,226 @@ class TestTrapSearch:
             stacked.clear()
             lm.site_environment(cfg, 28.0, minimum, data)
             assert stacked == [(n_fields, 2)] and per_field == []
+
+
+# The trap sites and NoTrapErrors of find_trap_minimum on hard configurations, recorded
+# from the search with a 250-point radial scan: a coarser scan, or any other start, must
+# begin Newton in the same basin.  A start that lands in the mirror well (z = +249.06 nm
+# instead of -249.06 nm at relative phase pi on the 250 nm fiber) fails this table.
+BASIN_CASES = {
+    "phase 0.3": (lambda c, m: replace(c, red=replace(c.red, relative_phase=0.3)), 0.0),
+    "phase 1": (lambda c, m: replace(c, red=replace(c.red, relative_phase=1.0)), 0.0),
+    "phase 2": (lambda c, m: replace(c, red=replace(c.red, relative_phase=2.0)), 0.0),
+    "phase 3": (lambda c, m: replace(c, red=replace(c.red, relative_phase=3.0)), 0.0),
+    "phase pi": (lambda c, m: replace(c, red=replace(c.red, relative_phase=np.pi)), 0.0),
+    "start 0": (lambda c, m: c, 0.0),
+    "start pi": (lambda c, m: c, np.pi),
+    "start 0.3": (lambda c, m: c, 0.3),
+    "start -0.4": (lambda c, m: c, -0.4),
+    "tilt 0.3": (lambda c, m: lm.with_scheme(c, 0.3, 1.0), 0.0),
+    "tilt 0.8": (lambda c, m: lm.with_scheme(c, 0.8, 1.0), 0.0),
+    "tilt 1.3": (lambda c, m: lm.with_scheme(c, 1.3, 1.0), 0.0),
+    "backward red 0.3 mW": (lambda c, m: replace(c, red=replace(c.red, backward_power=0.3e-3)), 0.0),
+    "red 3 mW": (lambda c, m: replace(c, red=replace(c.red, power=3e-3, backward_power=3e-3)), 0.0),
+    "880 nm 100 uW": (
+        lambda c, m: replace(c, manipulation=LightField(mode=m[880.2524], power=100e-6)), 0.0),
+    "blue 4 mW": (lambda c, m: replace(c, blue=replace(c.blue, power=4e-3)), 0.0),
+    "blue 20 mW": (lambda c, m: replace(c, blue=replace(c.blue, power=20e-3)), 0.0),
+    "no C3": (lambda c, m: replace(c, c3=None), 0.0),
+}
+BASIN_STATES = {
+    "avg": (None, 0.0), "4,4": (ground_state(4, 4), 28.0), "3,-3": (ground_state(3, -3), 3.0)
+}
+BASINS = {  # (radius in nm, case, state): (r, phi, z) or the NoTrapError message
+    (245, 'phase 0.3', 'avg'): (4.965230666439412e-07, -6.591917094197206e-19, 2.391068430210973e-08),
+    (245, 'phase 0.3', '4,4'): (4.965230666439565e-07, -6.031729681609782e-19, 2.3910684302111506e-08),
+    (245, 'phase 0.3', '3,-3'): (4.965230666439294e-07, 0.0, 2.3910684302114345e-08),
+    (245, 'phase 1', 'avg'): (4.965230246448898e-07, 9.025371627326433e-17, 7.970228915300884e-08),
+    (245, 'phase 1', '4,4'): (4.965230246448964e-07, 6.058513322849683e-17, 7.970228915300631e-08),
+    (245, 'phase 1', '3,-3'): (4.965230246449106e-07, 3.136607151050775e-18, 7.970228915300832e-08),
+    (245, 'phase 2', 'avg'): (4.965230666352892e-07, -8.514036534890555e-17, 1.5940456199296027e-07),
+    (245, 'phase 2', '4,4'): (4.965230666352715e-07, -5.588648232724467e-18, 1.594045619929507e-07),
+    (245, 'phase 2', '3,-3'): (4.965230666352682e-07, -7.617958439323074e-17, 1.594045619929612e-07),
+    (245, 'phase 3', 'avg'): (4.965230666432332e-07, -3.0792390469457705e-17, 2.3910684298943973e-07),
+    (245, 'phase 3', '4,4'): (4.965230666432465e-07, -1.7091303625721728e-16, 2.3910684298944423e-07),
+    (245, 'phase 3', '3,-3'): (4.965230666432587e-07, -1.337686077658382e-17, 2.391068429894369e-07),
+    (245, 'phase pi', 'avg'): (4.965230659290211e-07, -5.689058486330105e-27, -2.503921004528881e-07),
+    (245, 'phase pi', '4,4'): (4.965230659290315e-07, 0.0, -2.503921004528957e-07),
+    (245, 'phase pi', '3,-3'): (4.965230659290283e-07, -1.370412350569592e-26, -2.5039210045288623e-07),
+    (245, 'start 0', 'avg'): (4.965230665831606e-07, 0.0, 0.0),
+    (245, 'start 0', '4,4'): (4.965230665831558e-07, 0.0, 0.0),
+    (245, 'start 0', '3,-3'): (4.965230665831419e-07, 0.0, 0.0),
+    (245, 'start pi', 'avg'): (4.965230665831606e-07, 3.141592653589797, 0.0),
+    (245, 'start pi', '4,4'): (4.965230665831558e-07, 3.141592653589793, 0.0),
+    (245, 'start pi', '3,-3'): (4.965230665831419e-07, 3.141592653589797, 0.0),
+    (245, 'start 0.3', 'avg'): (4.965230620462584e-07, -1.046627600490962e-08, 0.0),
+    (245, 'start 0.3', '4,4'): (4.965229772957085e-07, -1.9414272011319868e-07, 0.0),
+    (245, 'start 0.3', '3,-3'): (4.965229828433551e-07, -1.833936375843692e-07, 0.0),
+    (245, 'start -0.4', 'avg'): (4.965230660933879e-07, -1.1115779736286299e-09, 0.0),
+    (245, 'start -0.4', '4,4'): (4.965230658398374e-07, -6.623372001512528e-10, 0.0),
+    (245, 'start -0.4', '3,-3'): (4.965230659277531e-07, -7.925063849474444e-10, 0.0),
+    (245, 'tilt 0.3', 'avg'): (5.076109230373882e-07, 0.20475090266124277, 0.0),
+    (245, 'tilt 0.3', '4,4'): (5.087824754035414e-07, 0.22067626707709204, 0.0),
+    (245, 'tilt 0.3', '3,-3'): (5.085527945744492e-07, 0.21717688930578952, 0.0),
+    (245, 'tilt 0.8', 'avg'): (5.637866891464293e-07, 0.5182685906162097, 0.0),
+    (245, 'tilt 0.8', '4,4'): (5.695775651334967e-07, 0.5613266792587632, 0.0),
+    (245, 'tilt 0.8', '3,-3'): (5.683415731445492e-07, 0.5509305871371593, 0.0),
+    (245, 'tilt 1.3', 'avg'): (6.44290161501119e-07, 0.7283352085784441, 0.0),
+    (245, 'tilt 1.3', '4,4'): (6.486849948203987e-07, 0.8607078126944532, 0.0),
+    (245, 'tilt 1.3', '3,-3'): (6.481574489441823e-07, 0.8253897271736649, 0.0),
+    (245, 'backward red 0.3 mW', 'avg'): (5.959548490883108e-07, 0.0, 0.0),
+    (245, 'backward red 0.3 mW', '4,4'): (5.999274316509472e-07, 0.0, 0.0),
+    (245, 'backward red 0.3 mW', '3,-3'): (5.989285757823546e-07, 0.0, 0.0),
+    (245, 'red 3 mW', 'avg'): 'no bound radial minimum for this configuration',
+    (245, 'red 3 mW', '4,4'): 'no bound radial minimum for this configuration',
+    (245, 'red 3 mW', '3,-3'): 'no bound radial minimum for this configuration',
+    (245, '880 nm 100 uW', 'avg'): (4.967303139529318e-07, 0.0, 0.0),
+    (245, '880 nm 100 uW', '4,4'): (4.5177428451288253e-07, 0.0, 0.0),
+    (245, '880 nm 100 uW', '3,-3'): (4.6441095379514284e-07, 0.0, 0.0),
+    (245, 'blue 4 mW', 'avg'): 'no bound radial minimum for this configuration',
+    (245, 'blue 4 mW', '4,4'): 'no bound radial minimum for this configuration',
+    (245, 'blue 4 mW', '3,-3'): 'no bound radial minimum for this configuration',
+    (245, 'blue 20 mW', 'avg'): (6.963842664163921e-07, 0.0, 0.0),
+    (245, 'blue 20 mW', '4,4'): (6.96384266416387e-07, 0.0, 0.0),
+    (245, 'blue 20 mW', '3,-3'): (6.96384266416396e-07, 0.0, 0.0),
+    (245, 'no C3', 'avg'): (5.033899152647182e-07, 0.0, 0.0),
+    (245, 'no C3', '4,4'): (5.033899152646896e-07, 0.0, 0.0),
+    (245, 'no C3', '3,-3'): (5.033899152647182e-07, 0.0, 0.0),
+    (250, 'phase 0.3', 'avg'): (4.829562074840782e-07, -1.564515811402261e-17, 2.3783935514445724e-08),
+    (250, 'phase 0.3', '4,4'): (4.829562074840368e-07, -6.9288302630127355e-19, 2.3783935514445893e-08),
+    (250, 'phase 0.3', '3,-3'): (4.829562074840482e-07, 4.679710836633729e-17, 2.3783935514442468e-08),
+    (250, 'phase 1', 'avg'): (4.829562073650279e-07, 3.7803145133708934e-14, 7.927978501676316e-08),
+    (250, 'phase 1', '4,4'): (4.829562073650413e-07, -2.6678633478057523e-17, 7.927978501676616e-08),
+    (250, 'phase 1', '3,-3'): (4.829562073650492e-07, -1.0632392393404941e-17, 7.927978501676679e-08),
+    (250, 'phase 2', 'avg'): (4.829562074839156e-07, -1.8550558599171698e-18, 1.5855957007205944e-07),
+    (250, 'phase 2', '4,4'): (4.829562074838724e-07, -2.0468439474416415e-16, 1.5855957007206e-07),
+    (250, 'phase 2', '3,-3'): (4.829562074839175e-07, -2.9430122626811727e-16, 1.5855957007206004e-07),
+    (250, 'phase 3', 'avg'): (4.829562062602095e-07, -1.7293867030471285e-18, 2.378393551080919e-07),
+    (250, 'phase 3', '4,4'): (4.829562062602618e-07, -3.0226077450260246e-16, 2.378393551080962e-07),
+    (250, 'phase 3', '3,-3'): (4.829562062602209e-07, -3.435575834960242e-17, 2.3783935510809046e-07),
+    (250, 'phase pi', 'avg'): (4.829562074823867e-07, -3.323853948806497e-27, -2.490647902473712e-07),
+    (250, 'phase pi', '4,4'): (4.829562074823816e-07, 0.0, -2.4906479024737083e-07),
+    (250, 'phase pi', '3,-3'): (4.829562074823982e-07, -4.072354574131702e-28, -2.4906479024737184e-07),
+    (250, 'start 0', 'avg'): (4.829562074843392e-07, 0.0, 0.0),
+    (250, 'start 0', '4,4'): (4.829562074843632e-07, 0.0, 0.0),
+    (250, 'start 0', '3,-3'): (4.829562074843684e-07, 0.0, 0.0),
+    (250, 'start pi', 'avg'): (4.829562074843392e-07, 3.141592653589793, 0.0),
+    (250, 'start pi', '4,4'): (4.829562074843632e-07, 3.141592653589793, 0.0),
+    (250, 'start pi', '3,-3'): (4.829562074843684e-07, 3.141592653589793, 0.0),
+    (250, 'start 0.3', 'avg'): (4.829562074811049e-07, -7.785671380730681e-13, 0.0),
+    (250, 'start 0.3', '4,4'): (4.829562074807124e-07, -2.484247398450764e-11, 0.0),
+    (250, 'start 0.3', '3,-3'): (4.829562074810549e-07, -1.5831588424405587e-11, 0.0),
+    (250, 'start -0.4', 'avg'): (4.829562011876081e-07, 1.0372719648101935e-08, 0.0),
+    (250, 'start -0.4', '4,4'): (4.829561897204776e-07, 3.472639176666263e-08, 0.0),
+    (250, 'start -0.4', '3,-3'): (4.829561925329858e-07, 2.900771371190788e-08, 0.0),
+    (250, 'tilt 0.3', 'avg'): (4.947852340059564e-07, 0.20651206227459157, 0.0),
+    (250, 'tilt 0.3', '4,4'): (4.96007969371844e-07, 0.22230853911130735, 0.0),
+    (250, 'tilt 0.3', '3,-3'): (4.957716471984183e-07, 0.21887741689594872, 0.0),
+    (250, 'tilt 0.8', 'avg'): (5.53550017883218e-07, 0.5211441535732633, 0.0),
+    (250, 'tilt 0.8', '4,4'): (5.594902380514092e-07, 0.5636641911958739, 0.0),
+    (250, 'tilt 0.8', '3,-3'): (5.582236926196129e-07, 0.5534142649204713, 0.0),
+    (250, 'tilt 1.3', 'avg'): (6.367385988117259e-07, 0.7253572660602186, 0.0),
+    (250, 'tilt 1.3', '4,4'): (6.41552403959792e-07, 0.8546578863026, 0.0),
+    (250, 'tilt 1.3', '3,-3'): (6.409182103871215e-07, 0.8201248830955669, 0.0),
+    (250, 'backward red 0.3 mW', 'avg'): (5.838172475519589e-07, 0.0, 0.0),
+    (250, 'backward red 0.3 mW', '4,4'): (5.879217466816153e-07, 0.0, 0.0),
+    (250, 'backward red 0.3 mW', '3,-3'): (5.868897562623061e-07, 0.0, 0.0),
+    (250, 'red 3 mW', 'avg'): 'no bound radial minimum for this configuration',
+    (250, 'red 3 mW', '4,4'): 'no bound radial minimum for this configuration',
+    (250, 'red 3 mW', '3,-3'): 'no bound radial minimum for this configuration',
+    (250, '880 nm 100 uW', 'avg'): (4.831741739506424e-07, 0.0, 0.0),
+    (250, '880 nm 100 uW', '4,4'): (4.3295951149320845e-07, 0.0, 0.0),
+    (250, '880 nm 100 uW', '3,-3'): (4.4783107621902117e-07, 0.0, 0.0),
+    (250, 'blue 4 mW', 'avg'): 'no bound radial minimum for this configuration',
+    (250, 'blue 4 mW', '4,4'): 'no bound radial minimum for this configuration',
+    (250, 'blue 4 mW', '3,-3'): 'no bound radial minimum for this configuration',
+    (250, 'blue 20 mW', 'avg'): (6.847502568942747e-07, 0.0, 0.0),
+    (250, 'blue 20 mW', '4,4'): (6.847502568942987e-07, 0.0, 0.0),
+    (250, 'blue 20 mW', '3,-3'): (6.847502568942976e-07, 0.0, 0.0),
+    (250, 'no C3', 'avg'): (4.913217596406598e-07, 0.0, 0.0),
+    (250, 'no C3', '4,4'): (4.913217596406386e-07, 0.0, 0.0),
+    (250, 'no C3', '3,-3'): (4.913217596406598e-07, 0.0, 0.0),
+    (255, 'phase 0.3', 'avg'): (4.7049812339285066e-07, -6.527673100505732e-20, 2.3655963380602305e-08),
+    (255, 'phase 0.3', '4,4'): (4.7049812339284346e-07, -1.0607945672508032e-17, 2.3655963380610968e-08),
+    (255, 'phase 0.3', '3,-3'): (4.704981233928352e-07, -7.286786564693932e-19, 2.365596338060676e-08),
+    (255, 'phase 1', 'avg'): (4.7049812338398175e-07, 6.335290486812074e-20, 7.885321125397307e-08),
+    (255, 'phase 1', '4,4'): (4.7049812338400684e-07, -1.0253021930234864e-18, 7.885321125397229e-08),
+    (255, 'phase 1', '3,-3'): (4.704981233839857e-07, 9.680414660797198e-19, 7.885321125397606e-08),
+    (255, 'phase 2', 'avg'): (4.704980546955503e-07, -2.7628817329336173e-16, 1.577064225126939e-07),
+    (255, 'phase 2', '4,4'): (4.704980546955276e-07, 1.4263715738081973e-18, 1.5770642251269326e-07),
+    (255, 'phase 2', '3,-3'): (4.7049805469555743e-07, 3.0791423045426205e-18, 1.5770642251269561e-07),
+    (255, 'phase 3', 'avg'): (4.704981209915725e-07, -4.9608846747170266e-17, 2.3655963377282398e-07),
+    (255, 'phase 3', '4,4'): (4.704981209915577e-07, -2.2081707326947906e-18, 2.365596337728193e-07),
+    (255, 'phase 3', '3,-3'): (4.704981209915264e-07, -5.132245471438686e-17, 2.3655963377281906e-07),
+    (255, 'phase pi', 'avg'): (4.704981220408795e-07, -4.266872481143451e-27, -2.4772466919885337e-07),
+    (255, 'phase pi', '4,4'): (4.7049812204087395e-07, 0.0, -2.4772466919885855e-07),
+    (255, 'phase pi', '3,-3'): (4.704981220408774e-07, -1.4520084264609792e-27, -2.4772466919885924e-07),
+    (255, 'start 0', 'avg'): (4.704981226546443e-07, 0.0, 0.0),
+    (255, 'start 0', '4,4'): (4.704981226546535e-07, 0.0, 0.0),
+    (255, 'start 0', '3,-3'): (4.704981226546686e-07, 0.0, 0.0),
+    (255, 'start pi', 'avg'): (4.704981226546443e-07, 3.141592653589793, 0.0),
+    (255, 'start pi', '4,4'): (4.704981226546535e-07, 3.141592653589793, 0.0),
+    (255, 'start pi', '3,-3'): (4.704981226546686e-07, 3.141592653589793, 0.0),
+    (255, 'start 0.3', 'avg'): (4.704981233898285e-07, -2.1027907203139678e-11, 0.0),
+    (255, 'start 0.3', '4,4'): (4.7049812337072764e-07, -7.61821402275802e-11, 0.0),
+    (255, 'start 0.3', '3,-3'): (4.7049812336397377e-07, -1.1101682071261464e-10, 0.0),
+    (255, 'start -0.4', 'avg'): (4.704980267801841e-07, 2.1379646269781586e-07, 0.0),
+    (255, 'start -0.4', '4,4'): (4.704981233920458e-07, 5.878654344639162e-12, 0.0),
+    (255, 'start -0.4', '3,-3'): (4.704981233919023e-07, 9.496656015089275e-13, 0.0),
+    (255, 'tilt 0.3', 'avg'): (4.831814109125767e-07, 0.2082660092653599, 0.0),
+    (255, 'tilt 0.3', '4,4'): (4.844627808177465e-07, 0.2239478261406531, 0.0),
+    (255, 'tilt 0.3', '3,-3'): (4.842188392681875e-07, 0.22058222600756988, 0.0),
+    (255, 'tilt 0.8', 'avg'): (5.446104031019938e-07, 0.5239937602582817, 0.0),
+    (255, 'tilt 0.8', '4,4'): (5.506968716693885e-07, 0.5660398531516763, 0.0),
+    (255, 'tilt 0.8', '3,-3'): (5.494006936923375e-07, 0.5559186246633939, 0.0),
+    (255, 'tilt 1.3', 'avg'): (6.30297727501961e-07, 0.7233558203911994, 0.0),
+    (255, 'tilt 1.3', '4,4'): (6.355021606037089e-07, 0.8498764704021778, 0.0),
+    (255, 'tilt 1.3', '3,-3'): (6.34767582683015e-07, 0.8160618660776564, 0.0),
+    (255, 'backward red 0.3 mW', 'avg'): (5.731492333793183e-07, 0.0, 0.0),
+    (255, 'backward red 0.3 mW', '4,4'): (5.773852333189043e-07, 0.0, 0.0),
+    (255, 'backward red 0.3 mW', '3,-3'): (5.763202259184224e-07, 0.0, 0.0),
+    (255, 'red 3 mW', 'avg'): 'no bound radial minimum for this configuration',
+    (255, 'red 3 mW', '4,4'): 'no bound radial minimum for this configuration',
+    (255, 'red 3 mW', '3,-3'): 'no bound radial minimum for this configuration',
+    (255, '880 nm 100 uW', 'avg'): (4.707299098211617e-07, 6.04945334546306e-17, 0.0),
+    (255, '880 nm 100 uW', '4,4'): (4.1011268465009726e-07, 0.0, 0.0),
+    (255, '880 nm 100 uW', '3,-3'): (4.3080106392659037e-07, 0.0, 0.0),
+    (255, 'blue 4 mW', 'avg'): 'no bound radial minimum for this configuration',
+    (255, 'blue 4 mW', '4,4'): 'no bound radial minimum for this configuration',
+    (255, 'blue 4 mW', '3,-3'): 'no bound radial minimum for this configuration',
+    (255, 'blue 20 mW', 'avg'): (6.746774462607049e-07, 0.0, 0.0),
+    (255, 'blue 20 mW', '4,4'): (6.746774462607262e-07, 0.0, 0.0),
+    (255, 'blue 20 mW', '3,-3'): (6.746774462607171e-07, 0.0, 0.0),
+    (255, 'no C3', 'avg'): (4.807906068467492e-07, 0.0, 0.0),
+    (255, 'no C3', '4,4'): (4.80790606846717e-07, 0.0, 0.0),
+    (255, 'no C3', '3,-3'): (4.807906068467492e-07, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("radius_nm", [245, 250, 255])
+def test_search_ends_in_the_recorded_basin(radius_nm, data):
+    fiber = FiberSpec(radius=radius_nm * 1e-9)
+    modes = {nm: solve_he11(fiber, nm * 1e-9) for nm in (783, 880.2524, 1064)}
+    base = lm.TrapConfig(
+        fiber=fiber,
+        blue=LightField(mode=modes[783], power=8.5e-3, polarization_angle=np.pi / 2),
+        red=LightField(
+            mode=modes[1064], power=0.77e-3, configuration="standing", backward_power=0.77e-3
+        ),
+        c3=data.c3_ground_jm3,
+    )
+    for case, (make, phi_start) in BASIN_CASES.items():
+        cfg = make(base, modes)
+        for name, (state, boff) in BASIN_STATES.items():
+            expected = BASINS[radius_nm, case, name]
+            if isinstance(expected, str):
+                with pytest.raises(NoTrapError) as err:
+                    find_trap_minimum(cfg, state, boff, data, phi_start)
+                assert str(err.value) == expected, (case, name)
+                continue
+            r, phi, z = find_trap_minimum(cfg, state, boff, data, phi_start)
+            local = (r - expected[0], expected[0] * (phi - expected[1]), z - expected[2])
+            assert np.max(np.abs(local)) < 1e-12, (case, name, local)
 
 
 def pointwise_frequencies(config, state, boff, minimum, data):
