@@ -1,5 +1,5 @@
 """Cesium atomic structure: hyperfine/Zeeman energies, transition strengths,
-and two-line (D1 + D2) dynamic polarizabilities with tune-out search.
+and two-line (D1 + D2) dynamic polarizabilities with the closed-form tune-out.
 
 Conventions
 -----------
@@ -30,7 +30,7 @@ from .errors import (
     SelectionRuleError,
     ValidityError,
 )
-from .numerics import find_root
+from .numerics import find_root  # noqa: F401  unused; perfbench/tracer.py patches this name
 
 MU_B_J_PER_G = cst.mu_B * 1e-4  # J/G
 H_PLANCK = cst.h
@@ -323,9 +323,17 @@ def vector_shift_coefficient_g_per_v2m2(
     return -alpha_v / (8.0 * f * gf * MU_B_J_PER_G)
 
 
-def tune_out(
-    lo_m: float, hi_m: float, data: AtomicData | None = None, tol_m: float = 1e-15
-) -> float:
-    """Wavelength where the scalar polarizability crosses zero, in metres."""
+def tune_out(data: AtomicData | None = None) -> float:
+    """Wavelength where the scalar polarizability crosses zero, in metres.
+
+    alpha_s is proportional to S1 w1/(w1^2 - w^2) + S2 w2/(w2^2 - w^2) with S1, S2 >= 0,
+    whose one zero lies between the D lines, at w^2 = (S1 w1 w2^2 + S2 w2 w1^2)/(S1 w1 + S2 w2).
+    A zero reduced dipole puts it on a D line, which ``_check_wavelength`` rejects.
+    """
     data = data or default_atomic_data()
-    return find_root(lambda lam: scalar_polarizability(lam, data), lo_m, hi_m, tol_m)
+    (w1, s1), (w2, s2) = data.lines()
+    if not s1 * w1 + s2 * w2 > 0:
+        raise DomainError("no tune-out wavelength: both D-line strengths vanish")
+    wavelength = 2 * np.pi * cst.c / np.sqrt((s1 * w1 * w2**2 + s2 * w2 * w1**2) / (s1 * w1 + s2 * w2))
+    _check_wavelength(wavelength, data)
+    return float(wavelength)

@@ -95,8 +95,6 @@ SCHEMA = {
     "grid.n_r": ("count", 50, "[1, inf)"),
     "grid.n_phi": ("count", 64, "[1, inf)"),
     "grid.z": ("length", 0.0, "(-inf, inf)"),
-    "tuneout.min": ("length", 860e-9, "(0, inf)"),
-    "tuneout.max": ("length", 893e-9, "(0, inf)"),
     "run.seed": ("count", 1, "[0, inf)"),
 }
 
@@ -378,6 +376,8 @@ def cmd_bfict(cfg: RunConfig, args, out: Path) -> None:
 
 
 def cmd_pump(cfg: RunConfig, args, out: Path) -> None:
+    if cfg["probe.power"] == 0.0:  # the drive fractions are those of the probe's field
+        raise ConfigError("probe.power: pump needs a nonzero probe power (0 leaves no drive)")
     site = light_matter.find_trap_minimum(cfg.trap_config(), data=cfg.data)
     e_site = field_at(cfg.field("probe"), *site)
     a_plus, a_zero, a_minus = light_matter.spherical_components(e_site, [0.0, 1.0, 0.0])
@@ -475,7 +475,7 @@ def cmd_mw(cfg: RunConfig, args, out: Path) -> None:
 
 
 def cmd_tuneout(cfg: RunConfig, args, out: Path) -> None:
-    lam = atom_cs.tune_out(cfg["tuneout.min"], cfg["tuneout.max"], cfg.data)
+    lam = atom_cs.tune_out(cfg.data)
     residual = atom_cs.scalar_polarizability(lam, cfg.data)
     reference = atom_cs.scalar_polarizability(852e-9, cfg.data)
     payload = {
@@ -542,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default=None, help="CSV file to fit")
     p.add_argument("--components", type=int, choices=[1, 2], default=2)
 
-    p = sub.add_parser("tuneout", help="search the scalar-polarizability zero crossing")
+    p = sub.add_parser("tuneout", help="closed-form scalar-polarizability zero crossing")
     common(p)
     return parser
 

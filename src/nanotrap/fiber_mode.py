@@ -30,7 +30,7 @@ from . import constants as cst
 from .atom_cs import default_atomic_data
 from .constants import load_constants  # noqa: F401  unused; perfbench/tracer.py patches this name
 from .errors import DomainError, ModeStateError, NoModeError
-from .numerics import bessel_j, bessel_k, find_root
+from .numerics import bessel_j, bessel_k, bessel_k_scalar, find_root
 
 __all__ = [
     "FiberSpec",
@@ -74,7 +74,6 @@ class FiberSpec:
 
     radius: float  # m
     sellmeier: tuple[float, ...] = field(default_factory=lambda: default_atomic_data().sellmeier)
-    exterior_index: float = 1.0
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -82,31 +81,30 @@ class FiberSpec:
 
     def core_index(self, wavelength_m: float) -> float:
         n = refractive_index(self.sellmeier, wavelength_m)
-        if n <= self.exterior_index:
-            raise DomainError("core index must exceed the exterior index")
+        if n <= 1.0:
+            raise DomainError("core index must exceed the exterior (vacuum) index")
         return n
 
 
 def v_number(fiber: FiberSpec, wavelength_m: float) -> float:
-    """V = (2 pi a / lambda) sqrt(n_core^2 - n_ext^2)."""
+    """V = (2 pi a / lambda) sqrt(n_core^2 - 1), vacuum outside."""
     n1 = fiber.core_index(wavelength_m)
-    n2 = fiber.exterior_index
-    return 2 * np.pi * fiber.radius / wavelength_m * np.sqrt(n1**2 - n2**2)
+    return 2 * np.pi * fiber.radius / wavelength_m * np.sqrt(n1**2 - 1.0)
 
 
-def _bessel_ratios(u, w):
+def _bessel_ratios(u, w, k_kernel=bessel_k):
     """J1'(u)/(u J1(u)) and K1'(w)/(w K1(w)), the terms of the l = 1 eigenvalue equation."""
     j0, j1, j2 = bessel_j((0, 1, 2), u)
-    k0, k1, k2 = bessel_k((0, 1, 2), w)
+    k0, k1, k2 = k_kernel((0, 1, 2), w)
     return 0.5 * (j0 - j2) / (u * j1), -0.5 * (k0 + k2) / (w * k1)
 
 
-def _characteristic(neff: float, k: float, a: float, n1: float, n2: float) -> float:
-    """Hybrid-mode (l = 1) eigenvalue function; zero at the HE11 solution."""
+def _characteristic(neff: float, k: float, a: float, n1: float) -> float:
+    """Hybrid-mode (l = 1) eigenvalue function of a vacuum-clad core; zero at the HE11 solution."""
     u = a * k * np.sqrt(n1**2 - neff**2)
-    w = a * k * np.sqrt(neff**2 - n2**2)
+    w = a * k * np.sqrt(neff**2 - 1.0)
     jj, kk = _bessel_ratios(u, w)
-    return (jj + kk) * (n1**2 * jj + n2**2 * kk) - neff**2 * (1.0 / u**2 + 1.0 / w**2) ** 2
+    return (jj + kk) * (n1**2 * jj + kk) - neff**2 * (1.0 / u**2 + 1.0 / w**2) ** 2
 
 
 @dataclass(frozen=True)
@@ -125,7 +123,6 @@ class GuidedMode:
     exterior_parameter: float  # 1/m
     normalization: float  # V/m per sqrt(W)
     n_core: float
-    n_ext: float
     s_parameter: float
     multimode: bool = False
     _phase_fix: complex = field(default=1.0 + 0j, repr=False)
@@ -149,46 +146,38 @@ class GuidedMode:
 def solve_he11(fiber: FiberSpec, wavelength_m: float) -> GuidedMode:
     """Solve the exact HE11 characteristic equation and normalize the mode.
 
-    The root is bracketed on a 1e-4 effective-index grid and refined by
-    bisection to 1e-12; the amplitude scale is fixed by the closed-form axial
-    Poynting flux for unit guided power (no adaptive quadrature).  The HE11
-    root has u = a k sqrt(n1^2 - neff^2) < j_{0,1} = 2.405; every other l = 1
-    root, and every positive zero of J1, has u >= j_{1,1} = 3.832.  So on the
-    grid points with u < ``J1_FIRST_ZERO`` (all of them when V < 3.83) the
-    characteristic function changes sign once, at the whole grid's last sign
-    change, and bisecting their indices finds it in about 13 evaluations.  J
-    is never needed beyond u = 3.83, so a fiber with V > 30 solves too.
+    The HE11 root has u = a k sqrt(n1^2 - neff^2) < j_{0,1} = 2.405; every other
+    l = 1 root, and every positive zero of J1, has u >= j_{1,1} = 3.832.  So above
+    neff = sqrt(n1^2 - (``J1_FIRST_ZERO`` / (a k))^2) (all of (1, n1) when V < 3.83)
+    the characteristic function changes sign once, at the HE11 root, and bisection
+    on that bracket, less 2e-6 at each end, finds it to 1e-12 in about 40
+    evaluations; J is never needed beyond u = 3.83, so a fiber with V > 30 solves
+    too.  The amplitude scale is fixed by the closed-form axial Poynting flux for
+    unit guided power (no adaptive quadrature); the flux and the s parameter take
+    K from ``bessel_k_scalar``, so they do not depend on numpy's SIMD level.
     """
     n1 = fiber.core_index(wavelength_m)
-    n2 = fiber.exterior_index
     a = fiber.radius
     k = 2 * np.pi / wavelength_m
     v = v_number(fiber, wavelength_m)
     multimode = v >= SECOND_MODE_CUTOFF_V
 
-    eps = 2e-6
-    grid = np.arange(n2 + eps, n1 - eps, 1e-4)
-    lo, hi = int(np.count_nonzero(a * k * np.sqrt(n1**2 - grid**2) >= J1_FIRST_ZERO)), grid.size - 1
+    def f(x):
+        return _characteristic(x, k, a, n1)
 
-    def sign(i):
-        return np.sign(_characteristic(grid[i], k, a, n1, n2))
-
-    if lo >= hi or (sign_lo := sign(lo)) * sign(hi) >= 0:
+    lo = max(1.0 + 2e-6, np.sqrt(max(n1**2 - (J1_FIRST_ZERO / (a * k)) ** 2, 0.0)))
+    hi = n1 - 2e-6
+    if lo >= hi or f(lo) * f(hi) >= 0:
         raise NoModeError(
             f"no HE11 root for a={a * 1e9:.1f} nm at {wavelength_m * 1e9:.2f} nm (V={v:.3f})"
         )
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if sign(mid) == sign_lo else (lo, mid)
-    neff = find_root(
-        lambda x: _characteristic(x, k, a, n1, n2), grid[lo], grid[lo + 1], 1e-12
-    )
+    neff = find_root(f, lo, hi, 1e-12)
 
     beta = neff * k
     h = np.sqrt((n1 * k) ** 2 - beta**2)
-    q = np.sqrt(beta**2 - (n2 * k) ** 2)
+    q = np.sqrt(beta**2 - k**2)
     u, w = h * a, q * a
-    jj, kk = _bessel_ratios(u, w)
+    jj, kk = _bessel_ratios(u, w, bessel_k_scalar)
     s_param = (1.0 / u**2 + 1.0 / w**2) / (jj + kk)
 
     mode = GuidedMode(
@@ -199,7 +188,6 @@ def solve_he11(fiber: FiberSpec, wavelength_m: float) -> GuidedMode:
         exterior_parameter=q,
         normalization=1.0,
         n_core=n1,
-        n_ext=n2,
         s_parameter=s_param,
         multimode=multimode,
     )
@@ -261,16 +249,16 @@ def _guided_power_unit_amplitude(mode: GuidedMode) -> float:
     a = mode.fiber.radius
     beta, h, q, s = mode.beta, mode.interior_parameter, mode.exterior_parameter, mode.s_parameter
     k = 2 * np.pi / mode.wavelength
-    n1, n2 = mode.n_core, mode.n_ext
+    n1 = mode.n_core
     s1 = s * (beta / (k * n1)) ** 2
-    s2 = s * (beta / (k * n2)) ** 2
+    s2 = s * (beta / k) ** 2
     j0, j1, j2, j3 = bessel_j((0, 1, 2, 3), h * a)
-    k0, k1, k2, k3 = bessel_k((0, 1, 2, 3), q * a)
+    k0, k1, k2, k3 = bessel_k_scalar((0, 1, 2, 3), q * a)
     # a^2/2 times the Lommel brackets: int_0^a J_n(hr)^2 r dr, int_a^inf K_n(qr)^2 r dr
     inner = (n1 / h) ** 2 * (
         (1 - s) * (1 - s1) * (j0**2 + j1**2) + (1 + s) * (1 + s1) * (j2**2 - j1 * j3)
     )
-    outer = (n2 * j1 / (q * k1)) ** 2 * (
+    outer = (j1 / (q * k1)) ** 2 * (
         (1 - s) * (1 - s2) * (k1**2 - k0**2) + (1 + s) * (1 + s2) * (k1 * k3 - k2**2)
     )
     omega = 2 * np.pi * cst.c / mode.wavelength

@@ -363,7 +363,6 @@ def site_fields(
     phi_b: float = 0.0,
     red_imbalance: float = 1.0,
     data: AtomicData | None = None,
-    f: int = 4,
 ) -> MagneticEnvironment:
     """Per-site fictitious fields for the active manipulation mechanism(s).
 
@@ -372,13 +371,13 @@ def site_fields(
     dedicated field (e.g. at the tune-out wavelength).  Trap sites are the
     minima of the mF-averaged potential; the lower site is the diametric
     image of the upper one.  The fictitious field is evaluated for the
-    ground manifold ``f`` (manifold dependence is at the 0.3% level).
+    F = 4 ground manifold (manifold dependence is at the 0.3% level).
     """
     data = data or default_atomic_data()
     effective = replace(with_scheme(config, phi_b, red_imbalance), manipulation=manipulation)
 
     upper = find_trap_minimum(effective, None, 0.0, data)
-    return site_environment(effective, boff, upper, data, f)
+    return site_environment(effective, boff, upper, data)
 
 
 def site_environment(
@@ -386,18 +385,17 @@ def site_environment(
     boff,
     upper,
     data: AtomicData | None = None,
-    f: int = 4,
 ) -> MagneticEnvironment:
     """Fictitious fields of ``config`` at a given upper site and its image.
 
     The lower site is the diametric image (phi + pi) of ``upper``; the field
-    is summed over every configured field for the ground manifold ``f``.
+    is summed over every configured field for the F = 4 ground manifold.
     """
     data = data or default_atomic_data()
     r0, phi0, z0 = upper
     lower = (r0, phi0 + np.pi, z0)
     fields = config.fields()
-    betas = np.array(_vector_coefficients(fields, f, data))
+    betas = np.array(_vector_coefficients(fields, 4, data))
     # both sites in one stacked pass; + 0.0 makes an all-zero sum +0.0, as _fields_at does
     e = _fields_at(_stack_beams(fields), *np.array([upper, lower]).T)
     total = np.sum(betas[:, None] * _spin_density(e), axis=-2) + 0.0

@@ -43,7 +43,7 @@ def radial_profiles_h(mode: GuidedMode, r: np.ndarray):
     hz_over_r_o = b_amp * c_out * q * 0.5 * (k2 - k0)
     d_ez_o = c_out * q * (-0.5) * (k0 + k2)
     ez_over_r_o = c_out * q * 0.5 * (k2 - k0)
-    n2_out = mode.n_ext**2
+    n2_out = 1.0  # vacuum outside
     hr_out = (-1j / q**2) * (beta * d_hz_o - 1j * omega * cst.epsilon_0 * n2_out * ez_over_r_o)
     hphi_out = (-1j / q**2) * (1j * beta * hz_over_r_o + omega * cst.epsilon_0 * n2_out * d_ez_o)
     hz_out = b_amp * c_out * k1v

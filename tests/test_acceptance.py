@@ -237,7 +237,7 @@ def test_criterion_4_fictitious_field_anchor(data):
 
 
 def test_criterion_5_tune_out_search(data):
-    lam = atom_cs.tune_out(860e-9, 893e-9, data)
+    lam = atom_cs.tune_out(data)
     ok = abs(lam * 1e9 - 880.25) <= 1.5
     report(5, "tune-out wavelength 880.25 +- 1.5 nm", ok, f"lambda = {lam * 1e9:.4f} nm")
     assert ok

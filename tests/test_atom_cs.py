@@ -1,5 +1,7 @@
 """Cesium structure: Breit-Rabi, excited Zeeman, transition strengths, and
-two-line polarizabilities with the tune-out search."""
+two-line polarizabilities with the closed-form tune-out."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import constants as cst
@@ -258,25 +260,33 @@ class TestPolarizabilities:
 
 class TestTuneOut:
     def test_tune_out_wavelength(self, data):
-        lam = tune_out(860e-9, 893e-9, data)
+        lam = tune_out(data)
         assert lam * 1e9 == pytest.approx(880.25, abs=1.5)
 
-    def test_invariant_under_interval_refinement(self, data):
-        lam1 = tune_out(860e-9, 893e-9, data)
-        lam2 = tune_out(875e-9, 885e-9, data)
-        assert lam1 == pytest.approx(lam2, abs=1e-12)
-
     def test_residual_small(self, data):
-        lam = tune_out(860e-9, 893e-9, data)
+        lam = tune_out(data)
         residual = abs(scalar_polarizability(lam, data))
         reference = abs(scalar_polarizability(852e-9, data))
         assert residual < 1e-6 * reference
 
-    def test_bad_bracket(self, data):
-        from nanotrap.errors import BracketError
+    def test_closed_form_matches_brentq_oracle(self, data):
+        # Brent's method on the package's polarizability between the D lines,
+        # iterated to a relative interval of 4 ulp (about 1e-21 m)
+        from scipy.optimize import brentq
 
-        with pytest.raises(BracketError):
-            tune_out(980e-9, 1100e-9, data)
+        oracle = brentq(lambda lam: scalar_polarizability(lam, data), 860e-9, 893e-9, xtol=1e-30)
+        assert abs(tune_out(data) - oracle) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "dipoles, error",
+        [({"d1_reduced_dipole_cm": 0.0}, NearResonanceError),
+         ({"d2_reduced_dipole_cm": 0.0}, NearResonanceError),
+         ({"d1_reduced_dipole_cm": 0.0, "d2_reduced_dipole_cm": 0.0}, DomainError)],
+    )
+    def test_degenerate_data_raises(self, data, dipoles, error):
+        # one line left: its zero sits on the other D line; none left: no zero at all
+        with pytest.raises(error):
+            tune_out(replace(data, **dipoles))
 
 
 class TestHyperfineState:

@@ -121,22 +121,12 @@ class TestConfig:
         err = capsys.readouterr().err
         assert f"{bad}:{lineno}:" in err and "grid.n_r" in err
 
-    def test_numerical_failure_exit_3(self, tmp_path):
-        # no sign change of the scalar polarizability inside this bracket
-        code = run(
-            [
-                "tuneout",
-                "--config",
-                PAPER_CFG,
-                "--out",
-                str(tmp_path),
-                "--set",
-                "tuneout.min=865 nm",
-                "--set",
-                "tuneout.max=870 nm",
-            ]
-        )
-        assert code == 3
+    def test_removed_tuneout_bracket_key_is_unknown(self, tmp_path, capsys):
+        # the tune-out wavelength is a closed form: its former search bracket is no key
+        args = ["tuneout", "--config", PAPER_CFG, "--out", str(tmp_path), "--set", "tuneout.min=865 nm"]
+        assert run(args) == 2
+        assert "unknown key 'tuneout.min'" in capsys.readouterr().err
+        assert not (tmp_path / "tuneout.json").exists()
 
 
 INVALID_VALUES = [
@@ -150,7 +140,6 @@ INVALID_VALUES = [
     ("fiber.radius", "-250 nm"),
     ("fiber.radius", "0 nm"),
     ("blue.wavelength", "-783 nm"),
-    ("tuneout.min", "0 nm"),
     ("grid.r_max", "-1 um"),
     ("pump.duration", "0 ms"),
     ("mw.pulse_duration", "-40 us"),
@@ -527,6 +516,15 @@ class TestOutputs:
             assert len([ln for ln in lines[:-1] if not ln.startswith(b"#")]) == 1 + 3 * 5
 
 
+def test_pump_zero_probe_power_exits_2_naming_the_key(tmp_path, capsys):
+    # the drive fractions are those of the probe's field at the site: a zero
+    # probe power left them undefined (exit 3 naming no key)
+    args = ["pump", "--config", PAPER_CFG, "--out", str(tmp_path), "--set", "probe.power=0 pW"]
+    assert run(args) == 2
+    assert "probe.power" in capsys.readouterr().err
+    assert not (tmp_path / "pump.json").exists()
+
+
 def test_zero_field_ellipticity_map_exits_3(tmp_path, capsys):
     # the ellipticity is undefined where the field vanishes: refused, never written as nan
     args = ["fieldmap", "--kind", "ellipticity", "--set", "probe.power=0 pW"]
@@ -663,14 +661,15 @@ class TestDeterminism:
 
     def test_outputs_independent_of_simd_dispatch(self, tmp_path):
         # numpy picks its SIMD kernels per host; a child restricted to X86_V2 dispatch must
-        # write the same bytes, and trap.json (its potential sums round differently) the
-        # same numbers within 1e-9 relative; numpy ignores feature names a host lacks
+        # write the same bytes, and trap.json, bfict.json and pump.json (their potential
+        # sums round differently) the same numbers within 1e-9 relative; numpy ignores
+        # feature names a host lacks
         script = f"""
 import sys
 from nanotrap.cli import main
 common = ["--config", {PAPER_CFG!r}, "--out", sys.argv[1], "--seed", "1"]
-for args in (["mode"], ["trap"], ["tuneout"], ["spectrum", "simulate"], ["mw", "simulate"],
-             ["mw", "fit", "--data", sys.argv[1] + "/mw.csv"]):
+for args in (["mode"], ["trap"], ["bfict", "--scheme", "tilt", "--phi-b", "5"], ["pump"], ["tuneout"],
+             ["spectrum", "simulate"], ["mw", "simulate"], ["mw", "fit", "--data", sys.argv[1] + "/mw.csv"]):
     assert main([*args, *common]) == 0, args
 """
         src = str(Path(nanotrap.__file__).resolve().parents[1])
@@ -691,11 +690,12 @@ for args in (["mode"], ["trap"], ["tuneout"], ["spectrum", "simulate"], ["mw", "
                 return [v for item in node for v in numbers(item)]
             return [node]
 
-        full, v2 = (numbers(json.loads((tmp_path / side / "trap.json").read_text()))
-                    for side in ("full", "v2"))
-        assert len(full) == len(v2)
-        for a, b in zip(full, v2):
-            assert b == (pytest.approx(a, rel=1e-9, abs=0) if isinstance(a, float) else a)
+        for name in ("trap.json", "bfict.json", "pump.json"):
+            full, v2 = (numbers(json.loads((tmp_path / side / name).read_text()))
+                        for side in ("full", "v2"))
+            assert len(full) == len(v2), name
+            for a, b in zip(full, v2):
+                assert b == (pytest.approx(a, rel=1e-9, abs=0) if isinstance(a, float) else a), name
 
     def test_different_seed_changes_counts(self, tmp_path):
         out1 = tmp_path / "s1"

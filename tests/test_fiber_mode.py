@@ -109,9 +109,9 @@ class TestSolveHe11:
 
         for m in modes.values():
             k = 2 * np.pi / m.wavelength
-            res = _characteristic(m.effective_index, k, fiber.radius, m.n_core, 1.0)
+            res = _characteristic(m.effective_index, k, fiber.radius, m.n_core)
             scale = abs(
-                _characteristic(m.effective_index * 1.01, k, fiber.radius, m.n_core, 1.0)
+                _characteristic(m.effective_index * 1.01, k, fiber.radius, m.n_core)
             )
             assert abs(res) < 1e-9 * scale
 
@@ -132,7 +132,7 @@ class TestSolveHe11:
         assert n783 > n852 > n1064
 
     def test_no_mode_error(self):
-        # tiny fiber guides nothing findable on the scan grid
+        # tiny fiber: the root lies below the bracket's lower end, 1 + 2e-6
         with pytest.raises(NoModeError):
             solve_he11(FiberSpec(radius=30e-9), 1.5e-6)
 
@@ -142,9 +142,10 @@ class TestSolveHe11:
 
     @pytest.mark.parametrize("radius_nm", [200, 250, 300, 420, 600])
     def test_vectorised_scan_picks_scalar_loop_bracket(self, radius_nm):
-        # the whole grid's last sign change, refined by the same bisection, is the
-        # solver's root bit for bit; at 600 nm and 783 nm (V = 5.1 > 3.83) the grid
-        # crosses the J1 zero at u = 3.83, which the solver's index bisection skips
+        # the whole grid's last sign change brackets the solver's root, and refined by
+        # bisection it agrees with the solver to the solver's 1e-12; at 600 nm and
+        # 783 nm (V = 5.1 > 3.83) the grid crosses the J1 zero at u = 3.83, which
+        # the solver's bracket excludes
         from nanotrap.fiber_mode import _characteristic
         from nanotrap.numerics import find_root
 
@@ -153,21 +154,21 @@ class TestSolveHe11:
             lam = nm * 1e-9
             n1, k, a = fiber.core_index(lam), 2 * np.pi / lam, fiber.radius
             grid = np.arange(1.0 + 2e-6, n1 - 2e-6, 1e-4)
-            scalar = np.array([_characteristic(float(x), k, a, n1, 1.0) for x in grid])
-            vector = _characteristic(grid, k, a, n1, 1.0)
+            scalar = np.array([_characteristic(float(x), k, a, n1) for x in grid])
+            vector = _characteristic(grid, k, a, n1)
             signs = np.sign(scalar[:-1]) * np.sign(scalar[1:]) < 0
             assert np.array_equal(signs, np.sign(vector[:-1]) * np.sign(vector[1:]) < 0)
             idx = np.nonzero(signs)[0][-1]
             mode = solve_he11(fiber, lam)
             assert grid[idx] <= mode.effective_index <= grid[idx + 1]
             root = find_root(
-                lambda x: _characteristic(x, k, a, n1, 1.0), grid[idx], grid[idx + 1], 1e-12
+                lambda x: _characteristic(x, k, a, n1), grid[idx], grid[idx + 1], 1e-12
             )
-            assert mode.beta == root * k
+            assert abs(mode.effective_index - root) <= 1e-12
 
     def test_solve_evaluates_few_grid_points(self, monkeypatch):
-        # about 15 evaluations bracket the root and about 30 refine it, against one
-        # per 1e-4 grid step (about 4500) for a full scan
+        # two evaluations check the closed-form bracket and about 40 bisect it,
+        # against one per 1e-4 grid step (about 4500) for a full scan
         import nanotrap.fiber_mode as fm
 
         characteristic, points = fm._characteristic, []
@@ -182,7 +183,8 @@ class TestSolveHe11:
 
     def test_thick_fiber_solves_beyond_the_j_domain(self):
         # V = 50.8: a full scan would need J at u up to V, outside |u| <= 30, but the
-        # solver visits only grid points with u < 3.83, and the HE11 root has u < 2.405
+        # solver's bracket holds only effective indices with u < 3.83, and the HE11
+        # root has u < 2.405
         from nanotrap.fiber_mode import _characteristic
 
         fiber = FiberSpec(radius=3e-6)
@@ -190,8 +192,8 @@ class TestSolveHe11:
         m = solve_he11(fiber, 400e-9)
         assert m.multimode and m.interior_parameter * fiber.radius < 2.405
         k = 2 * np.pi / m.wavelength
-        res = _characteristic(m.effective_index, k, fiber.radius, m.n_core, 1.0)
-        scale = abs(_characteristic(m.effective_index * (1 - 1e-6), k, fiber.radius, m.n_core, 1.0))
+        res = _characteristic(m.effective_index, k, fiber.radius, m.n_core)
+        scale = abs(_characteristic(m.effective_index * (1 - 1e-6), k, fiber.radius, m.n_core))
         assert abs(res) < 1e-6 * scale
 
     @pytest.mark.parametrize("radius_nm", [200, 250, 300])

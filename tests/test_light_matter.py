@@ -125,7 +125,7 @@ class TestShifts:
         assert np.allclose(b, 0.0, atol=1e-15)
 
     def test_scalar_shift_vanishes_at_tune_out(self, data):
-        lam = atom_cs.tune_out(860e-9, 893e-9, data)
+        lam = atom_cs.tune_out(data)
         e = np.array([1e3, 0.0, 0.0])
         at_tune_out = scalar_shift(e, lam, data)
         at_d2 = scalar_shift(e, 852e-9, data)

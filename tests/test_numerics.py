@@ -117,6 +117,19 @@ class TestBesselAgainstScipy:
         oracle = kve(np.array(self.ORDERS)[:, None], x) * np.exp(-x)
         assert np.max(np.abs(bessel_k(self.ORDERS, x) / oracle - 1.0)) < 5e-15
 
+    def test_k_scalar_relative_error(self):
+        # the long-double rule for one argument, used where bits must not depend on
+        # numpy's SIMD level: the same accuracy as bessel_k, and the same refusals
+        from scipy.special import kve
+
+        for x in np.geomspace(1e-4, 700.0, 401):
+            oracle = kve(np.array(self.ORDERS), x) * np.exp(-x)
+            assert np.max(np.abs(numerics.bessel_k_scalar(self.ORDERS, x) / oracle - 1.0)) < 5e-15
+        assert numerics.bessel_k_scalar(1, 2.5) == pytest.approx(bessel_k(1, 2.5), rel=5e-15, abs=0)
+        for bad in (0.99e-4, 701.0, np.nan):
+            with pytest.raises(DomainError):
+                numerics.bessel_k_scalar(0, bad)
+
     def test_order_sequence_matches_single_orders(self):
         for fn, x in (
             (bessel_j, np.array([[0.3, 2.0], [7.5, 29.0]])),
