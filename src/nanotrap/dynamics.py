@@ -145,13 +145,11 @@ def _effective_ground_generator(rates: np.ndarray) -> np.ndarray:
 def pump_steady_state(rates: np.ndarray, data: AtomicData | None = None) -> PopulationVector:
     """Stationary ground-manifold distribution of the pump generator.
 
-    Excited states are adiabatically eliminated, which is exact for the
-    stationary state.  The null vector of the effective ground generator
-    G_eff then solves the consistent bordered system [G_eff; 1^T] p = [0; 1]
-    (G_eff rows scaled to unit diagonal magnitude) in one least-squares
-    solve, to rounding: it equals the normalised eigenvector of G_eff's
-    least-modulus eigenvalue to 1e-13.  A degenerate null space
-    (disconnected dynamics) is rejected.
+    Excited states are adiabatically eliminated, exact for the stationary state.
+    GTH state reduction (Grassmann, Taksar & Heyman, Oper. Res. 33, 1107 (1985)) then
+    eliminates G_eff's states from the last, from its off-diagonal rates alone: no step
+    subtracts, so every population is accurate to a few ulps relative.  A closed (dark)
+    state ends it.  A degenerate null space is rejected.
     """
     g_eff = _effective_ground_generator(np.asarray(rates, dtype=float))
     scale = np.max(np.abs(np.diag(g_eff)))
@@ -161,10 +159,16 @@ def pump_steady_state(rates: np.ndarray, data: AtomicData | None = None) -> Popu
     if np.sum(np.abs(evals) < 1e-9 * scale) > 1:
         raise NonUniqueSteadyStateError("disconnected dynamics: steady state not unique")
 
-    bordered = np.vstack([g_eff / scale, np.ones(N_GROUND)])
-    target = np.zeros(N_GROUND + 1)
-    target[-1] = 1.0
-    p = np.clip(np.linalg.lstsq(bordered, target)[0], 0.0, None)
+    flow = g_eff.T.copy()  # flow[i, j]: the rate from state i to state j (diagonal unused)
+    for first in range(N_GROUND - 1, -1, -1):
+        out = flow[first, :first].sum()
+        if out == 0.0:  # a closed state, at the latest state 0: those left are transient
+            break
+        flow[:first, first] /= out
+        flow[:first, :first] += flow[:first, first, None] * flow[first, :first]
+    p = np.eye(N_GROUND)[first]
+    for j in range(first + 1, N_GROUND):
+        p[j] = p[:j] @ flow[:j, j]
     return PopulationVector(f=4, populations=p / p.sum())
 
 

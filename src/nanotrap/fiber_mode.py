@@ -196,23 +196,21 @@ def solve_he11(fiber: FiberSpec, wavelength_m: float) -> GuidedMode:
 
     # fix the global phase: dominant transverse component real and positive
     # just outside the surface on the polarization axis
-    e_r = _profiles([mode], a * (1 + 1e-9))[0][0]
+    e_r = _profiles(mode, a * (1 + 1e-9))[0][0]
     ph = np.sqrt(2.0) * e_r * norm
     return replace(mode, normalization=norm, _phase_fix=np.conj(ph) / abs(ph))
 
 
-def _profiles(modes, r):
-    """Radial E-field profiles (e_r, e_phi, e_z) of unit-amplitude p=+1 modes of one fiber.
+def _profiles(mode, r):
+    """Radial E-field profiles (e_r, e_phi, e_z) of the unit-amplitude p=+1 mode.
 
-    Each has shape r.shape + (len(modes),).  Each branch (Bessel J inside the
-    core, K outside) is one Bessel call for every mode at the radii it
-    applies to, and a mode's profiles do not depend on the modes beside it.
+    Each has shape r.shape + (1,), a trailing axis for the beams of ``field_at``.
+    Each branch (Bessel J inside the core, K outside) is one Bessel call at the
+    radii it applies to.
     """
     r = np.asarray(r, dtype=float)
-    if len({m.fiber.radius for m in modes}) != 1:
-        raise DomainError("stacked modes must belong to one fiber")
     names = ("beta", "interior_parameter", "exterior_parameter", "s_parameter", "exterior_scale")
-    beta, h, q, s, c_out = np.array([[getattr(m, name) for name in names] for m in modes]).T
+    beta, h, q, s, c_out = (np.array([getattr(mode, name)]) for name in names)
 
     # 1j times a real quotient equals the scalar 1j * beta / (2 h) bit for bit: numpy
     # divides a complex scalar by a real one per component (a complex array would not)
@@ -228,10 +226,10 @@ def _profiles(modes, r):
         ephi_out = -c_out * beta / (2 * q) * ((1 - s) * k0 - (1 + s) * k2)
         return er_out, ephi_out, c_out * k1
 
-    inside = r < modes[0].fiber.radius
+    inside = r < mode.fiber.radius
     if (n_inside := np.count_nonzero(inside)) in (0, r.size):  # one side of the surface: no scatter
         return (interior if n_inside else exterior)(r)
-    e_r = np.empty(r.shape + (len(modes),), dtype=complex)
+    e_r = np.empty(r.shape + (1,), dtype=complex)
     e_phi, e_z = np.empty(e_r.shape), np.empty(e_r.shape)
     for mask, branch in ((inside, interior), (~inside, exterior)):
         e_r[mask], e_phi[mask], e_z[mask] = branch(r[mask])
@@ -292,27 +290,6 @@ class LightField:
         if not isinstance(self.mode, GuidedMode):
             raise ModeStateError("LightField requires a solved GuidedMode")
 
-    def beams(self):
-        """(complex amplitude, 1j * direction * beta, direction) per physical beam."""
-        m = self.mode
-        out = [(self.power, self.direction, 0.0)]
-        if self.configuration == "standing":
-            out.append((self.backward_power, -self.direction, self.relative_phase))
-        return [
-            (m.normalization * np.sqrt(p) * m._phase_fix * np.exp(1j * ph), 1j * d * m.beta, d)
-            for p, d, ph in out
-        ]
-
-
-def _stack_beams(lights):
-    """``lights`` stacked for ``_fields_at``: per field its mode, polarization angle
-    and first beam, then per beam, in field order, its field and ``beams()`` entry."""
-    rows = [(i, *beam) for i, light in enumerate(lights) for beam in light.beams()]
-    owner, amplitude, wavevector, direction = map(np.array, zip(*rows))
-    angles = np.array([light.polarization_angle for light in lights], dtype=float)
-    first = np.searchsorted(owner, np.arange(len(lights)))
-    return [light.mode for light in lights], angles, first, owner, amplitude, wavevector, direction
-
 
 def field_at(light: LightField, r, phi, z):
     """Complex E field (V/m) of the beam configuration, Cartesian components.
@@ -323,34 +300,63 @@ def field_at(light: LightField, r, phi, z):
     fields with their relative phase.  Radial profiles are evaluated on the
     unbroadcast ``r``.
     """
-    return _fields_at(_stack_beams([light]), r, phi, z)[..., 0, :]
-
-
-def _fields_at(beams, r, phi, z):
-    """``field_at`` of every field of ``beams``, shape broadcast(r, phi, z) + (n_fields, 3).
-
-    One pass over all beams, on a trailing axis of fields or beams; the beams
-    of each field are summed in order.
-    """
-    modes, angles, first, owner, amplitude, wavevector, direction = beams
     r, phi, z = (np.asarray(v, dtype=float) for v in (r, phi, z))
     if (r < 0).any():
         raise DomainError("radius must be non-negative")
-    e_r, e_phi, e_z = _profiles(modes, r)
+    m, sign = light.mode, light.direction
+    beams = [(light.power, sign, 0.0), (light.backward_power, -sign, light.relative_phase)]
+    # per beam, on a trailing axis: complex amplitude, 1j * direction * beta, direction
+    amplitude, wavevector, direction = map(np.array, zip(*[
+        (m.normalization * np.sqrt(p) * m._phase_fix * np.exp(1j * ph), 1j * d * m.beta, d)
+        for p, d, ph in beams[: 1 + (light.configuration == "standing")]]))
+    e_r, e_phi, e_z = _profiles(m, r)
+    beam = np.zeros(len(amplitude), dtype=int)  # every beam takes the mode's profiles
     phi = phi[..., None]
-    cosd, sind = np.cos(phi - angles), np.sin(phi - angles)
+    cosd, sind = np.cos(phi - light.polarization_angle), np.sin(phi - light.polarization_angle)
     prop = np.exp(wavevector * z[..., None])
-    # each field's beams summed in order; a zero-power beam adds zeros, and adding
-    # 0.0 last makes an all-zero sum +0.0, as a sum started from zero does
-    ez = (np.sqrt(2.0) * e_z * cosd)[..., owner] * amplitude * prop * direction
-    total = np.empty(ez.shape[:-1] + (len(modes), 3), dtype=complex)
-    np.add.reduceat(ez, first, axis=-1, out=total[..., 2])
-    er = (np.sqrt(2.0) * e_r * cosd)[..., owner] * amplitude * prop
-    ep = (np.sqrt(2.0) * 1j * e_phi * sind)[..., owner] * amplitude * prop
+    er = (np.sqrt(2.0) * e_r * cosd)[..., beam] * amplitude * prop
+    ep = (np.sqrt(2.0) * 1j * e_phi * sind)[..., beam] * amplitude * prop
+    ez = (np.sqrt(2.0) * e_z * cosd)[..., beam] * amplitude * prop * direction
     cos, sin = np.cos(phi), np.sin(phi)
-    np.add.reduceat(er * cos - ep * sin, first, axis=-1, out=total[..., 0])
-    np.add.reduceat(er * sin + ep * cos, first, axis=-1, out=total[..., 1])
-    return np.add(total, 0.0, out=total)
+    # the beams summed in order; adding 0.0 makes an all-zero sum +0.0, as a sum from zero does
+    return np.stack((er * cos - ep * sin, er * sin + ep * cos, ez), axis=-2).sum(axis=-1) + 0.0
+
+
+def _intensity_and_spin(lights):
+    """|E|^2 and i(E x E*) of each of ``lights`` outside the fiber, as ``kernel(r, phi, z)``.
+
+    There E = (i sqrt2 g_x W, i sqrt2 g_y W, sqrt2 g_z V): g is the real exterior profile
+    rotated by the polarization angle, W and V sum the beams' n sqrt(P) e^(i d beta z), V
+    times each beam's direction d.  So (Le Kien, Balykin & Hakuta, Phys. Rev. A 70, 063403
+    (2004)) |E|^2 = 2 [(g_x^2 + g_y^2) |W|^2 + g_z^2 |V|^2] with |W|^2, |V|^2 = n^2 (P_fwd
+    + P_bwd +- 2 sqrt(P_fwd P_bwd) cos(2 d beta z - phase)), and i(E x E*) = 4 n^2 d (P_fwd
+    - P_bwd) g_z (-g_y, g_x, 0), 0 along z.  Shapes: broadcast(r, phi, z) + (n,), + (n, 3).
+    """
+    rows = [(f.mode.fiber.radius, f.mode.beta, f.mode.exterior_parameter, f.mode.s_parameter,
+             f.mode.exterior_scale, f.mode.normalization, f.power, f.polarization_angle,
+             f.direction, f.backward_power * (f.configuration == "standing"), f.relative_phase)
+            for f in lights]
+    a, beta, q, s, c_out, norm, fwd, angle, d, bwd, phase = np.array(rows).T
+    scale = np.sqrt(2.0) * norm * c_out  # sqrt2 n times the exterior profiles' J1(ha)/K1(qa)
+    c0, c2 = scale * beta * (1 - s) / (2 * q), scale * beta * (1 + s) / (2 * q)
+    total, cross, spin, wave = fwd + bwd, 2 * np.sqrt(fwd * bwd), 2 * d * (fwd - bwd), 2 * d * beta
+
+    def kernel(r, phi, z):
+        r, phi, z = (np.asarray(v, dtype=float)[..., None] for v in (r, phi, z))
+        if (r <= a).any():
+            raise DomainError("the closed-form fields are defined outside the fiber surface")
+        k0, k1, k2 = bessel_k((0, 1, 2), r * q)
+        t0, t2, cosd, sind = c0 * k0, c2 * k2, np.cos(phi - angle), np.sin(phi - angle)
+        g_r, g_phi, g_z = (t0 + t2) * cosd, (t2 - t0) * sind, scale * k1 * cosd  # sqrt2 n g, local
+        osc = cross * np.cos(wave * z - phase)
+        intensity = (g_r * g_r + g_phi * g_phi) * (total + osc) + g_z * g_z * (total - osc)
+        w, cos, sin = spin * g_z, np.cos(phi), np.sin(phi)
+        out = np.zeros(w.shape + (3,))
+        np.multiply(w, -(g_r * sin + g_phi * cos), out=out[..., 0])  # -g_y
+        np.multiply(w, g_r * cos - g_phi * sin, out=out[..., 1])  # g_x
+        return intensity, out
+
+    return kernel
 
 
 @dataclass(frozen=True)
@@ -404,12 +410,8 @@ def ellipticity(e_field) -> np.ndarray:
 
 
 def _spin_density(e):
-    """i(E x E*) = |E|^2 eps of a complex field array (trailing axis).
-
-    The products of ``np.cross(e, e.conj())`` written out, equal to it bit for bit.
-    """
-    a, b = e[..., [1, 2, 0]], e[..., [2, 0, 1]]
-    return np.real(1j * (a * b.conj() - b * a.conj()))
+    """i(E x E*) = |E|^2 eps of a complex field array (trailing axis)."""
+    return np.real(1j * np.cross(e, e.conj()))
 
 
 def ellipticity_map(light: LightField, grid: PolarGrid) -> np.ndarray:

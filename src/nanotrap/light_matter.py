@@ -21,7 +21,7 @@ from .atom_cs import (
     mw_transition_frequency,
 )
 from .errors import DomainError, NoTrapError, SaddlePointError
-from .fiber_mode import FiberSpec, LightField, _fields_at, _spin_density, _stack_beams
+from .fiber_mode import FiberSpec, LightField, _intensity_and_spin, _spin_density
 from .fiber_mode import field_at  # noqa: F401  unused; perfbench/tracer.py patches this name
 from .fiber_mode import ellipticity  # noqa: F401  re-exported: part of this module's API
 
@@ -203,36 +203,33 @@ def _potential(config: TrapConfig, state: HyperfineState | None, boff, data: Ato
     """The trap potential of one configuration and sublevel as ``u(r, phi, z)``.
 
     Everything that does not depend on the position is computed here once:
-    the stacked beams, each field's scalar polarizability and, for a resolved
-    sublevel, its vector coefficient beta_v, the offset vector and the
-    zero-field Breit-Rabi reference.  ``u`` is the potential ``trap_potential``
-    documents, in Hz, from one ``_fields_at`` pass over every field.
+    the closed-form intensity and spin kernel of every field, each field's
+    scalar shift per unit |E|^2 and, for a resolved sublevel, its vector
+    coefficient beta_v, the offset vector and the zero-field Breit-Rabi
+    reference.  ``u`` is the potential ``trap_potential`` documents, in Hz,
+    from one kernel call over every field.
     """
     a = config.fiber.radius
     fields = config.fields()
-    beams = _stack_beams(fields)
+    kernel = _intensity_and_spin(fields)
     alphas = [atom_cs.scalar_polarizability(fld.mode.wavelength, data) for fld in fields]
-    shifts = -0.25 * np.array(alphas)
+    shifts = -0.25 * np.array(alphas) / H_PLANCK
     if state is not None:
         betas = np.array(_vector_coefficients(fields, state.f, data))
         boff_vec = _offset_vector(boff)
         zero_field = breit_rabi_energy(state, 0.0, data)
 
     def u(r, phi, z):
-        r_arr = np.asarray(r, dtype=float)
-        if (r_arr <= a).any():
-            raise DomainError("trap potential is defined outside the fiber surface")
-        e = _fields_at(beams, r, phi, z)
-        total = np.sum(shifts * np.sum(np.abs(e) ** 2, axis=-1) / H_PLANCK, axis=-1)
+        intensity, spin = kernel(r, phi, z)
+        total = np.add.reduce(shifts * intensity, axis=-1)
         if state is not None:
-            bfict = np.sum(betas[:, None] * _spin_density(e), axis=-2)
-            b_total = np.linalg.norm(boff_vec + bfict, axis=-1)
+            b = boff_vec + np.add.reduce(betas[:, None] * spin, axis=-2)
+            b_total = np.sqrt(np.add.reduce(b * b, axis=-1))
             total = total + (breit_rabi_energy(state, b_total, data) - zero_field)
-        if config.c3 is not None:
-            total = total - config.c3 / ((r_arr - a) ** 3 * H_PLANCK)
-        if total.ndim == 0:
-            return float(total)
-        return total
+        if config.c3 is not None:  # the cube as products: a 0-d ** rounds unlike an array's
+            gap = np.asarray(r, dtype=float) - a
+            total = total - config.c3 / (gap * gap * gap * H_PLANCK)
+        return float(total) if total.ndim == 0 else total
 
     return u
 
@@ -396,9 +393,9 @@ def site_environment(
     lower = (r0, phi0 + np.pi, z0)
     fields = config.fields()
     betas = np.array(_vector_coefficients(fields, 4, data))
-    # both sites in one stacked pass; + 0.0 makes an all-zero sum +0.0, as _fields_at does
-    e = _fields_at(_stack_beams(fields), *np.array([upper, lower]).T)
-    total = np.sum(betas[:, None] * _spin_density(e), axis=-2) + 0.0
+    # both sites in one kernel call; + 0.0 makes an all-zero sum +0.0
+    spin = _intensity_and_spin(fields)(*np.array([upper, lower]).T)[1]
+    total = np.sum(betas[:, None] * spin, axis=-2) + 0.0
 
     return MagneticEnvironment(
         offset_field=_offset_vector(boff),

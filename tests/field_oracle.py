@@ -3,8 +3,8 @@
 The package needs only the E field; the tests integrate the axial Poynting
 flux Re(E x H*) by quadrature to check the closed-form power normalisation
 and the tangential continuity of H at the fiber surface.  The per-mode
-profiles and per-beam field are the references the stacked evaluation of
-every beam is held to, bit for bit.
+profiles and per-beam field are the references ``field_at``'s evaluation
+of its beams on a trailing axis is held to, bit for bit.
 """
 import numpy as np
 from scipy import constants as cst
@@ -89,10 +89,10 @@ def per_mode_profiles(mode: GuidedMode, r):
 def per_beam_field(light, r, phi, z):
     """E field of one LightField, each beam on its own arrays, summed from zero.
 
-    The same per-element arithmetic as the stacked evaluation, one beam at a
-    time.  Every factor carries a trailing axis of length one, as the stacked
-    evaluation's axis of beams: numpy may round the complex product of two
-    arrays differently from that of an array and a scalar.
+    The same per-element arithmetic as ``field_at``, one beam at a time.
+    Every factor carries a trailing axis of length one, as ``field_at``'s
+    axis of beams: numpy may round the complex product of two arrays
+    differently from that of an array and a scalar.
     """
     mode = light.mode
     r, phi, z = (np.asarray(v, dtype=float)[..., None] for v in (r, phi, z))

@@ -345,7 +345,7 @@ def test_criterion_9_property_suite(data):
 
     def s_z_times_r(r):
         rr = np.array([r])
-        e_r, e_phi, _ = _profiles([mode], r)
+        e_r, e_phi, _ = _profiles(mode, r)
         h_r, h_phi, _ = radial_profiles_h(mode, rr)
         val = np.pi * (np.real(e_r * np.conj(h_phi)) - np.real(e_phi * np.conj(h_r)))
         return amp2 * val[0] * r

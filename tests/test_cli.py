@@ -661,9 +661,9 @@ class TestDeterminism:
 
     def test_outputs_independent_of_simd_dispatch(self, tmp_path):
         # numpy picks its SIMD kernels per host; a child restricted to X86_V2 dispatch must
-        # write the same bytes, and trap.json, bfict.json and pump.json (their potential
-        # sums round differently) the same numbers within 1e-9 relative; numpy ignores
-        # feature names a host lacks
+        # write the same bytes, and trap.json, bfict.json, pump.json and the field maps (their
+        # Bessel values and sums round differently) the same numbers within 1e-9 relative;
+        # numpy ignores feature names a host lacks
         script = f"""
 import sys
 from nanotrap.cli import main
@@ -671,6 +671,9 @@ common = ["--config", {PAPER_CFG!r}, "--out", sys.argv[1], "--seed", "1"]
 for args in (["mode"], ["trap"], ["bfict", "--scheme", "tilt", "--phi-b", "5"], ["pump"], ["tuneout"],
              ["spectrum", "simulate"], ["mw", "simulate"], ["mw", "fit", "--data", sys.argv[1] + "/mw.csv"]):
     assert main([*args, *common]) == 0, args
+for kind in ("field", "intensity", "ellipticity"):
+    args = ["fieldmap", "--kind", kind, "--config", {PAPER_CFG!r}, "--out", sys.argv[1] + "/" + kind]
+    assert main(args) == 0, kind
 """
         src = str(Path(nanotrap.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -690,9 +693,15 @@ for args in (["mode"], ["trap"], ["bfict", "--scheme", "tilt", "--phi-b", "5"], 
                 return [v for item in node for v in numbers(item)]
             return [node]
 
-        for name in ("trap.json", "bfict.json", "pump.json"):
-            full, v2 = (numbers(json.loads((tmp_path / side / name).read_text()))
-                        for side in ("full", "v2"))
+        def values(path):
+            if path.suffix == ".json":
+                return numbers(json.loads(path.read_text()))
+            rows = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+            return [float(v) for line in rows[1:] for v in line.split(",")]
+
+        for name in ("trap.json", "bfict.json", "pump.json", "field/fieldmap.csv",
+                     "intensity/fieldmap.csv", "ellipticity/fieldmap.csv"):
+            full, v2 = (values(tmp_path / side / name) for side in ("full", "v2"))
             assert len(full) == len(v2), name
             for a, b in zip(full, v2):
                 assert b == (pytest.approx(a, rel=1e-9, abs=0) if isinstance(a, float) else a), name

@@ -207,7 +207,7 @@ class TestSolveHe11:
 
         def s_z_times_r(r):
             rr = np.array([r])
-            e_r, e_phi, _ = _profiles([m], r)
+            e_r, e_phi, _ = _profiles(m, r)
             h_r, h_phi, _ = radial_profiles_h(m, rr)
             return 0.5 * np.real(e_r * np.conj(h_phi) - e_phi * np.conj(h_r))[0] * r
 
@@ -248,8 +248,8 @@ class TestFieldStructure:
 
         a = fiber.radius
         for m in modes.values():
-            e_in = _profiles([m], a * (1 - 1e-12))
-            e_out = _profiles([m], a * (1 + 1e-12))
+            e_in = _profiles(m, a * (1 - 1e-12))
+            e_out = _profiles(m, a * (1 + 1e-12))
             for comp in (1, 2):  # e_phi, e_z
                 assert abs(e_in[comp][0] - e_out[comp][0]) < 1e-9 * abs(e_out[comp][0])
             h_in = radial_profiles_h(m, np.array([a * (1 - 1e-12)]))
@@ -285,7 +285,7 @@ class TestFieldStructure:
 
         def s_z_times_r(r):
             rr = np.array([r])
-            e_r, e_phi, _ = _profiles([m], r)
+            e_r, e_phi, _ = _profiles(m, r)
             h_r, h_phi, _ = radial_profiles_h(m, rr)
             # quasi-linear: cos^2 and sin^2 azimuthal factors integrate to pi
             val = np.pi * (
@@ -419,7 +419,7 @@ class TestMaps:
 
 
 def stacked_lights(modes):
-    """Beams that exercise every branch of the stacked evaluation."""
+    """Beams that exercise every branch of the field evaluation."""
     return [
         # standing wave with unequal powers and a relative phase
         LightField(mode=modes[1064], power=0.77e-3, configuration="standing",
@@ -434,7 +434,8 @@ def stacked_lights(modes):
 
 
 class TestStackedFields:
-    """One stacked pass over every beam equals the per-mode, per-beam evaluation bit for bit."""
+    """Profiles, and fields summed over a trailing axis of beams, equal the per-mode and
+    per-beam evaluation bit for bit."""
 
     def test_profiles_equal_per_mode_profiles(self, modes, fiber):
         stack = [modes[nm] for nm in (783, 1064, 852.347, 880.2524)]
@@ -446,10 +447,9 @@ class TestStackedFields:
             a + 230e-9,
             a,
         ):
-            stacked = fm._profiles(stack, r)
-            for k, mode in enumerate(stack):
-                for got, want in zip(stacked, per_mode_profiles(mode, r)):
-                    assert_bitwise_equal(got[..., k], want)
+            for mode in stack:
+                for got, want in zip(fm._profiles(mode, r), per_mode_profiles(mode, r)):
+                    assert_bitwise_equal(got[..., 0], want)
 
     @pytest.mark.parametrize(
         "where",
@@ -465,12 +465,8 @@ class TestStackedFields:
     )
     def test_fields_equal_per_beam_fields(self, modes, fiber, where):
         r, phi, z = where(fiber.radius)
-        lights = stacked_lights(modes)
-        stacked = fm._fields_at(fm._stack_beams(lights), r, phi, z)
-        for k, light in enumerate(lights):
-            expected = per_beam_field(light, r, phi, z)
-            assert_bitwise_equal(stacked[..., k, :], expected)
-            assert_bitwise_equal(field_at(light, r, phi, z), expected)
+        for light in stacked_lights(modes):
+            assert_bitwise_equal(field_at(light, r, phi, z), per_beam_field(light, r, phi, z))
 
     def test_spin_density_equals_cross_product_oracle(self):
         rng = np.random.default_rng(5)
@@ -482,3 +478,47 @@ class TestStackedFields:
             e.imag[rng.random(shape) < 0.2] = -0.0
             e[..., :1] = e[..., :1].real  # and some purely real components
             assert_bitwise_equal(fm._spin_density(e), np.real(1j * np.cross(e, e.conj())))
+
+
+class TestClosedFormKernel:
+    """The closed-form |E|^2 and i(E x E*) equal those of the Cartesian field."""
+
+    POINTS = [  # (r - a, phi, z): an r-phi grid, a line, one point
+        (np.linspace(1e-9, 1500e-9, 23)[:, None], np.linspace(-np.pi, np.pi, 29), 37e-9),
+        (np.linspace(5e-9, 900e-9, 41), np.linspace(-0.5, 2 * np.pi, 41), np.linspace(-1e-6, 1e-6, 41)),
+        (230e-9, 0.0, 0.0),
+    ]
+
+    @pytest.mark.parametrize("point", range(len(POINTS)), ids=["grid", "line", "point"])
+    def test_equals_cartesian_field(self, modes, fiber, point):
+        gap, phi, z = self.POINTS[point]
+        r = fiber.radius + gap
+        lights = stacked_lights(modes)  # standing, tilted, zero-power, direction -1, tune-out
+        lights.append(LightField(mode=modes[1064], power=0.5e-3, configuration="standing",
+                                 backward_power=0.2e-3, relative_phase=2.0, direction=-1,
+                                 polarization_angle=1.1))
+        intensity, spin = fm._intensity_and_spin(lights)(r, phi, z)
+        for k, light in enumerate(lights):
+            e = field_at(light, r, phi, z)
+            want = np.sum(np.abs(e) ** 2, axis=-1)
+            assert np.all(np.abs(intensity[..., k] - want) <= 1e-13 * want)  # 1.4e-15 measured
+            s = fm._spin_density(e)
+            assert np.max(np.abs(spin[..., k, :] - s)) <= 1e-14 * np.max(np.abs(s))  # 1.6e-15
+            assert np.all(spin[..., k, 2] == 0.0)
+
+    def test_balanced_standing_wave_has_no_spin_and_reversal_negates_it(self, modes, fiber):
+        r, phi, z = fiber.radius + np.linspace(1e-9, 900e-9, 31), np.linspace(-3, 3, 31), 0.4e-6
+        balanced = LightField(mode=modes[1064], power=0.77e-3, configuration="standing",
+                              backward_power=0.77e-3, relative_phase=0.7, polarization_angle=0.3)
+        tilted = LightField(mode=modes[783], power=8.5e-3, polarization_angle=np.pi / 2 + 0.1)
+        reversed_tilt = LightField(mode=modes[783], power=8.5e-3, polarization_angle=np.pi / 2 + 0.1,
+                                   direction=-1)
+        _, spin = fm._intensity_and_spin([balanced, tilted, reversed_tilt])(r, phi, z)
+        assert np.all(spin[:, 0] == 0.0) and np.any(spin[:, 1] != 0.0)
+        assert np.array_equal(spin[:, 2], -spin[:, 1])
+
+    def test_rejects_points_not_outside_the_fiber(self, modes, fiber):
+        kernel = fm._intensity_and_spin([LightField(mode=modes[783], power=1e-3)])
+        for r in (fiber.radius, fiber.radius * np.array([2.0, 0.5])):
+            with pytest.raises(DomainError, match="outside the fiber"):
+                kernel(r, 0.0, 0.0)
