@@ -310,13 +310,12 @@ def field_at(light: LightField, r, phi, z):
         (m.normalization * np.sqrt(p) * m._phase_fix * np.exp(1j * ph), 1j * d * m.beta, d)
         for p, d, ph in beams[: 1 + (light.configuration == "standing")]]))
     e_r, e_phi, e_z = _profiles(m, r)
-    beam = np.zeros(len(amplitude), dtype=int)  # every beam takes the mode's profiles
     phi = phi[..., None]
     cosd, sind = np.cos(phi - light.polarization_angle), np.sin(phi - light.polarization_angle)
     prop = np.exp(wavevector * z[..., None])
-    er = (np.sqrt(2.0) * e_r * cosd)[..., beam] * amplitude * prop
-    ep = (np.sqrt(2.0) * 1j * e_phi * sind)[..., beam] * amplitude * prop
-    ez = (np.sqrt(2.0) * e_z * cosd)[..., beam] * amplitude * prop * direction
+    er = np.sqrt(2.0) * e_r * cosd * amplitude * prop
+    ep = np.sqrt(2.0) * 1j * e_phi * sind * amplitude * prop
+    ez = np.sqrt(2.0) * e_z * cosd * amplitude * prop * direction
     cos, sin = np.cos(phi), np.sin(phi)
     # the beams summed in order; adding 0.0 makes an all-zero sum +0.0, as a sum from zero does
     return np.stack((er * cos - ep * sin, er * sin + ep * cos, ez), axis=-2).sum(axis=-1) + 0.0

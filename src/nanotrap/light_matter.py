@@ -1,6 +1,11 @@
 """Local polarization analysis, AC Stark shifts, fictitious magnetic fields,
 and the assembled two-color trap with per-site magnetic environments.
 
+Every light shift and fictitious field takes one path: the closed-form |E|^2
+and i(E x E*) of ``fiber_mode._intensity_and_spin``, times each field's scalar
+polarizability and vector coefficient beta_v.  ``trap_potential`` gives the
+shifts, ``site_environment`` the per-site fictitious fields.
+
 Geometry: atoms sit in the plane P (phi = 0 "upper" site, phi = pi "lower"
 site); the static offset field points along +y, perpendicular to P.  All
 energies are returned in Hz (energy / h).
@@ -21,7 +26,7 @@ from .atom_cs import (
     mw_transition_frequency,
 )
 from .errors import DomainError, NoTrapError, SaddlePointError
-from .fiber_mode import FiberSpec, LightField, _intensity_and_spin, _spin_density
+from .fiber_mode import FiberSpec, LightField, _intensity_and_spin
 from .fiber_mode import field_at  # noqa: F401  unused; perfbench/tracer.py patches this name
 from .fiber_mode import ellipticity  # noqa: F401  re-exported: part of this module's API
 
@@ -32,9 +37,6 @@ __all__ = [
     "with_scheme",
     "ellipticity",
     "spherical_components",
-    "fictitious_field",
-    "scalar_shift",
-    "vector_shift",
     "trap_potential",
     "find_trap_minimum",
     "trap_frequencies",
@@ -76,45 +78,6 @@ def spherical_components(e_field, axis):
     # components in the frame whose z axis is the quantization axis; A_q = u_q* . E
     ex, ey, ez = e @ e1, e @ e2, e @ e3
     return -(ex - 1j * ey) / np.sqrt(2.0), ez, (ex + 1j * ey) / np.sqrt(2.0)
-
-
-def fictitious_field(e_field, wavelength_m: float, f: int = 4, data: AtomicData | None = None):
-    """Fictitious magnetic field beta_v * i(E x E*) of a ground manifold, in G."""
-    data = data or default_atomic_data()
-    e = np.asarray(e_field, dtype=complex)
-    beta_v = atom_cs.vector_shift_coefficient_g_per_v2m2(wavelength_m, f, data)
-    return beta_v * _spin_density(e)
-
-
-def scalar_shift(e_field, wavelength_m: float, data: AtomicData | None = None):
-    """Scalar AC Stark shift -(1/4) alpha_s |E|^2 in Hz."""
-    data = data or default_atomic_data()
-    alpha_s = atom_cs.scalar_polarizability(wavelength_m, data)
-    intensity = np.sum(np.abs(np.asarray(e_field, dtype=complex)) ** 2, axis=-1)
-    return -0.25 * alpha_s * intensity / H_PLANCK
-
-
-def vector_shift(
-    e_field,
-    wavelength_m: float,
-    state: HyperfineState,
-    axis,
-    data: AtomicData | None = None,
-):
-    """Vector AC Stark shift of one ground sublevel against a quantization axis, Hz.
-
-    Computed from the vector polarizability as
-    -(1/4) alpha_v |E|^2 (eps . axis) mF/(2F); identical (to rounding) to the
-    linear Zeeman energy of the fictitious field.
-    """
-    data = data or default_atomic_data()
-    if state.manifold != "ground":
-        raise DomainError("vector_shift is defined for ground states")
-    e = np.asarray(e_field, dtype=complex)
-    alpha_v = atom_cs.vector_polarizability(wavelength_m, state.f, data)
-    _, _, e3 = _orthonormal_triad(axis)
-    projection = _spin_density(e) @ e3
-    return -0.25 * alpha_v * projection * state.mf / (2.0 * state.f) / H_PLANCK
 
 
 @dataclass(frozen=True)

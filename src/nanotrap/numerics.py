@@ -47,24 +47,22 @@ def _tables(orders: tuple):
     return _J_W[rows], _K_W[rows], _K_HANKEL[rows]
 
 
-def _within(x: np.ndarray, lo: float, hi: float) -> bool:
-    """Whether every element of x is in [lo, hi] (not NaN); 0-d without a numpy reduction."""
-    return lo <= float(x) <= hi if x.ndim == 0 else bool(((x >= lo) & (x <= hi)).all())
-
-
 def _checked(order, x, lo: float, hi: float):
-    """(weight tables of the orders, whether one order was given, x as floats in [lo, hi])."""
+    """(weight tables of the orders, whether one order was given, x as floats in [lo, hi], max x)."""
     single = np.ndim(order) == 0
     tables = _tables((order,) if single else tuple(order))
     x = np.asarray(x, dtype=float)
-    if not _within(x, lo, hi):
+    # 0-d without a numpy reduction; an empty x spans (inf, -inf), and a NaN fails both bounds
+    low, top = (float(x),) * 2 if x.ndim == 0 else (
+        np.minimum.reduce(x, axis=None, initial=np.inf), np.maximum.reduce(x, axis=None, initial=-np.inf))
+    if not (lo <= low and top <= hi):
         raise DomainError(f"Bessel argument outside its validated range [{lo}, {hi}]")
-    return tables, single, x
+    return tables, single, x, top
 
 
 def bessel_j(order, x):
     """J_n(x) for |x| <= 30 and integer n in 0..5; a sequence of orders adds a leading axis."""
-    (weights, _, _), single, x = _checked(order, x, -J_MAX_ARG, J_MAX_ARG)
+    (weights, _, _), single, x, _ = _checked(order, x, -J_MAX_ARG, J_MAX_ARG)
     arg = x[..., None] * _J_SIN
     out = np.einsum("...k,nk->n...", np.concatenate((np.cos(arg), np.sin(arg)), axis=-1), weights)
     return out[0] if single else out
@@ -72,8 +70,8 @@ def bessel_j(order, x):
 
 def bessel_k(order, x):
     """K_n(x) for 1e-4 <= x <= 700 and integer n in 0..5; a sequence of orders adds a leading axis."""
-    (_, weights, hankel), single, x = _checked(order, x, K_MIN_ARG, K_MAX_ARG)
-    if _within(x, K_MIN_ARG, 40.0):
+    (_, weights, hankel), single, x, top = _checked(order, x, K_MIN_ARG, K_MAX_ARG)
+    if top <= 40.0:
         # in blocks of _K_BLOCK arguments, computed in place, so that no temporary reaches
         # glibc's 128 KiB mmap threshold (above it, glibc maps each temporary or trims the
         # heap after it, and every call faults in fresh pages); terms clamped at -700 keep exp

@@ -1,16 +1,23 @@
-"""Field oracles: the H field of the HE11 mode, and the E field beam by beam.
+"""Field oracles: the H field of the HE11 mode, the E field beam by beam, and
+the light shifts of a Cartesian E field.
 
 The package needs only the E field; the tests integrate the axial Poynting
 flux Re(E x H*) by quadrature to check the closed-form power normalisation
 and the tangential continuity of H at the fiber surface.  The per-mode
 profiles and per-beam field are the references ``field_at``'s evaluation
-of its beams on a trailing axis is held to, bit for bit.
+of its beams on a trailing axis is held to, bit for bit.  The package takes
+every light shift from the closed-form |E|^2 and i(E x E*) kernel; the tests
+hold it to the shifts of the complex Cartesian field ``field_at`` returns.
 """
 import numpy as np
 from scipy import constants as cst
 from scipy import special
 
-from nanotrap.fiber_mode import GuidedMode
+from nanotrap import atom_cs
+from nanotrap.atom_cs import AtomicData, HyperfineState, default_atomic_data
+from nanotrap.errors import DomainError
+from nanotrap.fiber_mode import GuidedMode, _spin_density
+from nanotrap.light_matter import H_PLANCK, _orthonormal_triad
 from nanotrap.numerics import bessel_j, bessel_k
 
 
@@ -115,6 +122,45 @@ def per_beam_field(light, r, phi, z):
         total[..., 1] += (er * np.sin(phi) + ep * np.cos(phi))[..., 0]
         total[..., 2] += ez[..., 0]
     return total
+
+
+def fictitious_field(e_field, wavelength_m: float, f: int = 4, data: AtomicData | None = None):
+    """Fictitious magnetic field beta_v * i(E x E*) of a ground manifold, in G."""
+    data = data or default_atomic_data()
+    e = np.asarray(e_field, dtype=complex)
+    beta_v = atom_cs.vector_shift_coefficient_g_per_v2m2(wavelength_m, f, data)
+    return beta_v * _spin_density(e)
+
+
+def scalar_shift(e_field, wavelength_m: float, data: AtomicData | None = None):
+    """Scalar AC Stark shift -(1/4) alpha_s |E|^2 in Hz."""
+    data = data or default_atomic_data()
+    alpha_s = atom_cs.scalar_polarizability(wavelength_m, data)
+    intensity = np.sum(np.abs(np.asarray(e_field, dtype=complex)) ** 2, axis=-1)
+    return -0.25 * alpha_s * intensity / H_PLANCK
+
+
+def vector_shift(
+    e_field,
+    wavelength_m: float,
+    state: HyperfineState,
+    axis,
+    data: AtomicData | None = None,
+):
+    """Vector AC Stark shift of one ground sublevel against a quantization axis, Hz.
+
+    Computed from the vector polarizability as
+    -(1/4) alpha_v |E|^2 (eps . axis) mF/(2F); identical (to rounding) to the
+    linear Zeeman energy of the fictitious field.
+    """
+    data = data or default_atomic_data()
+    if state.manifold != "ground":
+        raise DomainError("vector_shift is defined for ground states")
+    e = np.asarray(e_field, dtype=complex)
+    alpha_v = atom_cs.vector_polarizability(wavelength_m, state.f, data)
+    _, _, e3 = _orthonormal_triad(axis)
+    projection = _spin_density(e) @ e3
+    return -0.25 * alpha_v * projection * state.mf / (2.0 * state.f) / H_PLANCK
 
 
 def assert_bitwise_equal(actual, expected):

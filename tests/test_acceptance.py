@@ -11,7 +11,7 @@ from importlib import resources
 import numpy as np
 from scipy import constants as cst
 
-from field_oracle import radial_profiles_h
+from field_oracle import fictitious_field, radial_profiles_h, vector_shift
 from nanotrap import atom_cs, dynamics, light_matter, spectra
 from nanotrap.atom_cs import ground_state
 from nanotrap.cli import RunConfig
@@ -20,12 +20,10 @@ from nanotrap.light_matter import (
     MagneticEnvironment,
     clock_splitting,
     ellipticity,
-    fictitious_field,
     find_trap_minimum,
     mw_splitting,
     site_fields,
     trap_frequencies,
-    vector_shift,
 )
 
 MU_B_HZ_PER_G = cst.physical_constants["Bohr magneton"][0] * 1e-4 / cst.h

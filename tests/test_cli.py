@@ -1,6 +1,8 @@
 """End-to-end CLI checks: subcommands, exit codes, file formats, determinism."""
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -13,6 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from field_oracle import fictitious_field
+
 import nanotrap
 from nanotrap import cli
 from nanotrap.atom_cs import AtomicData
@@ -20,7 +24,6 @@ from nanotrap.cli import RunConfig, main
 from nanotrap.constants import default_data_path
 from nanotrap.errors import ConfigError
 from nanotrap.fiber_mode import field_at
-from nanotrap.light_matter import fictitious_field
 
 PAPER_CFG = str(resources.files("nanotrap").joinpath("data/paper.cfg"))
 
@@ -610,6 +613,17 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_every_public_name_resolves():
+    # a stale __all__ entry (a name removed from its module) makes a star import raise
+    modules = ["nanotrap"] + [f"nanotrap.{m.name}" for m in pkgutil.iter_modules(nanotrap.__path__)]
+    for name in modules:
+        public = getattr(importlib.import_module(name), "__all__", [])
+        assert len(set(public)) == len(public), name
+        namespace = {}
+        exec(f"from {name} import *", namespace)
+        assert set(public) <= set(namespace), name
+
+
 def test_mode_reads_the_data_file_once(tmp_path):
     # a fresh interpreter, so data loaded by other tests does not count
     script = f"""
@@ -661,9 +675,9 @@ class TestDeterminism:
 
     def test_outputs_independent_of_simd_dispatch(self, tmp_path):
         # numpy picks its SIMD kernels per host; a child restricted to X86_V2 dispatch must
-        # write the same bytes, and trap.json, bfict.json, pump.json and the field maps (their
-        # Bessel values and sums round differently) the same numbers within 1e-9 relative;
-        # numpy ignores feature names a host lacks
+        # write the same bytes, and trap.json, both bfict.json, pump.json and the field maps
+        # (their Bessel values and sums round differently) the same numbers within 1e-9
+        # relative; numpy ignores feature names a host lacks
         script = f"""
 import sys
 from nanotrap.cli import main
@@ -671,6 +685,8 @@ common = ["--config", {PAPER_CFG!r}, "--out", sys.argv[1], "--seed", "1"]
 for args in (["mode"], ["trap"], ["bfict", "--scheme", "tilt", "--phi-b", "5"], ["pump"], ["tuneout"],
              ["spectrum", "simulate"], ["mw", "simulate"], ["mw", "fit", "--data", sys.argv[1] + "/mw.csv"]):
     assert main([*args, *common]) == 0, args
+tuneout = ["bfict", "--scheme", "tuneout", "--config", {PAPER_CFG!r}, "--out", sys.argv[1] + "/tuneout"]
+assert main([*tuneout, "--seed", "1"]) == 0
 for kind in ("field", "intensity", "ellipticity"):
     args = ["fieldmap", "--kind", kind, "--config", {PAPER_CFG!r}, "--out", sys.argv[1] + "/" + kind]
     assert main(args) == 0, kind
@@ -705,6 +721,19 @@ for kind in ("field", "intensity", "ellipticity"):
             assert len(full) == len(v2), name
             for a, b in zip(full, v2):
                 assert b == (pytest.approx(a, rel=1e-9, abs=0) if isinstance(a, float) else a), name
+
+        # the tune-out search ends on phi = 0 at one level and a few 1e-14 rad off it at the
+        # other, so the entries that vanish by symmetry (the upper site's phi, B_x at both
+        # sites) meet an absolute floor per key instead, in rad and G
+        floors = {("site_upper", 1): 1e-12, ("Bfict_upper_G", 0): 1e-12, ("Bfict_lower_G", 0): 1e-12}
+        full, v2 = (json.loads((tmp_path / s / "tuneout/bfict.json").read_text()) for s in ("full", "v2"))
+        assert sorted(full) == sorted(v2)
+        for key in full:
+            for i, (a, b) in enumerate(zip(numbers(full[key]), numbers(v2[key]), strict=True)):
+                if (key, i) in floors:
+                    assert b == pytest.approx(a, rel=0, abs=floors[key, i]), (key, i)
+                else:
+                    assert b == (pytest.approx(a, rel=1e-9, abs=0) if isinstance(a, float) else a), (key, i)
 
     def test_different_seed_changes_counts(self, tmp_path):
         out1 = tmp_path / "s1"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import constants as cst
 
-from field_oracle import per_beam_field
+from field_oracle import fictitious_field, per_beam_field, scalar_shift, vector_shift
 
 from nanotrap import atom_cs, fiber_mode as fm, light_matter as lm
 from nanotrap.atom_cs import ground_state
@@ -17,15 +17,12 @@ from nanotrap.light_matter import (
     MagneticEnvironment,
     clock_splitting,
     ellipticity,
-    fictitious_field,
     find_trap_minimum,
     mw_splitting,
-    scalar_shift,
     site_fields,
     spherical_components,
     trap_frequencies,
     trap_potential,
-    vector_shift,
 )
 
 MU_B_HZ_PER_G = cst.physical_constants["Bohr magneton"][0] * 1e-4 / cst.h

@@ -175,6 +175,11 @@ class TestBesselAgainstScipy:
             lambda: bessel_k(0, 701.0),
             lambda: bessel_k(0, np.nan),
             lambda: bessel_k(-1, 1.0),
+            # arrays: one element outside the domain, or NaN, anywhere in the batch
+            lambda: bessel_j(0, np.array([0.0, np.nan, 1.0])),
+            lambda: bessel_k(0, np.array([1.0, 50.0, 701.0])),
+            lambda: bessel_k(0, np.array([[45.0, 0.99e-4], [1.0, 2.0]])),
+            lambda: bessel_k(0, np.array([1.0, np.nan, 50.0])),
         ):
             with pytest.raises(DomainError):
                 call()
