@@ -19,6 +19,7 @@ Geometry and conventions
 """
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -321,7 +322,18 @@ def field_at(light: LightField, r, phi, z):
     return np.stack((er * cos - ep * sin, er * sin + ep * cos, ez), axis=-2).sum(axis=-1) + 0.0
 
 
-def _intensity_and_spin(lights):
+def _kernel_constants(f):
+    """One field's constants for ``_intensity_and_spin``, as Python floats."""
+    m, d = f.mode, f.direction
+    beta, q, s = float(m.beta), float(m.exterior_parameter), float(m.s_parameter)
+    fwd, bwd = f.power, f.backward_power * (f.configuration == "standing")
+    scale = math.sqrt(2.0) * float(m.normalization) * float(m.exterior_scale)  # sqrt2 n J1(ha)/K1(qa)
+    return (m.fiber.radius, q, scale, scale * beta * (1 - s) / (2 * q), scale * beta * (1 + s) / (2 * q),
+            f.polarization_angle, f.relative_phase, fwd + bwd, 2 * math.sqrt(fwd * bwd),
+            2 * d * (fwd - bwd), 2 * d * beta)
+
+
+def _intensity_and_spin(lights, with_spin=True):
     """|E|^2 and i(E x E*) of each of ``lights`` outside the fiber, as ``kernel(r, phi, z)``.
 
     There E = (i sqrt2 g_x W, i sqrt2 g_y W, sqrt2 g_z V): g is the real exterior profile
@@ -330,15 +342,11 @@ def _intensity_and_spin(lights):
     (2004)) |E|^2 = 2 [(g_x^2 + g_y^2) |W|^2 + g_z^2 |V|^2] with |W|^2, |V|^2 = n^2 (P_fwd
     + P_bwd +- 2 sqrt(P_fwd P_bwd) cos(2 d beta z - phase)), and i(E x E*) = 4 n^2 d (P_fwd
     - P_bwd) g_z (-g_y, g_x, 0), 0 along z.  Shapes: broadcast(r, phi, z) + (n,), + (n, 3).
+    With ``with_spin`` false (an mF-averaged potential) the kernel computes |E|^2 only and
+    returns None for the spin.
     """
-    rows = [(f.mode.fiber.radius, f.mode.beta, f.mode.exterior_parameter, f.mode.s_parameter,
-             f.mode.exterior_scale, f.mode.normalization, f.power, f.polarization_angle,
-             f.direction, f.backward_power * (f.configuration == "standing"), f.relative_phase)
-            for f in lights]
-    a, beta, q, s, c_out, norm, fwd, angle, d, bwd, phase = np.array(rows).T
-    scale = np.sqrt(2.0) * norm * c_out  # sqrt2 n times the exterior profiles' J1(ha)/K1(qa)
-    c0, c2 = scale * beta * (1 - s) / (2 * q), scale * beta * (1 + s) / (2 * q)
-    total, cross, spin, wave = fwd + bwd, 2 * np.sqrt(fwd * bwd), 2 * d * (fwd - bwd), 2 * d * beta
+    a, q, scale, c0, c2, angle, phase, total, cross, spin, wave = np.array(
+        [_kernel_constants(f) for f in lights]).T
 
     def kernel(r, phi, z):
         r, phi, z = (np.asarray(v, dtype=float)[..., None] for v in (r, phi, z))
@@ -349,6 +357,8 @@ def _intensity_and_spin(lights):
         g_r, g_phi, g_z = (t0 + t2) * cosd, (t2 - t0) * sind, scale * k1 * cosd  # sqrt2 n g, local
         osc = cross * np.cos(wave * z - phase)
         intensity = (g_r * g_r + g_phi * g_phi) * (total + osc) + g_z * g_z * (total - osc)
+        if not with_spin:
+            return intensity, None
         w, cos, sin = spin * g_z, np.cos(phi), np.sin(phi)
         out = np.zeros(w.shape + (3,))
         np.multiply(w, -(g_r * sin + g_phi * cos), out=out[..., 0])  # -g_y

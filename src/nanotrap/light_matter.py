@@ -12,6 +12,7 @@ energies are returned in Hz (energy / h).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -166,15 +167,15 @@ def _potential(config: TrapConfig, state: HyperfineState | None, boff, data: Ato
     """The trap potential of one configuration and sublevel as ``u(r, phi, z)``.
 
     Everything that does not depend on the position is computed here once:
-    the closed-form intensity and spin kernel of every field, each field's
-    scalar shift per unit |E|^2 and, for a resolved sublevel, its vector
+    the closed-form kernel of every field (|E|^2 only when mF-averaged), each
+    field's scalar shift per unit |E|^2 and, for a resolved sublevel, its vector
     coefficient beta_v, the offset vector and the zero-field Breit-Rabi
     reference.  ``u`` is the potential ``trap_potential`` documents, in Hz,
     from one kernel call over every field.
     """
     a = config.fiber.radius
     fields = config.fields()
-    kernel = _intensity_and_spin(fields)
+    kernel = _intensity_and_spin(fields, state is not None)
     alphas = [atom_cs.scalar_polarizability(fld.mode.wavelength, data) for fld in fields]
     shifts = -0.25 * np.array(alphas) / H_PLANCK
     if state is not None:
@@ -259,34 +260,40 @@ def find_trap_minimum(
 
     tol_r = 0.1e-9
     r_low = a + 1e-9 + tol_r  # 0.1 nm above the clamp: the 1 nm stencil stays outside the fiber
-    z_half = 0.25 * config.red.mode.guided_wavelength
-    point = np.array([r_scan[idx], phi_start, 0.0])
+    z_half = 0.25 * float(config.red.mode.guided_wavelength)
+    point = (float(r_scan[idx]), float(phi_start), 0.0)
     u_point, grad, hess = _stencil_derivatives(u_of, point)
     for _ in range(40):
-        r0 = point[0]
-        box = np.array([50e-9, 0.5 * r0, z_half])
-        lam, vec = np.linalg.eigh(hess)
-        slope = grad @ vec
-        edge = 1.0 / np.max(np.abs(vec) / box[:, None], axis=0)  # to the box edge per eigenvector
-        newton = -slope / np.where(lam > 0, lam, 1.0)
-        step = vec @ np.where(lam > 0, newton, -np.copysign(edge, slope))
-        step /= max(1.0, np.max(np.abs(step) / box))
-        step[0] = max(step[0], r_low - r0)  # exact: a search pinned here ends on r_low
-        while np.max(np.abs(step)) >= tol_r:
-            trial = point + step / (1.0, r0, 1.0)
+        r0, phi0, z0 = point
+        s_r, s_phi, s_z = _newton_step(grad, hess, r0, z_half, r_low)
+        while max(abs(s_r), abs(s_phi), abs(s_z)) >= tol_r:
+            trial = (r0 + s_r, phi0 + s_phi / r0, z0 + s_z)
             u_trial, g_trial, h_trial = _stencil_derivatives(u_of, trial)
             if u_trial <= u_point:
                 break
-            step = 0.5 * step
+            s_r, s_phi, s_z = 0.5 * s_r, 0.5 * s_phi, 0.5 * s_z
         else:  # a step below 0.1 nm is the last one
-            point = point + step / (1.0, r0, 1.0)
+            point = (r0 + s_r, phi0 + s_phi / r0, z0 + s_z)
             break
         point, u_point, grad, hess = trial, u_trial, g_trial, h_trial
     if point[0] <= r_low:
         raise NoTrapError(
             f"radial search ended at the surface clamp ({(point[0] - a) * 1e9:.3f} nm above the fiber)"
         )
-    return tuple(float(v) for v in point)
+    return point
+
+
+def _newton_step(grad, hess, r0, z_half, r_low):
+    """``find_trap_minimum``'s step (dr, r dphi, dz) at radius ``r0``: ``eigh`` and the products
+    with its eigenvectors in numpy, the box scaling and radial clamp on Python floats (same bits)."""
+    box = (50e-9, 0.5 * r0, z_half)
+    lam, vec = np.linalg.eigh(hess)
+    along = [-s / lm if lm > 0 else -math.copysign(1.0 / max(abs(v) / b for v, b in zip(col, box)), s)
+             for s, lm, col in zip((grad @ vec).tolist(), lam.tolist(), vec.T.tolist())]
+    step = (vec @ along).tolist()
+    shrink = max(1.0, *(abs(s) / b for s, b in zip(step, box)))  # into the box
+    s_r, s_phi, s_z = (s / shrink for s in step)
+    return max(s_r, r_low - r0), s_phi, s_z  # exact: a search pinned here ends on r_low
 
 
 def trap_frequencies(

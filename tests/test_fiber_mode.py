@@ -1,6 +1,7 @@
 """HE11 solver and field evaluation: dispersion, eigenvalue, continuity,
 power normalization, polarization structure, and map exports."""
 import csv as csv_mod
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -489,14 +490,28 @@ class TestClosedFormKernel:
         (230e-9, 0.0, 0.0),
     ]
 
-    @pytest.mark.parametrize("point", range(len(POINTS)), ids=["grid", "line", "point"])
-    def test_equals_cartesian_field(self, modes, fiber, point):
-        gap, phi, z = self.POINTS[point]
-        r = fiber.radius + gap
+    @staticmethod
+    def lights(modes):
         lights = stacked_lights(modes)  # standing, tilted, zero-power, direction -1, tune-out
         lights.append(LightField(mode=modes[1064], power=0.5e-3, configuration="standing",
                                  backward_power=0.2e-3, relative_phase=2.0, direction=-1,
                                  polarization_angle=1.1))
+        return lights
+
+    @staticmethod
+    def balanced_lights(modes):
+        """A balanced standing wave, a tilted beam and its reverse, with their points."""
+        balanced = LightField(mode=modes[1064], power=0.77e-3, configuration="standing",
+                              backward_power=0.77e-3, relative_phase=0.7, polarization_angle=0.3)
+        tilted = LightField(mode=modes[783], power=8.5e-3, polarization_angle=np.pi / 2 + 0.1)
+        reversed_tilt = replace(tilted, direction=-1)
+        return [balanced, tilted, reversed_tilt], (np.linspace(1e-9, 900e-9, 31), np.linspace(-3, 3, 31), 0.4e-6)
+
+    @pytest.mark.parametrize("point", range(len(POINTS)), ids=["grid", "line", "point"])
+    def test_equals_cartesian_field(self, modes, fiber, point):
+        gap, phi, z = self.POINTS[point]
+        r = fiber.radius + gap
+        lights = self.lights(modes)
         intensity, spin = fm._intensity_and_spin(lights)(r, phi, z)
         for k, light in enumerate(lights):
             e = field_at(light, r, phi, z)
@@ -507,18 +522,56 @@ class TestClosedFormKernel:
             assert np.all(spin[..., k, 2] == 0.0)
 
     def test_balanced_standing_wave_has_no_spin_and_reversal_negates_it(self, modes, fiber):
-        r, phi, z = fiber.radius + np.linspace(1e-9, 900e-9, 31), np.linspace(-3, 3, 31), 0.4e-6
-        balanced = LightField(mode=modes[1064], power=0.77e-3, configuration="standing",
-                              backward_power=0.77e-3, relative_phase=0.7, polarization_angle=0.3)
-        tilted = LightField(mode=modes[783], power=8.5e-3, polarization_angle=np.pi / 2 + 0.1)
-        reversed_tilt = LightField(mode=modes[783], power=8.5e-3, polarization_angle=np.pi / 2 + 0.1,
-                                   direction=-1)
-        _, spin = fm._intensity_and_spin([balanced, tilted, reversed_tilt])(r, phi, z)
+        lights, (gap, phi, z) = self.balanced_lights(modes)
+        _, spin = fm._intensity_and_spin(lights)(fiber.radius + gap, phi, z)
         assert np.all(spin[:, 0] == 0.0) and np.any(spin[:, 1] != 0.0)
         assert np.array_equal(spin[:, 2], -spin[:, 1])
 
     def test_rejects_points_not_outside_the_fiber(self, modes, fiber):
-        kernel = fm._intensity_and_spin([LightField(mode=modes[783], power=1e-3)])
-        for r in (fiber.radius, fiber.radius * np.array([2.0, 0.5])):
-            with pytest.raises(DomainError, match="outside the fiber"):
-                kernel(r, 0.0, 0.0)
+        for with_spin in (True, False):
+            kernel = fm._intensity_and_spin([LightField(mode=modes[783], power=1e-3)], with_spin)
+            for r in (fiber.radius, fiber.radius * np.array([2.0, 0.5])):
+                with pytest.raises(DomainError, match="outside the fiber"):
+                    kernel(r, 0.0, 0.0)
+
+    @pytest.mark.parametrize("point", range(len(POINTS) + 1), ids=["grid", "line", "point", "balanced"])
+    def test_intensity_only_kernel_equals_full_kernel(self, modes, fiber, point):
+        # the mF-averaged potential's kernel skips the spin; its |E|^2 keeps every bit
+        if point < len(self.POINTS):
+            lights, (gap, phi, z) = self.lights(modes), self.POINTS[point]
+        else:
+            lights, (gap, phi, z) = self.balanced_lights(modes)
+        r = fiber.radius + gap
+        intensity, spin = fm._intensity_and_spin(lights, with_spin=False)(r, phi, z)
+        assert spin is None
+        assert np.array_equal(intensity, fm._intensity_and_spin(lights)(r, phi, z)[0])
+        assert intensity.shape == np.broadcast(r, phi, z).shape + (len(lights),)
+
+    @pytest.mark.parametrize("radius_nm", [200, 250, 320])
+    def test_float_constants_equal_array_construction(self, radius_nm):
+        # each field's constants in math float arithmetic, against the array expressions
+        # they replaced (same operation order): standing, imbalanced, phased, direction -1,
+        # zero-power and tune-out lights, on modes of several radii and wavelengths
+        fiber = FiberSpec(radius=radius_nm * 1e-9)
+        lights = []
+        for nm in (700, 783, 852.347, 880.2524, 937, 1064):
+            mode = solve_he11(fiber, nm * 1e-9)
+            lights += [
+                LightField(mode=mode, power=0.77e-3, configuration="standing", backward_power=0.77e-3),
+                LightField(mode=mode, power=0.5e-3, configuration="standing", backward_power=0.2e-3,
+                           relative_phase=2.0, direction=-1, polarization_angle=1.1),
+                LightField(mode=mode, power=8.5e-3, polarization_angle=np.pi / 2 + np.deg2rad(5.0)),
+                LightField(mode=mode, power=0.0, configuration="standing", backward_power=3e-6),
+                LightField(mode=mode, power=0.0),
+            ]
+        rows = [(f.mode.fiber.radius, f.mode.beta, f.mode.exterior_parameter, f.mode.s_parameter,
+                 f.mode.exterior_scale, f.mode.normalization, f.power, f.polarization_angle,
+                 f.direction, f.backward_power * (f.configuration == "standing"), f.relative_phase)
+                for f in lights]
+        a, beta, q, s, c_out, norm, fwd, angle, d, bwd, phase = np.array(rows).T
+        scale = np.sqrt(2.0) * norm * c_out
+        c0, c2 = scale * beta * (1 - s) / (2 * q), scale * beta * (1 + s) / (2 * q)
+        total, cross, spin, wave = fwd + bwd, 2 * np.sqrt(fwd * bwd), 2 * d * (fwd - bwd), 2 * d * beta
+        want = np.array([a, q, scale, c0, c2, angle, phase, total, cross, spin, wave]).T
+        got = np.array([fm._kernel_constants(f) for f in lights])
+        assert got.dtype == want.dtype and np.array_equal(got, want)

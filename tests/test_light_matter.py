@@ -458,8 +458,8 @@ class TestTrapSearch:
         calls = []
         kernel_of = lm._intensity_and_spin
 
-        def kernel_counted(lights):
-            kernel = kernel_of(lights)
+        def kernel_counted(lights, with_spin=True):
+            kernel = kernel_of(lights, with_spin)
 
             def counted(r, phi, z):
                 calls.append((len(lights), np.size(r)))
@@ -484,6 +484,55 @@ class TestTrapSearch:
             calls.clear()
             lm.site_environment(cfg, 28.0, minimum, data)
             assert calls == [(n_fields, 2)]
+
+    def test_newton_step_equals_array_expression(self, trap_config, manipulation_field, data,
+                                                 monkeypatch):
+        # the float step against the array expression it replaced, bit for bit, on every
+        # branch: lambda > 0 and <= 0, scaled into the box or not, clamped at r_low or not
+        r_low, z_half = 251.1e-9, 0.25 * trap_config.red.mode.guided_wavelength
+        rng = np.random.default_rng(7)
+        counts = dict.fromkeys(("positive definite", "saddle", "box", "r_low"), 0)
+        for _ in range(400):
+            vec = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            lam = 10.0 ** rng.uniform(17, 22, 3) * rng.choice((1, 1, 1, -1), 3)
+            hess = (vec * lam) @ vec.T
+            grad = rng.normal(size=3) * 10.0 ** rng.uniform(9, 15)
+            r0 = r_low + 10.0 ** rng.uniform(-12, -7)
+            want = oracle_newton_step(grad, hess, r0, z_half, r_low)
+            assert np.array_equal(lm._newton_step(grad, hess, r0, z_half, r_low), want)
+            newton = np.linalg.solve(hess, grad) / np.array([50e-9, 0.5 * r0, z_half])
+            kind = "saddle" if min(lam) < 0 else "box" if np.max(np.abs(newton)) > 1 else "positive definite"
+            counts[kind] += 1
+            counts["r_low"] += want[0] == r_low - r0 != oracle_newton_step(grad, hess, r0, z_half, -np.inf)[0]
+        assert min(counts.values()) >= 20, counts
+        # and every step of real searches, recorded where find_trap_minimum takes it
+        steps = []
+        step_of = lm._newton_step
+
+        def recorded(grad, hess, r0, z_half, r_low):
+            steps.append((grad, hess, r0, z_half, r_low))
+            return step_of(grad, hess, r0, z_half, r_low)
+
+        monkeypatch.setattr(lm, "_newton_step", recorded)
+        for state, cfg in ((None, trap_config), (ground_state(4, 4), trap_config),
+                           (ground_state(4, 4), replace(trap_config, manipulation=manipulation_field))):
+            find_trap_minimum(cfg, state, 28.0, data=data)
+        assert len(steps) >= 6
+        for args in steps:
+            assert np.array_equal(step_of(*args), oracle_newton_step(*args))
+
+
+def oracle_newton_step(grad, hess, r0, z_half, r_low):
+    """find_trap_minimum's Newton step as the array expressions it was first written in."""
+    box = np.array([50e-9, 0.5 * r0, z_half])
+    lam, vec = np.linalg.eigh(hess)
+    slope = grad @ vec
+    edge = 1.0 / np.max(np.abs(vec) / box[:, None], axis=0)  # to the box edge per eigenvector
+    newton = -slope / np.where(lam > 0, lam, 1.0)
+    step = vec @ np.where(lam > 0, newton, -np.copysign(edge, slope))
+    step /= max(1.0, np.max(np.abs(step) / box))
+    step[0] = max(step[0], r_low - r0)
+    return step
 
 
 # The trap sites and NoTrapErrors of find_trap_minimum on hard configurations, recorded
