@@ -53,6 +53,7 @@ __all__ = [
 SECOND_MODE_CUTOFF_V = 2.405  # first zero of J0: single-mode condition V < 2.405
 J1_FIRST_ZERO = 3.8317  # just below j_{1,1} = 3.83171, the least u of an l = 1 root other than HE11
 GRID_COLUMNS = ["r_m", "phi_rad", "z_m"]  # leading CSV columns of every grid map
+SCAN_OFFSETS = np.linspace(20e-9, 1200e-9, 64)  # the trap search's radial scan, m above the surface
 
 def refractive_index(sellmeier, wavelength_m: float) -> float:
     """Sellmeier index of a core with coefficients (B1, B2, B3, L1, L2, L3), L in um^2."""
@@ -114,7 +115,7 @@ class GuidedMode:
 
     ``normalization`` is the field amplitude scale per sqrt(W) of guided
     power; ``s_parameter`` is the hybrid-mode mixing constant that fixes the
-    longitudinal field admixture.
+    longitudinal field admixture; ``exterior_scale`` and ``scan_bessel`` are cached per instance.
     """
 
     fiber: FiberSpec
@@ -142,6 +143,12 @@ class GuidedMode:
         a = self.fiber.radius
         u, w = self.interior_parameter * a, self.exterior_parameter * a
         return bessel_j(1, u) / bessel_k(1, w)
+
+    @cached_property
+    def scan_bessel(self) -> np.ndarray:
+        """K_0, K_1, K_2 of q r at the trap search's scan radii a + ``SCAN_OFFSETS``, shape (3, 64)."""
+        table = bessel_k((0, 1, 2), (self.fiber.radius + SCAN_OFFSETS) * self.exterior_parameter)
+        return np.lib.stride_tricks.as_strided(table, writeable=False)  # every scan reads this one array
 
 
 def solve_he11(fiber: FiberSpec, wavelength_m: float) -> GuidedMode:
@@ -328,13 +335,22 @@ def _kernel_constants(f):
     beta, q, s = float(m.beta), float(m.exterior_parameter), float(m.s_parameter)
     fwd, bwd = f.power, f.backward_power * (f.configuration == "standing")
     scale = math.sqrt(2.0) * float(m.normalization) * float(m.exterior_scale)  # sqrt2 n J1(ha)/K1(qa)
-    return (m.fiber.radius, q, scale, scale * beta * (1 - s) / (2 * q), scale * beta * (1 + s) / (2 * q),
+    return (scale, scale * beta * (1 - s) / (2 * q), scale * beta * (1 + s) / (2 * q),
             f.polarization_angle, f.relative_phase, fwd + bwd, 2 * math.sqrt(fwd * bwd),
             2 * d * (fwd - bwd), 2 * d * beta)
 
 
+def _exterior_bessel(lights, r):
+    """K_0, K_1, K_2 of q r for each of ``lights`` at radii ``r`` outside the fiber: (3,) + r.shape + (n,)."""
+    a, q = np.array([(f.mode.fiber.radius, f.mode.exterior_parameter) for f in lights]).T
+    r = np.asarray(r, dtype=float)[..., None]
+    if (r <= a).any():
+        raise DomainError("the closed-form fields are defined outside the fiber surface")
+    return bessel_k((0, 1, 2), r * q)
+
+
 def _intensity_and_spin(lights, with_spin=True):
-    """|E|^2 and i(E x E*) of each of ``lights`` outside the fiber, as ``kernel(r, phi, z)``.
+    """|E|^2 and i(E x E*) of each of ``lights`` outside the fiber, as ``kernel(r, phi, z, k=None)``.
 
     There E = (i sqrt2 g_x W, i sqrt2 g_y W, sqrt2 g_z V): g is the real exterior profile
     rotated by the polarization angle, W and V sum the beams' n sqrt(P) e^(i d beta z), V
@@ -344,15 +360,18 @@ def _intensity_and_spin(lights, with_spin=True):
     - P_bwd) g_z (-g_y, g_x, 0), 0 along z.  Shapes: broadcast(r, phi, z) + (n,), + (n, 3).
     With ``with_spin`` false (an mF-averaged potential) the kernel computes |E|^2 only and
     returns None for the spin.
+
+    Only the radial part, K_0, K_1, K_2 of q r, is costly; ``k`` passes it in, shape (3,) +
+    broadcast(r, phi, z) + (n,): the trap search's scan reads each mode's ``scan_bessel`` (cached on
+    the mode), a stencil computes it once per distinct radius, and without ``k`` it is computed at
+    ``r``.  ``bessel_k`` evaluates each value alone (batch invariant), so every source gives the same bits.
     """
-    a, q, scale, c0, c2, angle, phase, total, cross, spin, wave = np.array(
+    scale, c0, c2, angle, phase, total, cross, spin, wave = np.array(
         [_kernel_constants(f) for f in lights]).T
 
-    def kernel(r, phi, z):
-        r, phi, z = (np.asarray(v, dtype=float)[..., None] for v in (r, phi, z))
-        if (r <= a).any():
-            raise DomainError("the closed-form fields are defined outside the fiber surface")
-        k0, k1, k2 = bessel_k((0, 1, 2), r * q)
+    def kernel(r, phi, z, k=None):
+        k0, k1, k2 = _exterior_bessel(lights, r) if k is None else k
+        phi, z = (np.asarray(v, dtype=float)[..., None] for v in (phi, z))
         t0, t2, cosd, sind = c0 * k0, c2 * k2, np.cos(phi - angle), np.sin(phi - angle)
         g_r, g_phi, g_z = (t0 + t2) * cosd, (t2 - t0) * sind, scale * k1 * cosd  # sqrt2 n g, local
         osc = cross * np.cos(wave * z - phase)

@@ -27,7 +27,7 @@ from .atom_cs import (
     mw_transition_frequency,
 )
 from .errors import DomainError, NoTrapError, SaddlePointError
-from .fiber_mode import FiberSpec, LightField, _intensity_and_spin
+from .fiber_mode import SCAN_OFFSETS, FiberSpec, LightField, _exterior_bessel, _intensity_and_spin
 from .fiber_mode import field_at  # noqa: F401  unused; perfbench/tracer.py patches this name
 from .fiber_mode import ellipticity  # noqa: F401  re-exported: part of this module's API
 
@@ -171,7 +171,7 @@ def _potential(config: TrapConfig, state: HyperfineState | None, boff, data: Ato
     field's scalar shift per unit |E|^2 and, for a resolved sublevel, its vector
     coefficient beta_v, the offset vector and the zero-field Breit-Rabi
     reference.  ``u`` is the potential ``trap_potential`` documents, in Hz,
-    from one kernel call over every field.
+    from one kernel call over every field (``k``: the fields' K values, see the kernel).
     """
     a = config.fiber.radius
     fields = config.fields()
@@ -183,8 +183,8 @@ def _potential(config: TrapConfig, state: HyperfineState | None, boff, data: Ato
         boff_vec = _offset_vector(boff)
         zero_field = breit_rabi_energy(state, 0.0, data)
 
-    def u(r, phi, z):
-        intensity, spin = kernel(r, phi, z)
+    def u(r, phi, z, k=None):
+        intensity, spin = kernel(r, phi, z, k)
         total = np.add.reduce(shifts * intensity, axis=-1)
         if state is not None:
             b = boff_vec + np.add.reduce(betas[:, None] * spin, axis=-2)
@@ -203,24 +203,27 @@ def _vector_coefficients(fields, f: int, data: AtomicData) -> list:
     return [atom_cs.vector_shift_coefficient_g_per_v2m2(fld.mode.wavelength, f, data) for fld in fields]
 
 
-# the 19-point stencil in local (dr, r dphi, dz), 1 nm steps: the centre, then +-d_i
-# per axis, then +-d_i +-d_j per pair (i, j) of _PAIRS (i < j)
+# the 19-point stencil in local (dr, r dphi, dz), 1 nm steps: the centre, then +-d_i per axis,
+# then +-d_i +-d_j per pair (i, j) of _PAIRS (i < j); node i lies at r + _RADII[_NODE_RADIUS[i]]
 _STEP, _PAIRS = 1e-9, np.triu_indices(3, 1)
 _D = _STEP * np.eye(3)
 _STENCIL = np.array([np.zeros(3)] + [s * d for d in _D for s in (1, -1)] + [
     si * _D[i] + sj * _D[j] for i, j in zip(*_PAIRS) for si in (1, -1) for sj in (1, -1)])
+_RADII, _NODE_RADIUS = _STEP * np.array([0.0, 1.0, -1.0]), np.rint(_STENCIL[:, 0] / _STEP).astype(int) % 3
 
 
-def _stencil_derivatives(u, point):
+def _stencil_derivatives(u, point, fields):
     """``u(*point)`` (the centre node is ``point`` + 0.0) and the central-difference gradient
-    and Hessian in local (dr, r dphi, dz) at ``point``, from one call of ``u`` on ``_STENCIL``."""
+    and Hessian in local (dr, r dphi, dz) at ``point``, from one call of ``u`` on ``_STENCIL``, with the
+    K values of ``fields`` at its 3 radii; differences on Python floats in the array expressions' order."""
     r0, phi0, z0 = point
-    vals = u(r0 + _STENCIL[:, 0], phi0 + _STENCIL[:, 1] / r0, z0 + _STENCIL[:, 2])
-    plus, minus = vals[1:7:2], vals[2:7:2]
-    hess = np.diag((plus - 2.0 * vals[0] + minus) / _STEP**2)
-    pp, pm, mp, mm = vals[7:].reshape(3, 4).T
-    hess[_PAIRS] = hess[_PAIRS[::-1]] = (pp - pm - mp + mm) / (4.0 * _STEP**2)
-    return vals[0], (plus - minus) / (2.0 * _STEP), hess
+    k = _exterior_bessel(fields, r0 + _RADII)[:, _NODE_RADIUS]
+    c, *vals = u(r0 + _STENCIL[:, 0], phi0 + _STENCIL[:, 1] / r0, z0 + _STENCIL[:, 2], k).tolist()
+    plus, minus = vals[0:6:2], vals[1:6:2]
+    diag = [(p - 2.0 * c + m) / _STEP**2 for p, m in zip(plus, minus)]
+    xy, xz, yz = [(pp - pm - mp + mm) / (4.0 * _STEP**2) for pp, pm, mp, mm in zip(*[iter(vals[6:])] * 4)]
+    hess = np.array([[diag[0], xy, xz], [xy, diag[1], yz], [xz, yz, diag[2]]])
+    return c, np.array([(p - m) / (2.0 * _STEP) for p, m in zip(plus, minus)]), hess
 
 
 def find_trap_minimum(
@@ -232,8 +235,8 @@ def find_trap_minimum(
 ):
     """Locate the trap minimum near the upper site, to 0.1 nm.
 
-    A 64-point radial scan at z = 0 starts safeguarded Newton steps in local
-    (dr, r dphi, dz) on ``_stencil_derivatives``: along each eigenvector of H
+    A 64-point radial scan at z = 0 (K from each mode's ``scan_bessel``) starts safeguarded
+    Newton steps in local (dr, r dphi, dz) on ``_stencil_derivatives``: along each eigenvector of H
     the step is -g/lambda, or downhill to the edge of the box |dr| <= 50 nm,
     |dphi| <= 0.5 rad, |dz| <= a quarter guided red wavelength where
     lambda <= 0.  The step is scaled into that box, keeps r at least 0.1 nm
@@ -243,15 +246,17 @@ def find_trap_minimum(
     Raises NoTrapError when no field is a standing wave with both beams on (nothing
     confines along z), no bound radial minimum brackets, or the search ends at the clamp.
     """
-    standing = [f for f in config.fields() if f.configuration == "standing"]
+    fields = config.fields()
+    standing = [f for f in fields if f.configuration == "standing"]
     if not any(min(f.power, f.backward_power) > 0 for f in standing):
         raise NoTrapError("no axial confinement: no field is a standing wave with both beams on")
     data = data or default_atomic_data()
     a = config.fiber.radius
     u_of = _potential(config, state, boff, data)
 
-    r_scan = a + np.linspace(20e-9, 1200e-9, 64)
-    u_scan = u_of(r_scan, phi_start, 0.0)
+    r_scan = a + SCAN_OFFSETS
+    tables = [f.mode.scan_bessel for f in fields if f.mode.fiber.radius == a]  # at the mode's own a
+    u_scan = u_of(r_scan, phi_start, 0.0, np.stack(tables, axis=-1) if len(tables) == len(fields) else None)
     interior = (u_scan[1:-1] < u_scan[:-2]) & (u_scan[1:-1] < u_scan[2:])
     candidates = np.nonzero(interior)[0] + 1
     if candidates.size == 0:
@@ -262,13 +267,13 @@ def find_trap_minimum(
     r_low = a + 1e-9 + tol_r  # 0.1 nm above the clamp: the 1 nm stencil stays outside the fiber
     z_half = 0.25 * float(config.red.mode.guided_wavelength)
     point = (float(r_scan[idx]), float(phi_start), 0.0)
-    u_point, grad, hess = _stencil_derivatives(u_of, point)
+    u_point, grad, hess = _stencil_derivatives(u_of, point, fields)
     for _ in range(40):
         r0, phi0, z0 = point
         s_r, s_phi, s_z = _newton_step(grad, hess, r0, z_half, r_low)
         while max(abs(s_r), abs(s_phi), abs(s_z)) >= tol_r:
             trial = (r0 + s_r, phi0 + s_phi / r0, z0 + s_z)
-            u_trial, g_trial, h_trial = _stencil_derivatives(u_of, trial)
+            u_trial, g_trial, h_trial = _stencil_derivatives(u_of, trial, fields)
             if u_trial <= u_point:
                 break
             s_r, s_phi, s_z = 0.5 * s_r, 0.5 * s_phi, 0.5 * s_z
@@ -312,7 +317,7 @@ def trap_frequencies(
     data = data or default_atomic_data()
     if minimum is None:
         minimum = find_trap_minimum(config, state, boff, data)
-    _, _, hess = _stencil_derivatives(_potential(config, state, boff, data), minimum)
+    _, _, hess = _stencil_derivatives(_potential(config, state, boff, data), minimum, config.fields())
     evals, evecs = np.linalg.eigh(hess * H_PLANCK / data.mass_kg)
     if np.any(evals <= 0):
         raise SaddlePointError("curvature matrix is not positive definite at the minimum")

@@ -564,14 +564,54 @@ class TestClosedFormKernel:
                 LightField(mode=mode, power=0.0, configuration="standing", backward_power=3e-6),
                 LightField(mode=mode, power=0.0),
             ]
-        rows = [(f.mode.fiber.radius, f.mode.beta, f.mode.exterior_parameter, f.mode.s_parameter,
+        rows = [(f.mode.beta, f.mode.exterior_parameter, f.mode.s_parameter,
                  f.mode.exterior_scale, f.mode.normalization, f.power, f.polarization_angle,
                  f.direction, f.backward_power * (f.configuration == "standing"), f.relative_phase)
                 for f in lights]
-        a, beta, q, s, c_out, norm, fwd, angle, d, bwd, phase = np.array(rows).T
+        beta, q, s, c_out, norm, fwd, angle, d, bwd, phase = np.array(rows).T
         scale = np.sqrt(2.0) * norm * c_out
         c0, c2 = scale * beta * (1 - s) / (2 * q), scale * beta * (1 + s) / (2 * q)
         total, cross, spin, wave = fwd + bwd, 2 * np.sqrt(fwd * bwd), 2 * d * (fwd - bwd), 2 * d * beta
-        want = np.array([a, q, scale, c0, c2, angle, phase, total, cross, spin, wave]).T
+        want = np.array([scale, c0, c2, angle, phase, total, cross, spin, wave]).T
         got = np.array([fm._kernel_constants(f) for f in lights])
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestScanBesselTable:
+    """The trap search's 64-point scan reads K_0, K_1, K_2 from a table cached on each mode."""
+
+    @pytest.mark.parametrize("radius_nm", [245, 250, 255])  # geometry-sweep's radii; paper.cfg's 250
+    def test_scan_bessel_equals_the_kernel_values(self, radius_nm, monkeypatch):
+        # the values one kernel call over several fields computes at the scan radii, bit for
+        # bit; the wavelengths are geometry-sweep's three and paper.cfg's four
+        fiber = FiberSpec(radius=radius_nm * 1e-9)
+        lights = [LightField(mode=solve_he11(fiber, nm * 1e-9), power=1e-3)
+                  for nm in (783, 852.347, 880.2524, 1064)]
+        kernel, bessel_k, seen = fm._intensity_and_spin(lights), fm.bessel_k, []
+        monkeypatch.setattr(fm, "bessel_k", lambda order, x: seen.append(bessel_k(order, x)) or seen[-1])
+        kernel(fiber.radius + fm.SCAN_OFFSETS, 0.0, 0.0)
+        monkeypatch.undo()
+        (computed,) = seen
+        assert computed.shape == (3, 64, len(lights))
+        for i, light in enumerate(lights):
+            assert "scan_bessel" not in vars(light.mode)
+            assert np.array_equal(light.mode.scan_bessel, computed[..., i])
+
+    def test_scan_bessel_is_each_modes_own(self):
+        # keyed by its own mode: another wavelength or radius, or a replaced mode, computes its
+        # table from its own fields; only the mode that computed a table holds it
+        fiber = FiberSpec(radius=250e-9)
+        mode = solve_he11(fiber, 783e-9)
+        table = mode.scan_bessel
+        assert mode.scan_bessel is table
+        with pytest.raises(ValueError, match="read-only"):  # no caller can change a later scan
+            table[0, 0] = 0.0
+        others = [solve_he11(fiber, 1064e-9), solve_he11(FiberSpec(radius=255e-9), 783e-9), replace(mode),
+                  replace(mode, exterior_parameter=1.01 * mode.exterior_parameter),
+                  replace(mode, fiber=FiberSpec(radius=255e-9))]
+        for other in others:
+            assert "scan_bessel" not in vars(other)
+            own = fm.bessel_k((0, 1, 2), (other.fiber.radius + fm.SCAN_OFFSETS) * other.exterior_parameter)
+            assert np.array_equal(other.scan_bessel, own) and other.scan_bessel is not table
+        assert np.array_equal(others[2].scan_bessel, table)  # an unchanged copy: the same values
+        assert not any(np.array_equal(other.scan_bessel, table) for other in others[:2] + others[3:])

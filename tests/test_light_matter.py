@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import constants as cst
 
-from field_oracle import fictitious_field, per_beam_field, scalar_shift, vector_shift
+from field_oracle import assert_bitwise_equal, fictitious_field, per_beam_field, scalar_shift, vector_shift
 
 from nanotrap import atom_cs, fiber_mode as fm, light_matter as lm
 from nanotrap.atom_cs import ground_state
@@ -383,7 +383,7 @@ class TestTrapSearch:
         # a Newton step on the stencil's gradient and Hessian from the result is below 1 pm
         cfg = replace(trap_config, manipulation=manipulation_field if manipulated else None)
         found = find_trap_minimum(cfg, state, 28.0, data=data)
-        _, grad, hess = lm._stencil_derivatives(lm._potential(cfg, state, 28.0, data), found)
+        _, grad, hess = lm._stencil_derivatives(lm._potential(cfg, state, 28.0, data), found, cfg.fields())
         assert np.max(np.abs(np.linalg.solve(hess, grad))) < 0.001e-9
 
     def test_leaves_a_zero_gradient_saddle(self, trap_config, data):
@@ -392,7 +392,7 @@ class TestTrapSearch:
         cfg = replace(trap_config, red=replace(trap_config.red, relative_phase=np.pi))
         found = find_trap_minimum(cfg, None, 28.0, data=data)
         u = lm._potential(cfg, None, 28.0, data)
-        _, grad, hess = lm._stencil_derivatives(u, (*found[:2], 0.0))
+        _, grad, hess = lm._stencil_derivatives(u, (*found[:2], 0.0), cfg.fields())
         assert grad[2] == 0.0 and hess[2, 2] < 0.0
         assert abs(found[2]) > 200e-9
         ref = reference_minimum(cfg, None, 28.0, data, found, 0.1e-9 / 1000)
@@ -416,7 +416,63 @@ class TestTrapSearch:
         r0, phi0, z0 = trap_minimum
         for point in ((r0, phi0, z0), (r0 + 13.7e-9, phi0 - 0.21, z0 + 41.3e-9),
                       (r0 - 37.1e-9, 0.37, -1.234e-7)):
-            assert lm._stencil_derivatives(u, point)[0] == u(*point)
+            assert lm._stencil_derivatives(u, point, cfg.fields())[0] == u(*point)
+
+    @pytest.mark.parametrize(
+        "state, manipulated",
+        [(None, False), (None, True), (ground_state(4, 4), False), (ground_state(4, 4), True)],
+        ids=["mF-averaged", "mF-averaged-manipulated", "4,4", "4,4-manipulated"],
+    )
+    def test_stencil_derivatives_equal_array_construction(
+        self, trap_config, manipulation_field, trap_minimum, data, state, manipulated, monkeypatch
+    ):
+        # K at the stencil's 3 radii and the differences on Python floats, against the
+        # construction they replaced (K at all 19 nodes, array differences), bit for bit: at
+        # the points of test_stencil_centre_is_the_point and at every stencil of a search
+        cfg = replace(trap_config, manipulation=manipulation_field if manipulated else None)
+        u = lm._potential(cfg, state, 28.0, data)
+        r0, phi0, z0 = trap_minimum
+        points = [(r0, phi0, z0), (r0 + 13.7e-9, phi0 - 0.21, z0 + 41.3e-9), (r0 - 37.1e-9, 0.37, -1.234e-7)]
+        stencil_of = lm._stencil_derivatives
+        monkeypatch.setattr(lm, "_stencil_derivatives",
+                            lambda u, point, fields: points.append(point) or stencil_of(u, point, fields))
+        find_trap_minimum(cfg, state, 28.0, data=data)
+        assert len(points) >= 5
+        for point in points:
+            value, grad, hess = stencil_of(u, point, cfg.fields())
+            want_value, want_grad, want_hess = oracle_stencil_derivatives(u, point)
+            assert value == want_value and isinstance(value, float)
+            assert_bitwise_equal(grad, want_grad)
+            assert_bitwise_equal(hess, want_hess)
+
+    def test_search_with_a_fresh_and_a_warm_scan_table(self, data, monkeypatch):
+        # the scan's K values come from each mode's table: a search on freshly solved modes
+        # (which computes the tables) and the same search once they are warm give the same
+        # bits; a configuration whose fiber is not its modes' computes the scan's K itself
+        scans, potential = [], lm._potential
+
+        def recorded(*args):
+            u = potential(*args)
+            return lambda r, phi, z, k=None: (scans.append(k) if np.size(r) == 64 else None) or u(r, phi, z, k)
+
+        monkeypatch.setattr(lm, "_potential", recorded)
+        for state in (None, ground_state(4, 4)):
+            fiber = FiberSpec(radius=250e-9)
+            blue, red, manipulation = (solve_he11(fiber, nm * 1e-9) for nm in (783, 1064, 880.2524))
+            cfg = lm.TrapConfig(
+                fiber=fiber, c3=data.c3_ground_jm3,
+                blue=LightField(mode=blue, power=8.5e-3, polarization_angle=np.pi / 2 + 0.1),
+                red=LightField(mode=red, power=0.77e-3, configuration="standing", backward_power=0.6e-3),
+                manipulation=LightField(mode=manipulation, power=100e-6))
+            assert not any("scan_bessel" in vars(f.mode) for f in cfg.fields())
+            cold = find_trap_minimum(cfg, state, 28.0, data=data)
+            assert all("scan_bessel" in vars(f.mode) for f in cfg.fields())
+            assert_bitwise_equal(find_trap_minimum(cfg, state, 28.0, data=data), cold)
+        assert len(scans) == 4
+        assert_bitwise_equal(scans[-1], np.stack([f.mode.scan_bessel for f in cfg.fields()], axis=-1))
+        scans.clear()
+        find_trap_minimum(replace(cfg, fiber=FiberSpec(radius=250.5e-9)), None, 28.0, data=data)
+        assert scans == [None]
 
     def test_each_search_step_is_one_stencil_call(self, trap_config, data, monkeypatch):
         # after the 64-point radial scan every potential call is a 19-point stencil:
@@ -427,9 +483,9 @@ class TestTrapSearch:
         def counted(*args):
             u = potential(*args)
 
-            def u_counted(r, phi, z):
-                sizes.append(np.size(r))
-                return u(r, phi, z)
+            def u_counted(r, phi, z, k=None):
+                sizes.append(np.broadcast(r, phi, z).size)
+                return u(r, phi, z, k)
 
             return u_counted
 
@@ -461,9 +517,9 @@ class TestTrapSearch:
         def kernel_counted(lights, with_spin=True):
             kernel = kernel_of(lights, with_spin)
 
-            def counted(r, phi, z):
-                calls.append((len(lights), np.size(r)))
-                return kernel(r, phi, z)
+            def counted(r, phi, z, k=None):
+                calls.append((len(lights), np.broadcast(r, phi, z).size))
+                return kernel(r, phi, z, k)
 
             return counted
 
@@ -520,6 +576,17 @@ class TestTrapSearch:
         assert len(steps) >= 6
         for args in steps:
             assert np.array_equal(step_of(*args), oracle_newton_step(*args))
+
+
+def oracle_stencil_derivatives(u, point):
+    """_stencil_derivatives as first written: K at all 19 nodes, differences as numpy arrays."""
+    r0, phi0, z0 = point
+    vals = u(r0 + lm._STENCIL[:, 0], phi0 + lm._STENCIL[:, 1] / r0, z0 + lm._STENCIL[:, 2])
+    plus, minus = vals[1:7:2], vals[2:7:2]
+    hess = np.diag((plus - 2.0 * vals[0] + minus) / lm._STEP**2)
+    pp, pm, mp, mm = vals[7:].reshape(3, 4).T
+    hess[lm._PAIRS] = hess[lm._PAIRS[::-1]] = (pp - pm - mp + mm) / (4.0 * lm._STEP**2)
+    return vals[0], (plus - minus) / (2.0 * lm._STEP), hess
 
 
 def oracle_newton_step(grad, hess, r0, z_half, r_low):
