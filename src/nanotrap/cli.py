@@ -498,7 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, dest="set", action="append", type=override.format,
                        metavar=metavar, help=f"shorthand for --set '{override.format(metavar)}'")
 
-    def common(p):
+    def common(p, run):  # run(cfg, args, out) carries out the subcommand
+        p.set_defaults(run=run)
         p.add_argument("--config", default=None, help="path to a key = value config file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument(
@@ -511,52 +512,40 @@ def build_parser() -> argparse.ArgumentParser:
         shorthand(p, "--seed", "run.seed={}", "N")
 
     p = sub.add_parser("mode", help="solve guided modes and report beta, V")
-    common(p)
+    common(p, cmd_mode)
     p.add_argument("--field", choices=["all", *BEAMS], default="all")
 
     p = sub.add_parser("fieldmap", help="CSV field/intensity/ellipticity maps")
-    common(p)
+    common(p, cmd_fieldmap)
     p.add_argument("--field", choices=BEAMS, default="probe")
     p.add_argument("--kind", choices=["field", "intensity", "ellipticity"], default="field")
 
     p = sub.add_parser("trap", help="trap minimum, frequencies, per-site fields (JSON)")
-    common(p)
+    common(p, cmd_trap)
 
     p = sub.add_parser("bfict", help="per-site fictitious fields and splittings")
-    common(p)
+    common(p, cmd_bfict)
     p.add_argument("--scheme", choices=["tuneout", "tilt", "imbalance"], required=True)
     shorthand(p, "--phi-b", "scheme.phi_b={} deg", "DEG")
     shorthand(p, "--imbalance", "scheme.red_imbalance={}", "RATIO")
 
     p = sub.add_parser("pump", help="optical pumping steady state and evolution")
-    common(p)
+    common(p, cmd_pump)
 
     p = sub.add_parser("spectrum", help="simulate or fit probe transmission spectra")
-    common(p)
+    common(p, cmd_spectrum)
     p.add_argument("action", choices=["simulate", "fit"])
     p.add_argument("--data", default=None, help="CSV file to fit")
 
     p = sub.add_parser("mw", help="simulate or fit microwave spectra")
-    common(p)
+    common(p, cmd_mw)
     p.add_argument("action", choices=["simulate", "fit"])
     p.add_argument("--data", default=None, help="CSV file to fit")
     p.add_argument("--components", type=int, choices=[1, 2], default=2)
 
     p = sub.add_parser("tuneout", help="closed-form scalar-polarizability zero crossing")
-    common(p)
+    common(p, cmd_tuneout)
     return parser
-
-
-COMMANDS = {
-    "mode": cmd_mode,
-    "fieldmap": cmd_fieldmap,
-    "trap": cmd_trap,
-    "bfict": cmd_bfict,
-    "pump": cmd_pump,
-    "spectrum": cmd_spectrum,
-    "mw": cmd_mw,
-    "tuneout": cmd_tuneout,
-}
 
 
 def main(argv=None) -> int:
@@ -566,7 +555,7 @@ def main(argv=None) -> int:
         cfg = RunConfig.load(args.config, args.set)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        COMMANDS[args.command](cfg, args, out)
+        args.run(cfg, args, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -473,16 +473,27 @@ def write_csv(path, header_lines, columns, table):
 
     ``table`` has shape (..., len(columns)) and its rows are written in C
     order as repr(float), one block of its last two axes at a time, so no
-    full table of text is held.  The file is replaced atomically
-    (``atomic_open``).
+    full table of text is held.  Each distinct bit pattern of a block is
+    formatted once (0.0 and -0.0, and NaN payloads, stay apart), and the text
+    of patterns the previous block also had is reused, so the bytes equal
+    those of a row-by-row repr.  The file is replaced atomically (``atomic_open``).
     """
-    table = np.asarray(table, dtype=float)
+    table = np.atleast_2d(np.asarray(table, dtype=float))
+    blocks = table.reshape(math.prod(table.shape[:-2]), *table.shape[-2:])  # (0, k): one empty block
+    keys, text = np.zeros(1, np.int64), np.array(["0.0"], object)  # sorted bits, their text; +0.0 at first
     with atomic_open(path) as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(",".join(columns) + "\n")
-        for block in table.reshape(-1, *table.shape[-2:]):
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in block.tolist())
+        for block in blocks:
+            new, inverse = np.unique(np.ascontiguousarray(block).view(np.int64), return_inverse=True)
+            at = np.searchsorted(keys, new).clip(max=keys.size - 1)
+            strings, miss = text[at], keys[at] != new
+            strings[miss] = list(map(repr, new[miss].view(float).tolist()))
+            rows = strings[inverse.reshape(block.shape)].tolist()  # 1-D before numpy 2
+            if rows:  # an empty table writes no row
+                fh.write("\n".join(map(",".join, rows)) + "\n")
+            keys, text = new, strings
 
 
 def write_field_map_csv(path, light: LightField, grid: PolarGrid, header_lines=()):
