@@ -25,6 +25,7 @@ from .constants import read_key_values, stripped_lines
 from .errors import ConfigError, DomainError, NanotrapError
 from .fiber_mode import (
     GRID_COLUMNS,
+    SELLMEIER_RANGE_M,
     FiberSpec,
     LightField,
     PolarGrid,
@@ -51,20 +52,21 @@ UNIT_FACTORS = {
     "dimensionless": {"": 1.0},
 }
 
+WAVELENGTH_DOMAIN = "[{!r}, {!r}]".format(*SELLMEIER_RANGE_M)  # where the core's Sellmeier index holds
 # section.key -> (dimension, default in SI units or None for required, domain); the
 # domain is the interval of allowed SI values, "[" and "]" closed, "(" and ")" open
 SCHEMA = {
     "fiber.radius": ("length", None, "(0, inf)"),
-    "blue.wavelength": ("length", None, "(0, inf)"),
+    "blue.wavelength": ("length", None, WAVELENGTH_DOMAIN),
     "blue.power": ("power", None, "[0, inf)"),
-    "red.wavelength": ("length", None, "(0, inf)"),
+    "red.wavelength": ("length", None, WAVELENGTH_DOMAIN),
     "red.power": ("power", None, "[0, inf)"),
     "red.backward_power": ("power", "red.power", "[0, inf)"),
     "red.relative_phase": ("angle", 0.0, "(-inf, inf)"),
-    "probe.wavelength": ("length", 852.347e-9, "(0, inf)"),
+    "probe.wavelength": ("length", 852.347e-9, WAVELENGTH_DOMAIN),
     "probe.power": ("power", 4e-12, "[0, inf)"),
     "probe.polarization_angle": ("angle", 0.0, "(-inf, inf)"),
-    "manipulation.wavelength": ("length", 880.2524e-9, "(0, inf)"),
+    "manipulation.wavelength": ("length", 880.2524e-9, WAVELENGTH_DOMAIN),
     "manipulation.power": ("power", 100e-6, "[0, inf)"),
     "manipulation.polarization_angle": ("angle", 0.0, "(-inf, inf)"),
     "scheme.phi_b": ("angle", 0.0, "(-inf, inf)"),

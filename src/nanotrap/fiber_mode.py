@@ -54,13 +54,15 @@ SECOND_MODE_CUTOFF_V = 2.405  # first zero of J0: single-mode condition V < 2.40
 J1_FIRST_ZERO = 3.8317  # just below j_{1,1} = 3.83171, the least u of an l = 1 root other than HE11
 GRID_COLUMNS = ["r_m", "phi_rad", "z_m"]  # leading CSV columns of every grid map
 SCAN_OFFSETS = np.linspace(20e-9, 1200e-9, 64)  # the trap search's radial scan, m above the surface
+SELLMEIER_RANGE_M = (0.4e-6, 1.5e-6)  # the wavelengths, closed interval, where the Sellmeier fit holds
 
 def refractive_index(sellmeier, wavelength_m: float) -> float:
     """Sellmeier index of a core with coefficients (B1, B2, B3, L1, L2, L3), L in um^2."""
-    if not 0.4e-6 <= wavelength_m <= 1.5e-6:
+    low, high = SELLMEIER_RANGE_M
+    if not low <= wavelength_m <= high:
         raise DomainError(
-            f"wavelength {wavelength_m * 1e9:.1f} nm outside the 400-1500 nm validity range"
-        )
+            f"wavelength {wavelength_m * 1e9:.1f} nm outside the {low * 1e9:.0f}-{high * 1e9:.0f} nm"
+            " validity range")
     b1, b2, b3, l1, l2, l3 = sellmeier
     lam2 = (wavelength_m * 1e6) ** 2
     n2 = 1.0 + b1 * lam2 / (lam2 - l1) + b2 * lam2 / (lam2 - l2) + b3 * lam2 / (lam2 - l3)
@@ -335,18 +337,9 @@ def _kernel_constants(f):
     beta, q, s = float(m.beta), float(m.exterior_parameter), float(m.s_parameter)
     fwd, bwd = f.power, f.backward_power * (f.configuration == "standing")
     scale = math.sqrt(2.0) * float(m.normalization) * float(m.exterior_scale)  # sqrt2 n J1(ha)/K1(qa)
-    return (scale, scale * beta * (1 - s) / (2 * q), scale * beta * (1 + s) / (2 * q),
+    return (m.fiber.radius, q, scale, scale * beta * (1 - s) / (2 * q), scale * beta * (1 + s) / (2 * q),
             f.polarization_angle, f.relative_phase, fwd + bwd, 2 * math.sqrt(fwd * bwd),
             2 * d * (fwd - bwd), 2 * d * beta)
-
-
-def _exterior_bessel(lights, r):
-    """K_0, K_1, K_2 of q r for each of ``lights`` at radii ``r`` outside the fiber: (3,) + r.shape + (n,)."""
-    a, q = np.array([(f.mode.fiber.radius, f.mode.exterior_parameter) for f in lights]).T
-    r = np.asarray(r, dtype=float)[..., None]
-    if (r <= a).any():
-        raise DomainError("the closed-form fields are defined outside the fiber surface")
-    return bessel_k((0, 1, 2), r * q)
 
 
 def _intensity_and_spin(lights, with_spin=True):
@@ -361,16 +354,21 @@ def _intensity_and_spin(lights, with_spin=True):
     With ``with_spin`` false (an mF-averaged potential) the kernel computes |E|^2 only and
     returns None for the spin.
 
-    Only the radial part, K_0, K_1, K_2 of q r, is costly; ``k`` passes it in, shape (3,) +
-    broadcast(r, phi, z) + (n,): the trap search's scan reads each mode's ``scan_bessel`` (cached on
-    the mode), a stencil computes it once per distinct radius, and without ``k`` it is computed at
-    ``r``.  ``bessel_k`` evaluates each value alone (batch invariant), so every source gives the same bits.
+    Only the radial part, K_0, K_1, K_2 of q r, is costly.  The kernel computes it at ``r`` as
+    given, so a separable grid (r varying along its own axis) pays once per radius; or ``k`` passes
+    it in, shape (3,) + broadcast(r, phi, z) + (n,), as the trap search's scan does from each mode's
+    ``scan_bessel``.  ``bessel_k`` evaluates each value alone (batch invariant): the same bits.
     """
-    scale, c0, c2, angle, phase, total, cross, spin, wave = np.array(
+    a, q, scale, c0, c2, angle, phase, total, cross, spin, wave = np.array(
         [_kernel_constants(f) for f in lights]).T
 
     def kernel(r, phi, z, k=None):
-        k0, k1, k2 = _exterior_bessel(lights, r) if k is None else k
+        if k is None:
+            r = np.asarray(r, dtype=float)[..., None]
+            if (r <= a).any():
+                raise DomainError("the closed-form fields are defined outside the fiber surface")
+            k = bessel_k((0, 1, 2), r * q)
+        k0, k1, k2 = k
         phi, z = (np.asarray(v, dtype=float)[..., None] for v in (phi, z))
         t0, t2, cosd, sind = c0 * k0, c2 * k2, np.cos(phi - angle), np.sin(phi - angle)
         g_r, g_phi, g_z = (t0 + t2) * cosd, (t2 - t0) * sind, scale * k1 * cosd  # sqrt2 n g, local

@@ -27,16 +27,14 @@ from .atom_cs import (
     mw_transition_frequency,
 )
 from .errors import DomainError, NoTrapError, SaddlePointError
-from .fiber_mode import SCAN_OFFSETS, FiberSpec, LightField, _exterior_bessel, _intensity_and_spin
+from .fiber_mode import SCAN_OFFSETS, FiberSpec, LightField, _intensity_and_spin
 from .fiber_mode import field_at  # noqa: F401  unused; perfbench/tracer.py patches this name
-from .fiber_mode import ellipticity  # noqa: F401  re-exported: part of this module's API
 
 __all__ = [
     "MagneticEnvironment",
     "TrapConfig",
     "ClockSplitting",
     "with_scheme",
-    "ellipticity",
     "spherical_components",
     "trap_potential",
     "find_trap_minimum",
@@ -88,7 +86,7 @@ class TrapConfig:
     At phi_B = 0 the blue (running) polarization axis is orthogonal to the
     red (standing) one, which lies in plane P.  ``c3`` is the surface-
     potential coefficient in J m^3 (None disables the surface term);
-    ``manipulation`` is an optional extra guided field.
+    ``manipulation`` is an optional extra guided field.  Every mode is solved for ``fiber``'s radius.
     """
 
     fiber: FiberSpec
@@ -96,6 +94,10 @@ class TrapConfig:
     red: LightField
     c3: float | None = None
     manipulation: LightField | None = None
+
+    def __post_init__(self):
+        if any(f.mode.fiber.radius != self.fiber.radius for f in self.fields()):
+            raise DomainError("every field's mode must be solved for the trap's fiber radius")
 
     def fields(self):
         out = [self.blue, self.red]
@@ -203,25 +205,23 @@ def _vector_coefficients(fields, f: int, data: AtomicData) -> list:
     return [atom_cs.vector_shift_coefficient_g_per_v2m2(fld.mode.wavelength, f, data) for fld in fields]
 
 
-# the 19-point stencil in local (dr, r dphi, dz), 1 nm steps: the centre, then +-d_i per axis,
-# then +-d_i +-d_j per pair (i, j) of _PAIRS (i < j); node i lies at r + _RADII[_NODE_RADIUS[i]]
-_STEP, _PAIRS = 1e-9, np.triu_indices(3, 1)
-_D = _STEP * np.eye(3)
-_STENCIL = np.array([np.zeros(3)] + [s * d for d in _D for s in (1, -1)] + [
-    si * _D[i] + sj * _D[j] for i, j in zip(*_PAIRS) for si in (1, -1) for sj in (1, -1)])
-_RADII, _NODE_RADIUS = _STEP * np.array([0.0, 1.0, -1.0]), np.rint(_STENCIL[:, 0] / _STEP).astype(int) % 3
+# the stencil's offsets along each of r, r phi and z: the centre, then +-1 nm
+_STEP = 1e-9
+_OFFSETS = _STEP * np.array([0.0, 1.0, -1.0])
 
 
-def _stencil_derivatives(u, point, fields):
-    """``u(*point)`` (the centre node is ``point`` + 0.0) and the central-difference gradient
-    and Hessian in local (dr, r dphi, dz) at ``point``, from one call of ``u`` on ``_STENCIL``, with the
-    K values of ``fields`` at its 3 radii; differences on Python floats in the array expressions' order."""
+def _stencil_derivatives(u, point):
+    """``u(*point)`` (the centre node is ``point`` + 0.0) and the central-difference gradient and
+    Hessian in local (dr, r dphi, dz) at ``point``, from one call of ``u`` on the separable 3x3x3
+    grid of ``_OFFSETS`` (K once per radius) and 19 of its nodes; differences on Python floats."""
     r0, phi0, z0 = point
-    k = _exterior_bessel(fields, r0 + _RADII)[:, _NODE_RADIUS]
-    c, *vals = u(r0 + _STENCIL[:, 0], phi0 + _STENCIL[:, 1] / r0, z0 + _STENCIL[:, 2], k).tolist()
-    plus, minus = vals[0:6:2], vals[1:6:2]
+    v = u((r0 + _OFFSETS)[:, None, None], (phi0 + _OFFSETS / r0)[:, None], z0 + _OFFSETS).tolist()
+    c = v[0][0][0]
+    plus, minus = ([v[s][0][0], v[0][s][0], v[0][0][s]] for s in (1, 2))
     diag = [(p - 2.0 * c + m) / _STEP**2 for p, m in zip(plus, minus)]
-    xy, xz, yz = [(pp - pm - mp + mm) / (4.0 * _STEP**2) for pp, pm, mp, mm in zip(*[iter(vals[6:])] * 4)]
+    planes = ([v[i][j][0] for i in (1, 2) for j in (1, 2)], [v[i][0][k] for i in (1, 2) for k in (1, 2)],
+              [v[0][j][k] for j in (1, 2) for k in (1, 2)])  # (pp, pm, mp, mm) per pair of axes
+    xy, xz, yz = [(pp - pm - mp + mm) / (4.0 * _STEP**2) for pp, pm, mp, mm in planes]
     hess = np.array([[diag[0], xy, xz], [xy, diag[1], yz], [xz, yz, diag[2]]])
     return c, np.array([(p - m) / (2.0 * _STEP) for p, m in zip(plus, minus)]), hess
 
@@ -255,8 +255,7 @@ def find_trap_minimum(
     u_of = _potential(config, state, boff, data)
 
     r_scan = a + SCAN_OFFSETS
-    tables = [f.mode.scan_bessel for f in fields if f.mode.fiber.radius == a]  # at the mode's own a
-    u_scan = u_of(r_scan, phi_start, 0.0, np.stack(tables, axis=-1) if len(tables) == len(fields) else None)
+    u_scan = u_of(r_scan, phi_start, 0.0, np.stack([f.mode.scan_bessel for f in fields], axis=-1))
     interior = (u_scan[1:-1] < u_scan[:-2]) & (u_scan[1:-1] < u_scan[2:])
     candidates = np.nonzero(interior)[0] + 1
     if candidates.size == 0:
@@ -267,13 +266,13 @@ def find_trap_minimum(
     r_low = a + 1e-9 + tol_r  # 0.1 nm above the clamp: the 1 nm stencil stays outside the fiber
     z_half = 0.25 * float(config.red.mode.guided_wavelength)
     point = (float(r_scan[idx]), float(phi_start), 0.0)
-    u_point, grad, hess = _stencil_derivatives(u_of, point, fields)
+    u_point, grad, hess = _stencil_derivatives(u_of, point)
     for _ in range(40):
         r0, phi0, z0 = point
         s_r, s_phi, s_z = _newton_step(grad, hess, r0, z_half, r_low)
         while max(abs(s_r), abs(s_phi), abs(s_z)) >= tol_r:
             trial = (r0 + s_r, phi0 + s_phi / r0, z0 + s_z)
-            u_trial, g_trial, h_trial = _stencil_derivatives(u_of, trial, fields)
+            u_trial, g_trial, h_trial = _stencil_derivatives(u_of, trial)
             if u_trial <= u_point:
                 break
             s_r, s_phi, s_z = 0.5 * s_r, 0.5 * s_phi, 0.5 * s_z
@@ -317,7 +316,7 @@ def trap_frequencies(
     data = data or default_atomic_data()
     if minimum is None:
         minimum = find_trap_minimum(config, state, boff, data)
-    _, _, hess = _stencil_derivatives(_potential(config, state, boff, data), minimum, config.fields())
+    _, _, hess = _stencil_derivatives(_potential(config, state, boff, data), minimum)
     evals, evecs = np.linalg.eigh(hess * H_PLANCK / data.mass_kg)
     if np.any(evals <= 0):
         raise SaddlePointError("curvature matrix is not positive definite at the minimum")
@@ -368,8 +367,8 @@ def site_environment(
     lower = (r0, phi0 + np.pi, z0)
     fields = config.fields()
     betas = np.array(_vector_coefficients(fields, 4, data))
-    # both sites in one kernel call; + 0.0 makes an all-zero sum +0.0
-    spin = _intensity_and_spin(fields)(*np.array([upper, lower]).T)[1]
+    # both sites in one kernel call at their one radius; + 0.0 makes an all-zero sum +0.0
+    spin = _intensity_and_spin(fields)(r0, np.array([phi0, lower[1]]), z0)[1]
     total = np.sum(betas[:, None] * spin, axis=-2) + 0.0
 
     return MagneticEnvironment(

@@ -15,11 +15,10 @@ from field_oracle import fictitious_field, radial_profiles_h, vector_shift
 from nanotrap import atom_cs, dynamics, light_matter, spectra
 from nanotrap.atom_cs import ground_state
 from nanotrap.cli import RunConfig
-from nanotrap.fiber_mode import FiberSpec, LightField, field_at, solve_he11
+from nanotrap.fiber_mode import FiberSpec, LightField, ellipticity, field_at, solve_he11
 from nanotrap.light_matter import (
     MagneticEnvironment,
     clock_splitting,
-    ellipticity,
     find_trap_minimum,
     mw_splitting,
     site_fields,

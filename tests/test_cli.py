@@ -202,6 +202,17 @@ class TestConfigDomain:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "bfict.json").exists()
 
+    @pytest.mark.parametrize("command, key, value", [("trap", "blue.wavelength", "1600 nm"),
+                                                     ("mode", "probe.wavelength", "300 nm")])
+    def test_wavelength_outside_the_sellmeier_fit_exits_2_naming_the_key(self, tmp_path, capsys,
+                                                                         command, key, value):
+        # it reached solve_he11 and exited 3 as a numerical failure
+        args = [command, "--config", PAPER_CFG, "--out", str(tmp_path), "--set", f"{key}={value}"]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert key in err and "numerical failure" not in err
+        assert not any(tmp_path.iterdir())
+
     def test_non_finite_data_file_value_exits_2_naming_file_line_and_key(self, tmp_path, capsys):
         # a NaN mass reached the trap frequencies and died with a LinAlgError traceback
         custom = tmp_path / "nan_mass.dat"

@@ -17,6 +17,7 @@ from nanotrap import cli, fiber_mode
 from nanotrap.fiber_mode import GRID_COLUMNS, PolarGrid, write_csv
 
 PAPER_CFG = str(resources.files("nanotrap").joinpath("data/paper.cfg"))
+pytestmark = pytest.mark.simd_baseline
 
 SPECIAL_BITS = [
     0x0000000000000000,  # +0.0

@@ -564,19 +564,20 @@ class TestClosedFormKernel:
                 LightField(mode=mode, power=0.0, configuration="standing", backward_power=3e-6),
                 LightField(mode=mode, power=0.0),
             ]
-        rows = [(f.mode.beta, f.mode.exterior_parameter, f.mode.s_parameter,
+        rows = [(f.mode.fiber.radius, f.mode.beta, f.mode.exterior_parameter, f.mode.s_parameter,
                  f.mode.exterior_scale, f.mode.normalization, f.power, f.polarization_angle,
                  f.direction, f.backward_power * (f.configuration == "standing"), f.relative_phase)
                 for f in lights]
-        beta, q, s, c_out, norm, fwd, angle, d, bwd, phase = np.array(rows).T
+        a, beta, q, s, c_out, norm, fwd, angle, d, bwd, phase = np.array(rows).T
         scale = np.sqrt(2.0) * norm * c_out
         c0, c2 = scale * beta * (1 - s) / (2 * q), scale * beta * (1 + s) / (2 * q)
         total, cross, spin, wave = fwd + bwd, 2 * np.sqrt(fwd * bwd), 2 * d * (fwd - bwd), 2 * d * beta
-        want = np.array([scale, c0, c2, angle, phase, total, cross, spin, wave]).T
+        want = np.array([a, q, scale, c0, c2, angle, phase, total, cross, spin, wave]).T
         got = np.array([fm._kernel_constants(f) for f in lights])
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+@pytest.mark.simd_baseline
 class TestScanBesselTable:
     """The trap search's 64-point scan reads K_0, K_1, K_2 from a table cached on each mode."""
 

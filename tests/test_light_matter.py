@@ -12,11 +12,10 @@ from field_oracle import assert_bitwise_equal, fictitious_field, per_beam_field,
 from nanotrap import atom_cs, fiber_mode as fm, light_matter as lm
 from nanotrap.atom_cs import ground_state
 from nanotrap.errors import DomainError, NoTrapError, SaddlePointError
-from nanotrap.fiber_mode import FiberSpec, LightField, field_at, solve_he11
+from nanotrap.fiber_mode import FiberSpec, LightField, ellipticity, field_at, solve_he11
 from nanotrap.light_matter import (
     MagneticEnvironment,
     clock_splitting,
-    ellipticity,
     find_trap_minimum,
     mw_splitting,
     site_fields,
@@ -383,7 +382,7 @@ class TestTrapSearch:
         # a Newton step on the stencil's gradient and Hessian from the result is below 1 pm
         cfg = replace(trap_config, manipulation=manipulation_field if manipulated else None)
         found = find_trap_minimum(cfg, state, 28.0, data=data)
-        _, grad, hess = lm._stencil_derivatives(lm._potential(cfg, state, 28.0, data), found, cfg.fields())
+        _, grad, hess = lm._stencil_derivatives(lm._potential(cfg, state, 28.0, data), found)
         assert np.max(np.abs(np.linalg.solve(hess, grad))) < 0.001e-9
 
     def test_leaves_a_zero_gradient_saddle(self, trap_config, data):
@@ -392,7 +391,7 @@ class TestTrapSearch:
         cfg = replace(trap_config, red=replace(trap_config.red, relative_phase=np.pi))
         found = find_trap_minimum(cfg, None, 28.0, data=data)
         u = lm._potential(cfg, None, 28.0, data)
-        _, grad, hess = lm._stencil_derivatives(u, (*found[:2], 0.0), cfg.fields())
+        _, grad, hess = lm._stencil_derivatives(u, (*found[:2], 0.0))
         assert grad[2] == 0.0 and hess[2, 2] < 0.0
         assert abs(found[2]) > 200e-9
         ref = reference_minimum(cfg, None, 28.0, data, found, 0.1e-9 / 1000)
@@ -416,18 +415,19 @@ class TestTrapSearch:
         r0, phi0, z0 = trap_minimum
         for point in ((r0, phi0, z0), (r0 + 13.7e-9, phi0 - 0.21, z0 + 41.3e-9),
                       (r0 - 37.1e-9, 0.37, -1.234e-7)):
-            assert lm._stencil_derivatives(u, point, cfg.fields())[0] == u(*point)
+            assert lm._stencil_derivatives(u, point)[0] == u(*point)
 
     @pytest.mark.parametrize(
         "state, manipulated",
         [(None, False), (None, True), (ground_state(4, 4), False), (ground_state(4, 4), True)],
         ids=["mF-averaged", "mF-averaged-manipulated", "4,4", "4,4-manipulated"],
     )
+    @pytest.mark.simd_baseline
     def test_stencil_derivatives_equal_array_construction(
         self, trap_config, manipulation_field, trap_minimum, data, state, manipulated, monkeypatch
     ):
-        # K at the stencil's 3 radii and the differences on Python floats, against the
-        # construction they replaced (K at all 19 nodes, array differences), bit for bit: at
+        # the 3x3x3 grid (K at its 3 radii) and the differences on Python floats, against the
+        # construction they replaced (K at each of 19 nodes, array differences), bit for bit: at
         # the points of test_stencil_centre_is_the_point and at every stencil of a search
         cfg = replace(trap_config, manipulation=manipulation_field if manipulated else None)
         u = lm._potential(cfg, state, 28.0, data)
@@ -435,20 +435,21 @@ class TestTrapSearch:
         points = [(r0, phi0, z0), (r0 + 13.7e-9, phi0 - 0.21, z0 + 41.3e-9), (r0 - 37.1e-9, 0.37, -1.234e-7)]
         stencil_of = lm._stencil_derivatives
         monkeypatch.setattr(lm, "_stencil_derivatives",
-                            lambda u, point, fields: points.append(point) or stencil_of(u, point, fields))
+                            lambda u, point: points.append(point) or stencil_of(u, point))
         find_trap_minimum(cfg, state, 28.0, data=data)
         assert len(points) >= 5
         for point in points:
-            value, grad, hess = stencil_of(u, point, cfg.fields())
+            value, grad, hess = stencil_of(u, point)
             want_value, want_grad, want_hess = oracle_stencil_derivatives(u, point)
             assert value == want_value and isinstance(value, float)
             assert_bitwise_equal(grad, want_grad)
             assert_bitwise_equal(hess, want_hess)
 
+    @pytest.mark.simd_baseline
     def test_search_with_a_fresh_and_a_warm_scan_table(self, data, monkeypatch):
         # the scan's K values come from each mode's table: a search on freshly solved modes
         # (which computes the tables) and the same search once they are warm give the same
-        # bits; a configuration whose fiber is not its modes' computes the scan's K itself
+        # bits; a configuration whose fiber is not its modes' is refused, so no scan lacks a table
         scans, potential = [], lm._potential
 
         def recorded(*args):
@@ -470,12 +471,48 @@ class TestTrapSearch:
             assert_bitwise_equal(find_trap_minimum(cfg, state, 28.0, data=data), cold)
         assert len(scans) == 4
         assert_bitwise_equal(scans[-1], np.stack([f.mode.scan_bessel for f in cfg.fields()], axis=-1))
-        scans.clear()
-        find_trap_minimum(replace(cfg, fiber=FiberSpec(radius=250.5e-9)), None, 28.0, data=data)
-        assert scans == [None]
+        with pytest.raises(DomainError, match="fiber radius"):
+            replace(cfg, fiber=FiberSpec(radius=250.5e-9))
+
+    @pytest.mark.simd_baseline
+    @pytest.mark.parametrize("state", [None, ground_state(4, 4)], ids=["mF-averaged", "4,4"])
+    def test_stencil_is_one_call_on_a_3x3x3_grid(self, trap_config, manipulation_field, trap_minimum,
+                                                 data, state, monkeypatch):
+        # r, phi and z each along their own axis, so the kernel computes K at the 3 radii only
+        sizes, bessel_k = [], fm.bessel_k
+        monkeypatch.setattr(fm, "bessel_k", lambda order, x: sizes.append(np.size(x)) or bessel_k(order, x))
+        for cfg in (trap_config, replace(trap_config, manipulation=manipulation_field)):
+            u, calls = lm._potential(cfg, state, 28.0, data), []
+            sizes.clear()
+            lm._stencil_derivatives(lambda *rpz: calls.append([np.shape(v) for v in rpz]) or u(*rpz),
+                                    trap_minimum)
+            assert calls == [[(3, 1, 1), (3, 1), (3,)]]
+            assert sizes == [3 * len(cfg.fields())]
+
+    def test_step_halving_on_a_rising_trial(self, trap_config, data, monkeypatch):
+        # a first step pushed 100 nm along z, up the red standing wave, makes the trial rise:
+        # the step is halved until it does not, and the search still ends on the site
+        unpatched = find_trap_minimum(trap_config, data=data)
+        step_of, stencil_of, events = lm._newton_step, lm._stencil_derivatives, []
+
+        def overshoot(*args):
+            events.append("step")
+            s_r, s_phi, s_z = step_of(*args)
+            return s_r, s_phi, s_z + 100e-9 * (events.count("step") == 1)
+
+        monkeypatch.setattr(lm, "_newton_step", overshoot)
+        monkeypatch.setattr(lm, "_stencil_derivatives",
+                            lambda u, point: events.append(point) or stencil_of(u, point))
+        found = find_trap_minimum(trap_config, data=data)
+        first = events.index("step")
+        trials = events[first + 1:events.index("step", first + 1)]
+        assert len(trials) >= 2  # the rising trial, then at least one halved one
+        assert abs(trials[1][2] - trials[0][2]) > 40e-9
+        assert max(abs(found[0] - unpatched[0]), found[0] * abs(found[1] - unpatched[1]),
+                   abs(found[2] - unpatched[2])) < 0.1e-9
 
     def test_each_search_step_is_one_stencil_call(self, trap_config, data, monkeypatch):
-        # after the 64-point radial scan every potential call is a 19-point stencil:
+        # after the 64-point radial scan every potential call is a 3x3x3-point stencil:
         # each trial point's centre value decides the step, and its g and H start the next
         sizes = []
         potential = lm._potential
@@ -491,11 +528,11 @@ class TestTrapSearch:
 
         monkeypatch.setattr(lm, "_potential", counted)
         find_trap_minimum(trap_config, data=data)
-        assert sizes[0] == 64 and set(sizes[1:]) == {19} and len(sizes) <= 4
+        assert sizes[0] == 64 and set(sizes[1:]) == {27} and len(sizes) <= 4
         sizes.clear()
         saddle = replace(trap_config, red=replace(trap_config.red, relative_phase=np.pi))
         find_trap_minimum(saddle, None, 28.0, data=data)
-        assert sizes[0] == 64 and set(sizes[1:]) == {19}
+        assert sizes[0] == 64 and set(sizes[1:]) == {27}
 
     @pytest.mark.parametrize(
         "red_change", [{"backward_power": 0.0}, {"power": 0.0}, {"configuration": "running"}]
@@ -530,13 +567,13 @@ class TestTrapSearch:
         for module, name in ((lm, "field_at"), (fm, "field_at"), (fm, "_profiles")):
             monkeypatch.setattr(module, name, cartesian)
         minimum = find_trap_minimum(trap_config, data=data)
-        # one kernel call per potential evaluation: the scan, then 19-point stencils
-        assert calls[0] == (2, 64) and set(calls[1:]) == {(2, 19)} and len(calls) <= 4
+        # one kernel call per potential evaluation: the scan, then 3x3x3-point stencils
+        assert calls[0] == (2, 64) and set(calls[1:]) == {(2, 27)} and len(calls) <= 4
         for cfg in (trap_config, replace(trap_config, manipulation=manipulation_field)):
             n_fields = len(cfg.fields())
             calls.clear()
             trap_frequencies(cfg, ground_state(4, 4), 28.0, minimum=minimum, data=data)
-            assert calls == [(n_fields, 19)]
+            assert calls == [(n_fields, 27)]
             calls.clear()
             lm.site_environment(cfg, 28.0, minimum, data)
             assert calls == [(n_fields, 2)]
@@ -578,15 +615,24 @@ class TestTrapSearch:
             assert np.array_equal(step_of(*args), oracle_newton_step(*args))
 
 
+# the 19-point stencil in local (dr, r dphi, dz), 1 nm steps: the centre, then +-d_i per axis,
+# then +-d_i +-d_j per pair (i, j) of PAIRS (i < j)
+STEP, PAIRS = 1e-9, np.triu_indices(3, 1)
+D = STEP * np.eye(3)
+STENCIL = np.array([np.zeros(3)] + [s * d for d in D for s in (1, -1)] + [
+    si * D[i] + sj * D[j] for i, j in zip(*PAIRS) for si in (1, -1) for sj in (1, -1)])
+
+
 def oracle_stencil_derivatives(u, point):
-    """_stencil_derivatives as first written: K at all 19 nodes, differences as numpy arrays."""
+    """_stencil_derivatives as first written: u at the 19 nodes pointwise (K at each node),
+    differences as numpy arrays."""
     r0, phi0, z0 = point
-    vals = u(r0 + lm._STENCIL[:, 0], phi0 + lm._STENCIL[:, 1] / r0, z0 + lm._STENCIL[:, 2])
+    vals = u(r0 + STENCIL[:, 0], phi0 + STENCIL[:, 1] / r0, z0 + STENCIL[:, 2])
     plus, minus = vals[1:7:2], vals[2:7:2]
-    hess = np.diag((plus - 2.0 * vals[0] + minus) / lm._STEP**2)
+    hess = np.diag((plus - 2.0 * vals[0] + minus) / STEP**2)
     pp, pm, mp, mm = vals[7:].reshape(3, 4).T
-    hess[lm._PAIRS] = hess[lm._PAIRS[::-1]] = (pp - pm - mp + mm) / (4.0 * lm._STEP**2)
-    return vals[0], (plus - minus) / (2.0 * lm._STEP), hess
+    hess[PAIRS] = hess[PAIRS[::-1]] = (pp - pm - mp + mm) / (4.0 * STEP**2)
+    return vals[0], (plus - minus) / (2.0 * STEP), hess
 
 
 def oracle_newton_step(grad, hess, r0, z_half, r_low):
@@ -990,6 +1036,23 @@ class TestSiteFields:
         assert abs(env.fictitious_field_upper[1]) > 1e-3
         balanced = site_fields(trap_config, 28.0, red_imbalance=1.0, data=data)
         assert abs(balanced.fictitious_field_upper[1]) < 1e-9
+
+    def test_offset_as_a_3_vector_along_y_equals_the_scalar(self, trap_config, manipulation_field,
+                                                         trap_minimum, data):
+        # a scalar offset is taken along +y: the 3-vector (0, 28, 0) gives the same bits everywhere
+        cfg = replace(trap_config, manipulation=manipulation_field)
+        state, vector = ground_state(4, 4), np.array([0.0, 28.0, 0.0])
+        potentials = [trap_potential(cfg, trap_minimum, state, boff, data) for boff in (28.0, vector)]
+        assert potentials[0] == potentials[1]
+        sites = [find_trap_minimum(cfg, state, boff, data) for boff in (28.0, vector)]
+        assert_bitwise_equal(sites[1], sites[0])
+        scalar, vectorial = (lm.site_environment(cfg, boff, trap_minimum, data) for boff in (28.0, vector))
+        for name in ("offset_field", "fictitious_field_upper", "fictitious_field_lower", "site_lower"):
+            assert_bitwise_equal(getattr(vectorial, name), getattr(scalar, name))
+        with pytest.raises(DomainError, match="3-vector"):
+            trap_potential(cfg, trap_minimum, state, np.array([0.0, 28.0]), data)
+        with pytest.raises(DomainError, match="3-vector"):
+            lm.site_environment(cfg, np.array([0.0, 28.0]), trap_minimum, data)
 
     def test_mf_dependent_minima_displaced_oppositely(
         self, trap_config, manipulation_field, trap_minimum, data

@@ -140,6 +140,7 @@ class TestBesselAgainstScipy:
             for row, order in zip(stacked, [3, 0, 2]):
                 assert np.array_equal(row, fn(order, x))
 
+    @pytest.mark.simd_baseline
     @pytest.mark.parametrize("size", [1, 33, 63, 64, 65, 129, 250, 4500])
     def test_batch_invariance(self, size):
         # a value never depends on the rest of its batch (no BLAS reduction):
