@@ -13,9 +13,7 @@ Subpackages:
 
 from .atom_cs import AtomicData, HyperfineState, default_atomic_data
 from .fiber_mode import FiberSpec, GuidedMode, LightField, solve_he11
-from .light_matter import MagneticEnvironment, TrapConfig
 from .numerics import FitResult
-from .spectra import SpectrumData, SpectrumModel
 
 __version__ = "0.1.0"
 
@@ -27,10 +25,6 @@ __all__ = [
     "GuidedMode",
     "LightField",
     "solve_he11",
-    "MagneticEnvironment",
-    "TrapConfig",
     "FitResult",
-    "SpectrumData",
-    "SpectrumModel",
     "__version__",
 ]

@@ -19,8 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import atom_cs, dynamics, light_matter, spectra
-from .atom_cs import AtomicData
+from . import atom_cs
 from .constants import read_key_values, stripped_lines
 from .errors import ConfigError, DomainError, NanotrapError
 from .fiber_mode import (
@@ -147,7 +146,7 @@ def _parse_value(key: str, raw: str) -> float | str:
 class RunConfig:
     """Resolved configuration: every schema key in SI units."""
 
-    def __init__(self, values: dict, data_file: str | None, data: AtomicData):
+    def __init__(self, values: dict, data_file: str | None, data: atom_cs.AtomicData):
         self.values = values
         self.data_file = data_file
         self.data = data
@@ -169,7 +168,7 @@ class RunConfig:
             values[key] = _parse_value(key, value.strip())
         data_file = values.pop("atoms.data_file", None)
         # defaults may reference other keys or the atomic data file
-        data = AtomicData.from_file(data_file)
+        data = atom_cs.AtomicData.from_file(data_file)
         for key, (_, default, _) in SCHEMA.items():
             if key in values:
                 continue
@@ -215,6 +214,7 @@ class RunConfig:
 
     def trap_config(self):
         """The trap under ``light_matter.with_scheme`` with ``scheme.*`` applied."""
+        from . import light_matter
         nominal = light_matter.TrapConfig(
             fiber=self.fiber(),
             blue=self._beam("blue"),
@@ -315,8 +315,9 @@ def cmd_fieldmap(cfg: RunConfig, args, out: Path) -> None:
     print(f"wrote {path}")
 
 
-def _site_payload(env: light_matter.MagneticEnvironment, data: AtomicData) -> dict:
+def _site_payload(env: light_matter.MagneticEnvironment, data: atom_cs.AtomicData) -> dict:
     """Per-site fictitious fields and clock splitting, as ``trap`` and ``bfict`` report them."""
+    from . import light_matter
     split = light_matter.clock_splitting(env, data)
     return {
         "Bfict_upper_G": list(env.fictitious_field_upper),
@@ -327,6 +328,7 @@ def _site_payload(env: light_matter.MagneticEnvironment, data: AtomicData) -> di
 
 
 def cmd_trap(cfg: RunConfig, args, out: Path) -> None:
+    from . import light_matter
     trap = cfg.trap_config()
     boff = cfg["magnetics.offset_field"]
     minimum = light_matter.find_trap_minimum(trap, data=cfg.data)
@@ -351,6 +353,7 @@ def cmd_trap(cfg: RunConfig, args, out: Path) -> None:
 
 
 def cmd_bfict(cfg: RunConfig, args, out: Path) -> None:
+    from . import light_matter
     trap = cfg.trap_config()
     if args.scheme == "tuneout":
         trap = replace(trap, manipulation=cfg.field("manipulation"))
@@ -378,6 +381,7 @@ def cmd_bfict(cfg: RunConfig, args, out: Path) -> None:
 
 
 def cmd_pump(cfg: RunConfig, args, out: Path) -> None:
+    from . import dynamics, light_matter
     if cfg["probe.power"] == 0.0:  # the drive fractions are those of the probe's field
         raise ConfigError("probe.power: pump needs a nonzero probe power (0 leaves no drive)")
     site = light_matter.find_trap_minimum(cfg.trap_config(), data=cfg.data)
@@ -405,6 +409,7 @@ def cmd_pump(cfg: RunConfig, args, out: Path) -> None:
 
 
 def cmd_spectrum(cfg: RunConfig, args, out: Path) -> None:
+    from . import spectra
     model = spectra.SpectrumModel(
         od_plus=cfg["spectrum.od_plus"],
         od_minus=cfg["spectrum.od_minus"],
@@ -447,6 +452,7 @@ def cmd_spectrum(cfg: RunConfig, args, out: Path) -> None:
 
 
 def cmd_mw(cfg: RunConfig, args, out: Path) -> None:
+    from . import dynamics, spectra
     tau = cfg["mw.pulse_duration"]
     if args.action == "simulate":
         grid = np.linspace(cfg["mw.min"], cfg["mw.max"], int(cfg["mw.points"]))

@@ -626,6 +626,42 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize(
+    "steps",
+    [
+        # (a module to import or main's arguments, the optional modules loaded after it)
+        [("nanotrap", []), ("nanotrap.cli", []), (["mode"], []), (["fieldmap"], []),
+         (["fieldmap", "--field", "manipulation", "--kind", "intensity"], []), (["tuneout"], []),
+         (["trap"], ["light_matter"]), (["bfict", "--scheme", "tilt"], ["light_matter"])],
+        [(["spectrum", "simulate"], ["dynamics", "spectra"]), (["mw", "simulate"], ["dynamics", "spectra"]),
+         (["pump"], ["dynamics", "light_matter", "spectra"])],
+    ],
+    ids=["mode-fieldmap-tuneout-trap-bfict", "spectrum-mw-pump"],
+)
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, steps):
+    # light_matter, dynamics and spectra are imported by the subcommands that call them;
+    # a fresh interpreter, so modules imported by other tests do not count
+    script = f"""
+import importlib, json, sys
+common = ["--config", {PAPER_CFG!r}, "--out", {str(tmp_path)!r}]
+for step, _ in {steps!r}:
+    if isinstance(step, str):
+        importlib.import_module(step)
+    else:
+        assert importlib.import_module("nanotrap.cli").main([*step, *common]) == 0, step
+    print("loaded", json.dumps([step, [m for m in ("dynamics", "light_matter", "spectra")
+                                       if "nanotrap." + m in sys.modules]]))
+"""
+    src = str(Path(nanotrap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = [json.loads(line[7:]) for line in proc.stdout.splitlines() if line.startswith("loaded ")]
+    assert loaded == [[step, modules] for step, modules in steps]
+
+
 def test_every_public_name_resolves():
     # a stale __all__ entry (a name removed from its module) makes a star import raise
     modules = ["nanotrap"] + [f"nanotrap.{m.name}" for m in pkgutil.iter_modules(nanotrap.__path__)]
