@@ -21,7 +21,7 @@ import numpy as np
 
 from . import atom_cs
 from .constants import read_key_values, stripped_lines
-from .errors import ConfigError, DomainError, NanotrapError
+from .errors import ConfigError, DomainError, NanotrapError, NearResonanceError
 from .fiber_mode import (
     GRID_COLUMNS,
     SELLMEIER_RANGE_M,
@@ -212,6 +212,14 @@ class RunConfig:
         mode = self.mode(self[f"{name}.wavelength"])
         return LightField(mode=mode, power=self[f"{name}.power"], **options)
 
+    def check_off_resonance(self, *beams: str) -> None:
+        """Refuse, naming its key, a beam whose light shift the run computes too near a D line."""
+        for name in beams:
+            try:
+                atom_cs._check_wavelength(self[f"{name}.wavelength"], self.data)
+            except NearResonanceError as exc:
+                raise ConfigError(f"{name}.wavelength: {exc}") from exc
+
     def trap_config(self):
         """The trap under ``light_matter.with_scheme`` with ``scheme.*`` applied."""
         from . import light_matter
@@ -329,6 +337,7 @@ def _site_payload(env: light_matter.MagneticEnvironment, data: atom_cs.AtomicDat
 
 def cmd_trap(cfg: RunConfig, args, out: Path) -> None:
     from . import light_matter
+    cfg.check_off_resonance("blue", "red")
     trap = cfg.trap_config()
     boff = cfg["magnetics.offset_field"]
     minimum = light_matter.find_trap_minimum(trap, data=cfg.data)
@@ -354,6 +363,7 @@ def cmd_trap(cfg: RunConfig, args, out: Path) -> None:
 
 def cmd_bfict(cfg: RunConfig, args, out: Path) -> None:
     from . import light_matter
+    cfg.check_off_resonance("blue", "red", *(["manipulation"] if args.scheme == "tuneout" else []))
     trap = cfg.trap_config()
     if args.scheme == "tuneout":
         trap = replace(trap, manipulation=cfg.field("manipulation"))
@@ -384,11 +394,12 @@ def cmd_pump(cfg: RunConfig, args, out: Path) -> None:
     from . import dynamics, light_matter
     if cfg["probe.power"] == 0.0:  # the drive fractions are those of the probe's field
         raise ConfigError("probe.power: pump needs a nonzero probe power (0 leaves no drive)")
+    cfg.check_off_resonance("blue", "red")
     site = light_matter.find_trap_minimum(cfg.trap_config(), data=cfg.data)
-    e_site = field_at(cfg.field("probe"), *site)
-    a_plus, a_zero, a_minus = light_matter.spherical_components(e_site, [0.0, 1.0, 0.0])
-    norm = abs(a_plus) ** 2 + abs(a_zero) ** 2 + abs(a_minus) ** 2
-    fractions = (abs(a_plus) ** 2 / norm, abs(a_zero) ** 2 / norm, abs(a_minus) ** 2 / norm)
+    e_x, e_y, e_z = field_at(cfg.field("probe"), *site)
+    # (sigma+, pi, sigma-) intensities about the offset field's +y: |E_z -+ i E_x|^2 / 2, |E_y|^2
+    intensities = np.array([abs(e_z - 1j * e_x) ** 2 / 2, abs(e_y) ** 2, abs(e_z + 1j * e_x) ** 2 / 2])
+    fractions = intensities / intensities.sum()
     rates = dynamics.pump_rates(fractions, cfg["pump.saturation"], cfg.data)
     steady = dynamics.pump_steady_state(rates, cfg.data)
     uniform = dynamics.PopulationVector(4, np.full(9, 1.0 / 9.0))

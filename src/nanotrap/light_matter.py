@@ -1,5 +1,5 @@
-"""Local polarization analysis, AC Stark shifts, fictitious magnetic fields,
-and the assembled two-color trap with per-site magnetic environments.
+"""AC Stark shifts, fictitious magnetic fields, and the assembled two-color
+trap with per-site magnetic environments.
 
 Every light shift and fictitious field takes one path: the closed-form |E|^2
 and i(E x E*) of ``fiber_mode._intensity_and_spin``, times each field's scalar
@@ -35,7 +35,6 @@ __all__ = [
     "TrapConfig",
     "ClockSplitting",
     "with_scheme",
-    "spherical_components",
     "trap_potential",
     "find_trap_minimum",
     "trap_frequencies",
@@ -47,36 +46,6 @@ __all__ = [
 
 H_PLANCK = cst.h
 Y_AXIS = np.array([0.0, 1.0, 0.0])
-
-
-def _orthonormal_triad(axis: np.ndarray):
-    e3 = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(e3)
-    if n == 0:
-        raise DomainError("quantization axis must be a non-zero vector")
-    e3 = e3 / n
-    helper = np.array([1.0, 0.0, 0.0])
-    if abs(e3 @ helper) > 0.9:
-        helper = np.array([0.0, 0.0, 1.0])
-    e1 = np.cross(helper, e3)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(e3, e1)
-    return e1, e2, e3
-
-
-def spherical_components(e_field, axis):
-    """Spherical amplitudes (A_plus, A_zero, A_minus) about a quantization axis.
-
-    |A_q|^2 is the intensity available to drive dm = q transitions;
-    the three squared moduli sum to |E|^2.
-    """
-    e = np.asarray(e_field, dtype=complex)
-    if np.sum(np.abs(e) ** 2) == 0.0:
-        raise DomainError("spherical decomposition undefined for a zero field")
-    e1, e2, e3 = _orthonormal_triad(axis)
-    # components in the frame whose z axis is the quantization axis; A_q = u_q* . E
-    ex, ey, ez = e @ e1, e @ e2, e @ e3
-    return -(ex - 1j * ey) / np.sqrt(2.0), ez, (ex + 1j * ey) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)

@@ -148,9 +148,10 @@ def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float) -> 
 
 
 # Largest 1-norm condition number of the equilibrated J^T J (unit diagonal) for which a
-# fit's covariance is reported.  The central-difference Jacobian carries relative
-# errors near 1e-10 (rounding over its 1e-6 relative step), which the inverse
-# amplifies by the condition number, so past 1e10 the covariance is undetermined.
+# fit's covariance is reported.  The inverse amplifies the rounding of J^T J (near
+# 1e-16 relative, as the model's Jacobian is exact) by the condition number, so past
+# 1e10 the covariance has fewer than six significant digits and the fit's
+# parameters are close to degenerate.
 MAX_NORMAL_CONDITION = 1e10
 MAX_ITERATIONS = 200  # Gauss-Newton steps of one fit; FitResult.converged is False after them
 
@@ -171,31 +172,18 @@ class FitResult:
         return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
 
 
-def _jacobian(residuals, p, r0):
-    """Central-difference Jacobian, relative step 1e-6 with absolute floor 1e-9."""
-    m, n = r0.size, p.size
-    jac = np.empty((m, n))
-    for i in range(n):
-        h = max(1e-6 * abs(p[i]), 1e-9)
-        up = p.copy()
-        dn = p.copy()
-        up[i] += h
-        dn[i] -= h
-        jac[:, i] = (residuals(up) - residuals(dn)) / (2.0 * h)
-    return jac
-
-
 def least_squares(model: Callable, initial: Sequence[float], data: Sequence[tuple]) -> FitResult:
     """Minimise the weighted squared residuals of model(params, x) against data.
 
     ``data`` is a sequence of (abscissa, value, weight) triples with positive
-    weights; the model must accept the stacked abscissa array.  Damped
-    Gauss-Newton: damping starts at 1e-3 and moves by factors of 10, the
-    Jacobian uses central differences, and convergence requires a relative
-    residual decrease below 1e-10 or a relative parameter step below 1e-10
-    within ``MAX_ITERATIONS`` steps.
+    weights; the model must accept the stacked abscissa array of m points and
+    return the pair (prediction, Jacobian), of shapes (m,) and (m, n) for n
+    parameters; EvaluationError is raised when either is not finite.  Damped
+    Gauss-Newton: damping starts at 1e-3 and moves by factors of 10, and
+    convergence requires a relative residual decrease below 1e-10 or a
+    relative parameter step below 1e-10 within ``MAX_ITERATIONS`` steps.
     The covariance is the inverse of the undamped normal matrix J^T J, with
-    J recomputed at the returned parameters, scaled by the residual
+    J the model's Jacobian at the returned parameters, scaled by the residual
     variance.  DegenerateFitError is raised when J^T J, with its diagonal
     scaled to one, has a 1-norm condition number above ``MAX_NORMAL_CONDITION``.
     """
@@ -209,20 +197,19 @@ def least_squares(model: Callable, initial: Sequence[float], data: Sequence[tupl
         raise DomainError("weights must be positive and finite")
     sqrt_w = np.sqrt(w)
 
-    def residuals(q):
-        pred = np.asarray(model(q, x), dtype=float)
-        if not np.all(np.isfinite(pred)):
-            raise EvaluationError("model returned a non-finite prediction")
-        return sqrt_w * (pred - y)
+    def residuals(q):  # weighted residuals and their Jacobian at q
+        pred, jac = (np.asarray(v, dtype=float) for v in model(q, x))
+        if not (np.all(np.isfinite(pred)) and np.all(np.isfinite(jac))):
+            raise EvaluationError("model returned a non-finite prediction or Jacobian")
+        return sqrt_w * (pred - y), sqrt_w[:, None] * jac
 
-    r = residuals(p)
+    r, jac = residuals(p)
     rnorm = float(np.linalg.norm(r))
     lam = 1e-3
     converged = False
     iterations = 0
 
     for iterations in range(1, MAX_ITERATIONS + 1):
-        jac = _jacobian(residuals, p, r)
         grad = jac.T @ r
         normal = jac.T @ jac
         scale = np.diag(np.maximum(np.diag(normal), 1e-300))
@@ -235,7 +222,7 @@ def least_squares(model: Callable, initial: Sequence[float], data: Sequence[tupl
                 continue
             q = p + step
             try:
-                r_new = residuals(q)
+                r_new, jac_new = residuals(q)
             except EvaluationError:
                 lam *= 10.0
                 continue
@@ -249,13 +236,12 @@ def least_squares(model: Callable, initial: Sequence[float], data: Sequence[tupl
 
         rel_decrease = (rnorm - rnorm_new) / max(rnorm, 1e-300)
         rel_step = float(np.max(np.abs(step) / np.maximum(np.abs(p), 1.0)))
-        p, r, rnorm = q, r_new, rnorm_new
+        p, r, jac, rnorm = q, r_new, jac_new, rnorm_new
         lam = max(lam / 10.0, 1e-15)
         if rel_decrease < 1e-10 or rel_step < 1e-10:
             converged = True
             break
 
-    jac = _jacobian(residuals, p, r)
     normal = jac.T @ jac
     # equilibrated so the condition number measures degeneracy, not parameter units
     d = np.sqrt(np.diag(normal))

@@ -77,17 +77,24 @@ class SpectrumData:
             raise DomainError("counts must be non-negative")
 
 
-def _log_absorbance(params: np.ndarray, detuning) -> np.ndarray:
+def _log_absorbance(params: np.ndarray, detuning):
+    """-ln T at the detuning(s), and its Jacobian in (OD+, OD-, delta+, delta-, Gamma) on a
+    trailing axis.  Per dip, L = 1 / (1 + u^2) with u = 2 (x - delta) / Gamma, so that
+    dL/d(delta) = 4 u L^2 / Gamma and dL/dGamma = 2 u^2 L^2 / Gamma."""
     od_p, od_m, d_p, d_m, gamma = params
     x = np.asarray(detuning, dtype=float)
-    return od_p / (1.0 + 4.0 * (x - d_p) ** 2 / gamma**2) + od_m / (
+    value = od_p / (1.0 + 4.0 * (x - d_p) ** 2 / gamma**2) + od_m / (
         1.0 + 4.0 * (x - d_m) ** 2 / gamma**2
     )
+    u = 2.0 * (x[..., None] - np.array([d_p, d_m])) / gamma
+    lorentz = 1.0 / (1.0 + u**2)
+    slope = np.array([od_p, od_m]) * 4.0 * u * lorentz**2 / gamma  # OD_k dL_k/d(delta_k)
+    return value, np.concatenate([lorentz, slope, 0.5 * (u * slope).sum(-1, keepdims=True)], -1)
 
 
 def transmission(model: SpectrumModel, detuning_hz):
     """Transmission in (0, 1] at the given probe detuning(s)."""
-    return np.exp(-_log_absorbance(model.as_parameters(), detuning_hz))
+    return np.exp(-_log_absorbance(model.as_parameters(), detuning_hz)[0])
 
 
 def simulate_spectrum(
@@ -154,12 +161,24 @@ class MwFitResult:
 
 
 def _mw_lineshape(tau_s: float):
+    """Model of Fourier-limited lines (Omega = pi / tau) with (center, amplitude) pairs: the
+    transfer and its Jacobian.  A line P = amp (Omega / W)^2 s^2, with W = hypot(Omega, delta),
+    delta = 2 pi (x - center) and s, c = sin, cos(W tau / 2), has dP/dW = amp (Omega / W)^2 s
+    (tau c - 2 s / W) and dW/d(center) = -2 pi delta / W."""
+    omega = np.pi / tau_s
+
     def shape(params, detuning):
         x = np.asarray(detuning, dtype=float)
-        return sum(
-            amp * _transfer(np.pi / tau_s, tau_s, x - center)
-            for center, amp in zip(params[0::2], params[1::2])
-        )
+        value, columns = 0, []
+        for center, amp in zip(params[0::2], params[1::2]):
+            transfer = _transfer(omega, tau_s, x - center)
+            delta = 2 * np.pi * (x - center)
+            w = np.hypot(omega, delta)
+            s, c = np.sin(0.5 * w * tau_s), np.cos(0.5 * w * tau_s)
+            slope = -amp * (omega / w) ** 2 * s * (tau_s * c - 2 * s / w) * 2 * np.pi * delta / w
+            value = value + amp * transfer
+            columns += [slope, transfer]
+        return value, np.stack(columns, axis=-1)
 
     return shape
 
@@ -182,7 +201,7 @@ def simulate_mw_spectrum(
         raise DomainError("need one amplitude per line center")
     d = np.asarray(detunings_hz, dtype=float)
     params = np.ravel(np.column_stack([centers, amps]))
-    clean = _mw_lineshape(tau_s)(params, d)
+    clean = _mw_lineshape(tau_s)(params, d)[0]
     rng = np.random.Generator(np.random.Philox(key=seed))
     noisy = clean + rng.normal(0.0, noise_sigma, size=d.size)
     return d, np.clip(noisy, 0.0, None)

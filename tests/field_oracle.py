@@ -8,6 +8,8 @@ profiles and per-beam field are the references ``field_at``'s evaluation
 of its beams on a trailing axis is held to, bit for bit.  The package takes
 every light shift from the closed-form |E|^2 and i(E x E*) kernel; the tests
 hold it to the shifts of the complex Cartesian field ``field_at`` returns.
+``pump`` writes the (sigma+, pi, sigma-) intensities about +y in closed form;
+the tests hold them to the spherical decomposition about any axis.
 """
 import numpy as np
 from scipy import constants as cst
@@ -17,7 +19,7 @@ from nanotrap import atom_cs
 from nanotrap.atom_cs import AtomicData, HyperfineState, default_atomic_data
 from nanotrap.errors import DomainError
 from nanotrap.fiber_mode import GuidedMode, _spin_density
-from nanotrap.light_matter import H_PLANCK, _orthonormal_triad
+from nanotrap.light_matter import H_PLANCK
 from nanotrap.numerics import bessel_j, bessel_k
 
 
@@ -122,6 +124,36 @@ def per_beam_field(light, r, phi, z):
         total[..., 1] += (er * np.sin(phi) + ep * np.cos(phi))[..., 0]
         total[..., 2] += ez[..., 0]
     return total
+
+
+def _orthonormal_triad(axis: np.ndarray):
+    e3 = np.asarray(axis, dtype=float)
+    n = np.linalg.norm(e3)
+    if n == 0:
+        raise DomainError("quantization axis must be a non-zero vector")
+    e3 = e3 / n
+    helper = np.array([1.0, 0.0, 0.0])
+    if abs(e3 @ helper) > 0.9:
+        helper = np.array([0.0, 0.0, 1.0])
+    e1 = np.cross(helper, e3)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(e3, e1)
+    return e1, e2, e3
+
+
+def spherical_components(e_field, axis):
+    """Spherical amplitudes (A_plus, A_zero, A_minus) about a quantization axis.
+
+    |A_q|^2 is the intensity available to drive dm = q transitions;
+    the three squared moduli sum to |E|^2.
+    """
+    e = np.asarray(e_field, dtype=complex)
+    if np.sum(np.abs(e) ** 2) == 0.0:
+        raise DomainError("spherical decomposition undefined for a zero field")
+    e1, e2, e3 = _orthonormal_triad(axis)
+    # components in the frame whose z axis is the quantization axis; A_q = u_q* . E
+    ex, ey, ez = e @ e1, e @ e2, e @ e3
+    return -(ex - 1j * ey) / np.sqrt(2.0), ez, (ex + 1j * ey) / np.sqrt(2.0)
 
 
 def fictitious_field(e_field, wavelength_m: float, f: int = 4, data: AtomicData | None = None):

@@ -11,7 +11,7 @@ from importlib import resources
 import numpy as np
 from scipy import constants as cst
 
-from field_oracle import fictitious_field, radial_profiles_h, vector_shift
+from field_oracle import fictitious_field, radial_profiles_h, spherical_components, vector_shift
 from nanotrap import atom_cs, dynamics, light_matter, spectra
 from nanotrap.atom_cs import ground_state
 from nanotrap.cli import RunConfig
@@ -416,7 +416,7 @@ def test_criterion_9_diametric_sites_pumped_to_opposite_states():
     cfg = RunConfig.load(PAPER_CFG, [])
     r, phi, z = find_trap_minimum(cfg.trap_config(), data=cfg.data)
     e_sites = field_at(cfg.field("probe"), r, np.array([phi, phi + np.pi]), z)
-    intensities = np.abs(light_matter.spherical_components(e_sites, [0.0, 1.0, 0.0])) ** 2
+    intensities = np.abs(spherical_components(e_sites, [0.0, 1.0, 0.0])) ** 2
     upper, lower = (intensities / intensities.sum(axis=0)).T
     rates = [dynamics.pump_rates(f, cfg["pump.saturation"], cfg.data) for f in (upper, lower)]
     p_upper, p_lower = (dynamics.pump_steady_state(g, cfg.data).populations for g in rates)

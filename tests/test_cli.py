@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from field_oracle import fictitious_field
+from field_oracle import fictitious_field, spherical_components
 
 import nanotrap
 from nanotrap import cli
@@ -213,6 +213,28 @@ class TestConfigDomain:
         assert key in err and "numerical failure" not in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command, key, value", [
+        *[(command, key, value) for command in (["trap"], ["bfict", "--scheme", "tilt"], ["pump"],
+                                                ["bfict", "--scheme", "tuneout"])
+          for key, value in (("blue.wavelength", "852.3472758 nm"), ("red.wavelength", "894.5929599 nm"))],
+        (["bfict", "--scheme", "tuneout"], "manipulation.wavelength", "852.3472758 nm"),
+    ])
+    def test_near_resonant_light_shift_beam_exits_2_naming_the_key(self, tmp_path, capsys, command, key, value):
+        # within 10 linewidths of D2 (852.35 nm) or D1 (894.59 nm) the polarizabilities refuse
+        # the wavelength; it exited 3 as a numerical failure naming no key
+        args = [*command, "--config", PAPER_CFG, "--out", str(tmp_path), "--set", f"{key}={value}"]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key}: " in err and "within 10 linewidths of a D line" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, key", [(["fieldmap", "--field", "blue"], "blue.wavelength"),
+                                              (["trap"], "manipulation.wavelength")], ids=["fieldmap", "trap"])
+    def test_near_resonant_beam_whose_shift_is_not_computed_runs(self, tmp_path, command, key):
+        # a field map needs no polarizability, and trap never adds the manipulation beam
+        args = [*command, "--config", PAPER_CFG, "--out", str(tmp_path), "--set", f"{key}=852.3472758 nm"]
+        assert run(args) == 0
+
     def test_non_finite_data_file_value_exits_2_naming_file_line_and_key(self, tmp_path, capsys):
         # a NaN mass reached the trap frequencies and died with a LinAlgError traceback
         custom = tmp_path / "nan_mass.dat"
@@ -405,6 +427,18 @@ class TestOutputs:
         assert doc["intensity_fractions_sigma_plus_pi_sigma_minus"][0] == pytest.approx(
             0.92, abs=0.01
         )
+
+    def test_pump_fractions_are_the_spherical_decomposition_about_y(self, tmp_path):
+        # the closed-form |E_z -+ i E_x|^2 / 2 and |E_y|^2 against the decomposition about
+        # an arbitrary axis; the tilt moves the site out of plane P, where pi is nonzero
+        args = ["pump", "--config", PAPER_CFG, "--out", str(tmp_path), "--set", "scheme.phi_b=5 deg"]
+        assert run(args) == 0
+        doc = json.loads((tmp_path / "pump.json").read_text())
+        e_site = field_at(RunConfig.load(PAPER_CFG, []).field("probe"), *doc["site"])
+        intensities = np.abs(spherical_components(e_site, [0.0, 1.0, 0.0])) ** 2
+        fractions = doc["intensity_fractions_sigma_plus_pi_sigma_minus"]
+        assert fractions[1] > 1e-6
+        assert fractions == pytest.approx(intensities / intensities.sum(), rel=1e-14, abs=0)
 
     def test_pump_one_second_reaches_steady_state(self, tmp_path):
         # exact propagation: the cost does not grow with the pumped duration
@@ -732,7 +766,8 @@ import sys
 from nanotrap.cli import main
 common = ["--config", {PAPER_CFG!r}, "--out", sys.argv[1], "--seed", "1"]
 for args in (["mode"], ["trap"], ["bfict", "--scheme", "tilt", "--phi-b", "5"], ["pump"], ["tuneout"],
-             ["spectrum", "simulate"], ["mw", "simulate"], ["mw", "fit", "--data", sys.argv[1] + "/mw.csv"]):
+             ["spectrum", "simulate"], ["spectrum", "fit", "--data", sys.argv[1] + "/spectrum.csv"],
+             ["mw", "simulate"], ["mw", "fit", "--data", sys.argv[1] + "/mw.csv"]):
     assert main([*args, *common]) == 0, args
 tuneout = ["bfict", "--scheme", "tuneout", "--config", {PAPER_CFG!r}, "--out", sys.argv[1] + "/tuneout"]
 assert main([*tuneout, "--seed", "1"]) == 0
@@ -748,7 +783,7 @@ for kind in ("field", "intensity", "ellipticity"):
             proc = subprocess.run([sys.executable, "-c", script, str(out)], env=child_env,
                                   capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
-        for name in ("mode.json", "tuneout.json", "spectrum.csv", "mw.csv", "mw_fit.json"):
+        for name in ("mode.json", "tuneout.json", "spectrum.csv", "spectrum_fit.json", "mw.csv", "mw_fit.json"):
             assert (tmp_path / "full" / name).read_bytes() == (tmp_path / "v2" / name).read_bytes(), name
 
         def numbers(node):

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import constants as cst
 
-from field_oracle import assert_bitwise_equal, fictitious_field, per_beam_field, scalar_shift, vector_shift
+from field_oracle import (
+    assert_bitwise_equal,
+    fictitious_field,
+    per_beam_field,
+    scalar_shift,
+    spherical_components,
+    vector_shift,
+)
 
 from nanotrap import atom_cs, fiber_mode as fm, light_matter as lm
 from nanotrap.atom_cs import ground_state
@@ -19,7 +26,6 @@ from nanotrap.light_matter import (
     find_trap_minimum,
     mw_splitting,
     site_fields,
-    spherical_components,
     trap_frequencies,
     trap_potential,
 )

@@ -240,12 +240,16 @@ class TestFindRoot:
 
 
 def line(params, x):
-    return params[0] * np.asarray(x) + params[1]
+    x = np.asarray(x, dtype=float)
+    return params[0] * x + params[1], np.column_stack([x, np.ones_like(x)])
 
 
 def lorentzian_dip(params, x):
     amp, center, width = params
-    return 1.0 - amp / (1.0 + 4.0 * (np.asarray(x) - center) ** 2 / width**2)
+    x = np.asarray(x, dtype=float)
+    lorentz = 1.0 / (1.0 + 4.0 * (x - center) ** 2 / width**2)
+    slope = -8.0 * amp * (x - center) * lorentz**2 / width**2  # d/d(center)
+    return 1.0 - amp * lorentz, np.column_stack([-lorentz, slope, slope * (x - center) / width])
 
 
 class TestLeastSquares:
@@ -260,7 +264,7 @@ class TestLeastSquares:
     def test_lorentzian_dip_recovery(self):
         truth = np.array([0.6, 1.2e6, 5e6])
         x = np.linspace(-20e6, 20e6, 60)
-        y = lorentzian_dip(truth, x)
+        y, _ = lorentzian_dip(truth, x)
         data = list(zip(x, y, np.ones_like(x)))
         res = least_squares(lorentzian_dip, truth * 1.15, data)
         assert np.max(np.abs(res.parameters - truth) / truth) < 1e-6
@@ -274,7 +278,7 @@ class TestLeastSquares:
     def test_recovery_from_any_nearby_start(self, rel_offsets):
         truth = np.array([0.6, 1.2e6, 5e6])
         x = np.linspace(-20e6, 20e6, 60)
-        y = lorentzian_dip(truth, x)
+        y, _ = lorentzian_dip(truth, x)
         data = list(zip(x, y, np.ones_like(x)))
         start = truth * (1.0 + np.array(rel_offsets))
         res = least_squares(lorentzian_dip, start, data)
@@ -305,22 +309,16 @@ class TestLeastSquares:
         truth = np.array([0.6, 1.2e6, 5e6])
         x = np.linspace(-20e6, 20e6, 60)
         rng = np.random.Generator(np.random.Philox(key=3))
-        y = lorentzian_dip(truth, x) + rng.normal(0, 0.01, x.size)
+        y = lorentzian_dip(truth, x)[0] + rng.normal(0, 0.01, x.size)
         res = least_squares(lorentzian_dip, truth * 1.1, list(zip(x, y, np.ones_like(x))))
-        p = res.parameters
-        jac = np.empty((x.size, 3))
-        for i in range(3):
-            h = 1e-6 * abs(p[i])
-            up, dn = p.copy(), p.copy()
-            up[i] += h
-            dn[i] -= h
-            jac[:, i] = (lorentzian_dip(up, x) - lorentzian_dip(dn, x)) / (2 * h)
+        _, jac = lorentzian_dip(res.parameters, x)  # the model's exact Jacobian at the fit
         expected = np.linalg.inv(jac.T @ jac) * res.residual_norm**2 / (x.size - 3)
         assert np.allclose(res.covariance, expected, rtol=1e-6, atol=0.0)
 
     def test_degenerate_parameters_raise(self):
         def degenerate(params, x):
-            return (params[0] + params[1]) * np.ones_like(np.asarray(x, dtype=float))
+            ones = np.ones((np.size(x), 2))
+            return (params[0] + params[1]) * ones[:, 0], ones
 
         data = [(0.0, 1.0, 1.0), (1.0, 1.1, 1.0), (2.0, 0.9, 1.0)]
         with pytest.raises(DegenerateFitError, match="condition number|singular"):
@@ -331,7 +329,8 @@ class TestLeastSquares:
         # two decays whose rates differ by rate_gap are nearly collinear; the
         # equilibrated normal matrix has about the given condition number
         def two_decays(params, x):
-            return params[0] * np.exp(-x) + params[1] * np.exp(-(1.0 + rate_gap) * x)
+            decays = np.column_stack([np.exp(-x), np.exp(-(1.0 + rate_gap) * x)])
+            return params[0] * decays[:, 0] + params[1] * decays[:, 1], decays
 
         x = np.linspace(0.0, 3.0, 30)
         data = list(zip(x, 2.0 * np.exp(-x) + 0.01 * np.sin(7.0 * x), np.ones_like(x)))
@@ -351,14 +350,24 @@ class TestLeastSquares:
 
     def test_non_finite_model(self):
         def bad(params, x):
-            return np.full(np.asarray(x).shape, np.nan)
+            return np.full(np.asarray(x).shape, np.nan), np.ones((np.size(x), 1))
 
         with pytest.raises(EvaluationError):
             least_squares(bad, [1.0], [(0.0, 1.0, 1.0), (1.0, 2.0, 1.0)])
 
+    @pytest.mark.parametrize("slope", [np.nan, np.inf])
+    def test_non_finite_jacobian(self, slope):
+        # a finite prediction with a non-finite slope is refused as a NaN prediction is
+        def bad(params, x):
+            return params[0] * np.asarray(x), np.full((np.size(x), 1), slope)
+
+        with pytest.raises(EvaluationError, match="Jacobian"):
+            least_squares(bad, [1.0], [(0.0, 1.0, 1.0), (1.0, 2.0, 1.0)])
+
     def test_singular_problem_raises(self):
         def degenerate(params, x):
-            return (params[0] + params[1]) * np.ones_like(np.asarray(x, dtype=float))
+            ones = np.ones((np.size(x), 2))
+            return (params[0] + params[1]) * ones[:, 0], ones
 
         data = [(0.0, np.nan, 1.0), (1.0, np.nan, 1.0), (2.0, np.nan, 1.0)]
         with pytest.raises((DegenerateFitError, EvaluationError)):
@@ -369,5 +378,5 @@ class TestLeastSquares:
         rng = np.random.Generator(np.random.Philox(key=9))
         y = 3.0 * x - 0.5 + rng.normal(0, 0.02, x.size)
         res = least_squares(line, [0.0, 0.0], list(zip(x, y, np.ones_like(x))))
-        start_norm = np.linalg.norm(y - line([0.0, 0.0], x))
+        start_norm = np.linalg.norm(y - line([0.0, 0.0], x)[0])
         assert res.residual_norm <= start_norm

@@ -20,6 +20,58 @@ PAPER_MODEL = SpectrumModel(
 GRID = np.linspace(-80e6, 80e6, 81)
 
 
+def _jacobian(residuals, p, r0):
+    """Central-difference Jacobian, relative step 1e-6 with absolute floor 1e-9."""
+    m, n = r0.size, p.size
+    jac = np.empty((m, n))
+    for i in range(n):
+        h = max(1e-6 * abs(p[i]), 1e-9)
+        up = p.copy()
+        dn = p.copy()
+        up[i] += h
+        dn[i] -= h
+        jac[:, i] = (residuals(up) - residuals(dn)) / (2.0 * h)
+    return jac
+
+
+class TestModelJacobians:
+    """Each fitted model's exact Jacobian against central differences.
+
+    The value's rounding (near 1e-16 relative) over the 1e-6 relative step
+    leaves the difference quotient about 1e-10 of its column's largest entry
+    off (9.5e-10 at most over these draws), and the truncation error is near
+    1e-12; so each column must agree within 1e-8 of its largest entry, while
+    a wrong factor or sign in any term is off by order one.  Centers stay at
+    least 0.3 / tau from zero, where the absolute step floor would apply.
+    """
+
+    BOUND = 1e-8
+
+    def assert_matches_differences(self, model, params, x):
+        value, exact = model(params, x)
+        reference = _jacobian(lambda q: model(q, x)[0], params, value)
+        assert exact.shape == (x.size, params.size)
+        scale = np.max(np.abs(exact), axis=0)
+        assert np.all(np.abs(exact - reference) <= self.BOUND * scale)
+
+    def test_transmission(self):
+        rng = np.random.Generator(np.random.Philox(key=28))
+        for _ in range(20):
+            signs = rng.choice([-1.0, 1.0], 2)
+            params = np.array([*rng.uniform(0.05, 3.0, 2), *(signs * rng.uniform(5e6, 60e6, 2)),
+                               rng.uniform(3e6, 20e6)])
+            self.assert_matches_differences(sp._log_absorbance, params, GRID)
+
+    @pytest.mark.parametrize("tau", [10e-6, 40e-6, 103e-6])
+    @pytest.mark.parametrize("lines", [1, 2])
+    def test_mw_lines(self, tau, lines):
+        rng = np.random.Generator(np.random.Philox(key=28))
+        for _ in range(10):
+            centers = rng.choice([-1.0, 1.0], lines) * rng.uniform(0.3, 2.0, lines) / tau
+            params = np.ravel(np.column_stack([centers, rng.uniform(0.1, 1.0, lines)]))
+            self.assert_matches_differences(sp._mw_lineshape(tau), params, np.linspace(-3 / tau, 3 / tau, 121))
+
+
 class TestTransmission:
     def test_empty_medium(self):
         model = SpectrumModel(0.0, 0.0, 1e6, -1e6, 5e6)
@@ -132,7 +184,7 @@ class TestFitTransmission:
             n_r = np.where(data.reference > 0, data.reference, 0.5)
             y = -np.log(n_t / n_r)
             w = 1.0 / (1.0 / n_t + 1.0 / n_r)
-            pulls.append(np.sqrt(w) * (y - sp._log_absorbance(res.parameters, GRID)))
+            pulls.append(np.sqrt(w) * (y - sp._log_absorbance(res.parameters, GRID)[0]))
         pulls = np.concatenate(pulls)
         assert hits / n_trials >= 0.95
         assert split_hits / n_trials >= 0.95
@@ -190,8 +242,8 @@ class TestMwSpectra:
         shape = sp._mw_lineshape(103e-6)
         half = res.amplitudes[0] / 2.0
         center = res.centers_hz[0]
-        hi = find_root(lambda x: shape(res.fit.parameters, x) - half, center, center + 1e4, 1e-3)
-        lo = find_root(lambda x: shape(res.fit.parameters, x) - half, center - 1e4, center, 1e-3)
+        hi = find_root(lambda x: shape(res.fit.parameters, x)[0] - half, center, center + 1e4, 1e-3)
+        lo = find_root(lambda x: shape(res.fit.parameters, x)[0] - half, center - 1e4, center, 1e-3)
         assert hi - lo == pytest.approx(pi_pulse_fwhm(103e-6), rel=0.05)
 
     def test_degeneracy_error_on_single_line(self):
@@ -213,7 +265,7 @@ class TestMwSpectra:
         truth = np.array([-30.35e3, 0.45, 30.35e3, 0.5])
         grid = np.linspace(-60e3, 60e3, 121)
         model = sp._mw_lineshape(40e-6)
-        y = model(truth, grid)
+        y, _ = model(truth, grid)
         data = list(zip(grid, y, np.ones_like(grid)))
         res = least_squares(model, truth * 1.15, data)
         assert np.max(np.abs(res.parameters - truth) / np.abs(truth)) < 1e-6
