@@ -304,6 +304,8 @@ def cmd_mode(cfg: RunConfig, args, out: Path) -> None:
 
 def cmd_fieldmap(cfg: RunConfig, args, out: Path) -> None:
     light = cfg.field(args.field)
+    if args.kind == "ellipticity" and light.power + light.backward_power == 0.0:
+        raise ConfigError(f"{args.field}.power: 0 leaves no field, whose ellipticity is undefined")
     grid = PolarGrid(
         r_min=cfg["fiber.radius"],
         r_max=cfg["grid.r_max"],
@@ -463,7 +465,7 @@ def cmd_spectrum(cfg: RunConfig, args, out: Path) -> None:
 
 
 def cmd_mw(cfg: RunConfig, args, out: Path) -> None:
-    from . import dynamics, spectra
+    from . import spectra
     tau = cfg["mw.pulse_duration"]
     if args.action == "simulate":
         grid = np.linspace(cfg["mw.min"], cfg["mw.max"], int(cfg["mw.points"]))
@@ -487,7 +489,7 @@ def cmd_mw(cfg: RunConfig, args, out: Path) -> None:
         "splitting_hz": result.splitting_hz,
         "splitting_sigma_hz": result.splitting_sigma_hz,
         "pulse_duration_s": tau,
-        "fourier_fwhm_hz": dynamics.pi_pulse_fwhm(tau),
+        "fourier_fwhm_hz": result.fourier_fwhm_hz,
     }
     _write_json(out / "mw_fit.json", cfg, payload)
     print(f"centers {payload['centers_hz']!r} Hz, splitting {result.splitting_hz!r} Hz")

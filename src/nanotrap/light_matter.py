@@ -204,8 +204,11 @@ def find_trap_minimum(
 ):
     """Locate the trap minimum near the upper site, to 0.1 nm.
 
-    A 64-point radial scan at z = 0 (K from each mode's ``scan_bessel``) starts safeguarded
-    Newton steps in local (dr, r dphi, dz) on ``_stencil_derivatives``: along each eigenvector of H
+    One scan call at z = 0 on 3 rows of 64 radii h = 18.7 nm apart (K from each mode's
+    ``scan_bessel``), at phi_start and +-h of arc length, picks the first row's lowest interior
+    minimum.  Newton starts at the vertex of the parabola through it and its radial neighbours, moved
+    along the arc to that of the side rows' parabola where convex (at most 2h; under 0.1 nm not at
+    all).  In local (dr, r dphi, dz) on ``_stencil_derivatives``, along each eigenvector of H
     the step is -g/lambda, or downhill to the edge of the box |dr| <= 50 nm,
     |dphi| <= 0.5 rad, |dz| <= a quarter guided red wavelength where
     lambda <= 0.  The step is scaled into that box, keeps r at least 0.1 nm
@@ -223,8 +226,9 @@ def find_trap_minimum(
     a = config.fiber.radius
     u_of = _potential(config, state, boff, data)
 
-    r_scan = a + SCAN_OFFSETS
-    u_scan = u_of(r_scan, phi_start, 0.0, np.stack([f.mode.scan_bessel for f in fields], axis=-1))
+    r_scan, h = a + SCAN_OFFSETS, float(SCAN_OFFSETS[1] - SCAN_OFFSETS[0])  # h: 18.7 nm
+    u_scan, u_plus, u_minus = u_of(r_scan, phi_start + np.array([[0.0], [h], [-h]]) / r_scan, 0.0,
+                                   np.stack([f.mode.scan_bessel for f in fields], axis=-1))
     interior = (u_scan[1:-1] < u_scan[:-2]) & (u_scan[1:-1] < u_scan[2:])
     candidates = np.nonzero(interior)[0] + 1
     if candidates.size == 0:
@@ -234,7 +238,11 @@ def find_trap_minimum(
     tol_r = 0.1e-9
     r_low = a + 1e-9 + tol_r  # 0.1 nm above the clamp: the 1 nm stencil stays outside the fiber
     z_half = 0.25 * float(config.red.mode.guided_wavelength)
-    point = (float(r_scan[idx]), float(phi_start), 0.0)
+    (u_in, u_0, u_out), u_p, u_m = u_scan[idx - 1:idx + 2].tolist(), float(u_plus[idx]), float(u_minus[idx])
+    r_start = float(r_scan[idx]) + 0.5 * h * (u_in - u_out) / (u_in - 2.0 * u_0 + u_out)  # within h/2
+    s = 0.5 * h * (u_m - u_p) / (u_p - 2.0 * u_0 + u_m) if u_p - 2.0 * u_0 + u_m > 0 else 0.0
+    s = min(max(s, -2.0 * h), 2.0 * h) if abs(s) >= tol_r else 0.0  # smaller: SIMD-dependent rounding
+    point = (r_start, float(phi_start) + s / float(r_scan[idx]), 0.0)
     u_point, grad, hess = _stencil_derivatives(u_of, point)
     for _ in range(40):
         r0, phi0, z0 = point

@@ -150,7 +150,7 @@ def fit_transmission(data: SpectrumData, initial: SpectrumModel) -> FitResult:
 
 @dataclass(frozen=True)
 class MwFitResult:
-    """Centers and amplitudes of Fourier-limited microwave lines."""
+    """Centers and amplitudes of Fourier-limited microwave lines, and the pi-pulse line's FWHM."""
 
     centers_hz: np.ndarray
     center_sigmas_hz: np.ndarray
@@ -158,6 +158,7 @@ class MwFitResult:
     splitting_hz: float
     splitting_sigma_hz: float
     fit: FitResult
+    fourier_fwhm_hz: float  # pi_pulse_fwhm(tau), the fit's start and degeneracy scale
 
 
 def _mw_lineshape(tau_s: float):
@@ -268,4 +269,5 @@ def fit_mw_spectrum(data, tau_s: float, components: int = 1) -> MwFitResult:
         splitting_hz=float(splitting),
         splitting_sigma_hz=split_sigma,
         fit=result,
+        fourier_fwhm_hz=fwhm,
     )

@@ -521,6 +521,20 @@ class TestOutputs:
         doc = json.loads((outdir / "mw_fit.json").read_text())
         assert doc["splitting_hz"] == pytest.approx(60.7e3, abs=0.9e3)
 
+    def test_mw_fit_bisects_the_pi_pulse_width_once(self, outdir, monkeypatch):
+        # the fit's start and degeneracy scale is the width mw_fit.json reports as fourier_fwhm_hz
+        from nanotrap import dynamics, spectra
+        calls, width_of = [], dynamics.pi_pulse_fwhm
+        for module in (dynamics, spectra):
+            monkeypatch.setattr(module, "pi_pulse_fwhm", lambda tau: calls.append(tau) or width_of(tau))
+        assert run(["mw", "simulate", "--config", PAPER_CFG, "--out", str(outdir)]) == 0
+        fit = ["mw", "fit", "--config", PAPER_CFG, "--data", str(outdir / "mw.csv"), "--out", str(outdir)]
+        calls.clear()
+        assert run(fit) == 0
+        doc = json.loads((outdir / "mw_fit.json").read_text())
+        assert calls == [doc["pulse_duration_s"]]
+        assert doc["fourier_fwhm_hz"] == width_of(calls[0])
+
     def test_tuneout_json(self, outdir):
         assert run(["tuneout", "--config", PAPER_CFG, "--out", str(outdir)]) == 0
         doc = json.loads((outdir / "tuneout.json").read_text())
@@ -573,15 +587,31 @@ def test_pump_zero_probe_power_exits_2_naming_the_key(tmp_path, capsys):
     assert not (tmp_path / "pump.json").exists()
 
 
-def test_zero_field_ellipticity_map_exits_3(tmp_path, capsys):
-    # the ellipticity is undefined where the field vanishes: refused, never written as nan
-    args = ["fieldmap", "--kind", "ellipticity", "--set", "probe.power=0 pW"]
+@pytest.mark.parametrize(
+    "field, overrides",
+    [("probe", ["probe.power=0 pW"]), ("blue", ["blue.power=0 W"]),
+     ("red", ["red.power=0 W", "red.backward_power=0 W"]), ("manipulation", ["manipulation.power=0 W"])],
+    ids=["probe", "blue", "red", "manipulation"],
+)
+def test_zero_field_ellipticity_map_exits_2_naming_the_key(tmp_path, capsys, field, overrides):
+    # the ellipticity is undefined where the field vanishes, and a beam of zero power leaves no
+    # field anywhere: a config error naming the key (it was exit 3 naming none), never nan
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    args = ["fieldmap", "--kind", "ellipticity", "--field", field, *sets]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert run([*args, "--config", PAPER_CFG, "--out", str(tmp_path)]) == 3
+        assert run([*args, "--config", PAPER_CFG, "--out", str(tmp_path)]) == 2
     assert [str(w.message) for w in caught] == []
-    assert "numerical failure in fieldmap" in capsys.readouterr().err
-    assert not (tmp_path / "fieldmap.csv").exists()
+    assert f"config error: {field}.power" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ellipticity_map_of_one_red_beam_runs(tmp_path):
+    # with the forward red beam off the backward one still guides a field everywhere
+    args = ["fieldmap", "--kind", "ellipticity", "--field", "red", "--set", "red.power=0 W",
+            "--set", "grid.n_r=3", "--set", "grid.n_phi=5"]
+    assert run([*args, "--config", PAPER_CFG, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "fieldmap.csv").exists()
 
 
 @pytest.mark.parametrize(
