@@ -21,7 +21,7 @@ import numpy as np
 
 from . import atom_cs
 from .constants import read_key_values, stripped_lines
-from .errors import ConfigError, DomainError, NanotrapError, NearResonanceError
+from .errors import ConfigError, DomainError, NanotrapError, NearResonanceError, NoModeError
 from .fiber_mode import (
     GRID_COLUMNS,
     SELLMEIER_RANGE_M,
@@ -38,6 +38,7 @@ from .fiber_mode import (
     write_field_map_csv,
     write_scalar_map_csv,
 )
+from .numerics import K_MAX_ARG
 
 UNIT_FACTORS = {
     "length": {"nm": 1e-9, "um": 1e-6, "mm": 1e-3, "m": 1.0},
@@ -196,10 +197,13 @@ class RunConfig:
     def fiber(self) -> FiberSpec:
         return FiberSpec(radius=self["fiber.radius"], sellmeier=self.data.sellmeier)
 
-    def mode(self, wavelength: float):
-        key = (self["fiber.radius"], wavelength)
+    def mode(self, name: str):
+        key = (self["fiber.radius"], self[f"{name}.wavelength"])
         if key not in self._modes:
-            self._modes[key] = solve_he11(self.fiber(), wavelength)
+            try:
+                self._modes[key] = solve_he11(self.fiber(), key[1])
+            except NoModeError as exc:
+                raise ConfigError(f"fiber.radius, {name}.wavelength: {exc}") from exc
         return self._modes[key]
 
     def field(self, name: str) -> LightField:
@@ -209,7 +213,7 @@ class RunConfig:
         return self._beam(name, polarization_angle=self[f"{name}.polarization_angle"])
 
     def _beam(self, name: str, **options) -> LightField:
-        mode = self.mode(self[f"{name}.wavelength"])
+        mode = self.mode(name)
         return LightField(mode=mode, power=self[f"{name}.power"], **options)
 
     def check_off_resonance(self, *beams: str) -> None:
@@ -284,7 +288,7 @@ def cmd_mode(cfg: RunConfig, args, out: Path) -> None:
     payload = {}
     for name in BEAMS if args.field == "all" else [args.field]:
         wavelength = cfg[f"{name}.wavelength"]
-        m = cfg.mode(wavelength)
+        m = cfg.mode(name)
         payload[name] = {
             "wavelength_m": wavelength,
             "beta_rad_per_m": float(m.beta),
@@ -306,6 +310,8 @@ def cmd_fieldmap(cfg: RunConfig, args, out: Path) -> None:
     light = cfg.field(args.field)
     if args.kind == "ellipticity" and light.power + light.backward_power == 0.0:
         raise ConfigError(f"{args.field}.power: 0 leaves no field, whose ellipticity is undefined")
+    if cfg["grid.r_max"] * (q := light.mode.exterior_parameter) > K_MAX_ARG:  # where K(q r) holds
+        raise ConfigError(f"grid.r_max: the {args.field} field maps out to {K_MAX_ARG / q * 1e6:.1f} um")
     grid = PolarGrid(
         r_min=cfg["fiber.radius"],
         r_max=cfg["grid.r_max"],

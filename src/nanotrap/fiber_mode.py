@@ -11,9 +11,9 @@ Geometry and conventions
   contains the trapped atoms is the x-z plane (phi = 0 and phi = pi).
 * ``polarization_angle`` is the azimuthal angle of the transverse principal
   axis of a quasi-linear mode, measured from plane P.
-* The global phase of each beam is fixed by making the dominant transverse
-  field component real and positive at (r = a+, phi = polarization_angle,
-  z = 0).
+* The global phase of each beam makes the dominant transverse field
+  component real and positive at (r = a+, phi = polarization_angle, z = 0):
+  it is -i for every HE11 mode (``solve_he11``).
 * Fields are complex positive-frequency envelopes in V/m; intensities are
   |E|^2 in (V/m)^2.
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -96,18 +96,16 @@ def v_number(fiber: FiberSpec, wavelength_m: float) -> float:
     return 2 * np.pi * fiber.radius / wavelength_m * np.sqrt(n1**2 - 1.0)
 
 
-def _bessel_ratios(u, w, k_kernel=bessel_k):
-    """J1'(u)/(u J1(u)) and K1'(w)/(w K1(w)), the terms of the l = 1 eigenvalue equation."""
-    j0, j1, j2 = bessel_j((0, 1, 2), u)
-    k0, k1, k2 = k_kernel((0, 1, 2), w)
-    return 0.5 * (j0 - j2) / (u * j1), -0.5 * (k0 + k2) / (w * k1)
+def _bessel_ratios(u, w, j, k):
+    """J1'(u)/(u J1(u)) and K1'(w)/(w K1(w)) from J_0.. of u and K_0.. of w: the l = 1 eigenvalue terms."""
+    return 0.5 * (j[0] - j[2]) / (u * j[1]), -0.5 * (k[0] + k[2]) / (w * k[1])
 
 
 def _characteristic(neff: float, k: float, a: float, n1: float) -> float:
     """Hybrid-mode (l = 1) eigenvalue function of a vacuum-clad core; zero at the HE11 solution."""
     u = a * k * np.sqrt(n1**2 - neff**2)
     w = a * k * np.sqrt(neff**2 - 1.0)
-    jj, kk = _bessel_ratios(u, w)
+    jj, kk = _bessel_ratios(u, w, bessel_j((0, 1, 2), u), bessel_k((0, 1, 2), w))
     return (jj + kk) * (n1**2 * jj + kk) - neff**2 * (1.0 / u**2 + 1.0 / w**2) ** 2
 
 
@@ -129,7 +127,6 @@ class GuidedMode:
     n_core: float
     s_parameter: float
     multimode: bool = False
-    _phase_fix: complex = field(default=1.0 + 0j, repr=False)
 
     @property
     def effective_index(self) -> float:
@@ -162,9 +159,15 @@ def solve_he11(fiber: FiberSpec, wavelength_m: float) -> GuidedMode:
     the characteristic function changes sign once, at the HE11 root, and bisection
     on that bracket, less 2e-6 at each end, finds it to 1e-12 in about 40
     evaluations; J is never needed beyond u = 3.83, so a fiber with V > 30 solves
-    too.  The amplitude scale is fixed by the closed-form axial Poynting flux for
-    unit guided power (no adaptive quadrature); the flux and the s parameter take
-    K from ``bessel_k_scalar``, so they do not depend on numpy's SIMD level.
+    too.  One evaluation of J_0..J_3(u) and of K_0..K_3(w) (``bessel_k_scalar``, no
+    SIMD dependence) gives the s parameter and the closed-form flux for unit power.
+
+    The global phase factor is -i.  At the root u J1'/J1 = (neff^2 s - 1/s) / (neff^2 - 1)
+    and w K1'/K1 = (n1^2/s - neff^2 s) / (n1^2 - neff^2).  J_0, J_1, J_2 > 0 on u < j_{0,1},
+    so u J1'/J1 = u J0/J1 - 1 = 1 - u J2/J1 is in (-1, 1): s in (-1, -1/neff^2) or (1/neff^2, 1).
+    w K1'/K1 = -w K0/K1 - 1 < -1 excludes 0 < s < 1.  So -1 < s < 0 (-0.9999949 to -0.7931 for
+    80-2000 nm radii at 410-1500 nm), and e_r = i (beta/2q) (J1/K1) ((1 - s) K0 + (1 + s) K2)
+    at r = a+ is +i times a positive number.
     """
     n1 = fiber.core_index(wavelength_m)
     a = fiber.radius
@@ -187,28 +190,13 @@ def solve_he11(fiber: FiberSpec, wavelength_m: float) -> GuidedMode:
     h = np.sqrt((n1 * k) ** 2 - beta**2)
     q = np.sqrt(beta**2 - k**2)
     u, w = h * a, q * a
-    jj, kk = _bessel_ratios(u, w, bessel_k_scalar)
+    j, kv = bessel_j((0, 1, 2, 3), u), bessel_k_scalar((0, 1, 2, 3), w)
+    jj, kk = _bessel_ratios(u, w, j, kv)
     s_param = (1.0 / u**2 + 1.0 / w**2) / (jj + kk)
-
-    mode = GuidedMode(
-        fiber=fiber,
-        wavelength=wavelength_m,
-        beta=beta,
-        interior_parameter=h,
-        exterior_parameter=q,
-        normalization=1.0,
-        n_core=n1,
-        s_parameter=s_param,
-        multimode=multimode,
-    )
-    power_unit = _guided_power_unit_amplitude(mode)
-    norm = 1.0 / np.sqrt(power_unit)
-
-    # fix the global phase: dominant transverse component real and positive
-    # just outside the surface on the polarization axis
-    e_r = _profiles(mode, a * (1 + 1e-9))[0][0]
-    ph = np.sqrt(2.0) * e_r * norm
-    return replace(mode, normalization=norm, _phase_fix=np.conj(ph) / abs(ph))
+    power_unit = _guided_power_unit_amplitude(a, wavelength_m, n1, beta, h, q, s_param, j, kv)
+    return GuidedMode(fiber=fiber, wavelength=wavelength_m, beta=beta, interior_parameter=h,
+                      exterior_parameter=q, normalization=1.0 / np.sqrt(power_unit), n_core=n1,
+                      s_parameter=s_param, multimode=multimode)
 
 
 def _profiles(mode, r):
@@ -246,22 +234,18 @@ def _profiles(mode, r):
     return e_r, e_phi, e_z
 
 
-def _guided_power_unit_amplitude(mode: GuidedMode) -> float:
-    """Axial Poynting flux of the unit-amplitude circular mode, in W.
+def _guided_power_unit_amplitude(a, wavelength, n1, beta, h, q, s, j, k_values) -> float:
+    """Axial Poynting flux (W) of the unit-amplitude circular mode, from J_0..J_3(h a) and K_0..K_3(q a).
 
     Closed form of Le Kien, Liang, Hakuta & Balykin, Opt. Commun. 242, 445
     (2004): the azimuthal integral is 2 pi, the J0 J2 (K0 K2) cross terms of
     the flux cancel, and the radial integrals of J_n^2 r and K_n^2 r are
     Lommel integrals.
     """
-    a = mode.fiber.radius
-    beta, h, q, s = mode.beta, mode.interior_parameter, mode.exterior_parameter, mode.s_parameter
-    k = 2 * np.pi / mode.wavelength
-    n1 = mode.n_core
+    k = 2 * np.pi / wavelength
     s1 = s * (beta / (k * n1)) ** 2
     s2 = s * (beta / k) ** 2
-    j0, j1, j2, j3 = bessel_j((0, 1, 2, 3), h * a)
-    k0, k1, k2, k3 = bessel_k_scalar((0, 1, 2, 3), q * a)
+    (j0, j1, j2, j3), (k0, k1, k2, k3) = j, k_values
     # a^2/2 times the Lommel brackets: int_0^a J_n(hr)^2 r dr, int_a^inf K_n(qr)^2 r dr
     inner = (n1 / h) ** 2 * (
         (1 - s) * (1 - s1) * (j0**2 + j1**2) + (1 + s) * (1 + s1) * (j2**2 - j1 * j3)
@@ -269,7 +253,7 @@ def _guided_power_unit_amplitude(mode: GuidedMode) -> float:
     outer = (j1 / (q * k1)) ** 2 * (
         (1 - s) * (1 - s2) * (k1**2 - k0**2) + (1 + s) * (1 + s2) * (k1 * k3 - k2**2)
     )
-    omega = 2 * np.pi * cst.c / mode.wavelength
+    omega = 2 * np.pi * cst.c / wavelength
     return 0.25 * np.pi * omega * cst.epsilon_0 * beta * a**2 * (inner + outer)
 
 
@@ -317,7 +301,7 @@ def field_at(light: LightField, r, phi, z):
     beams = [(light.power, sign, 0.0), (light.backward_power, -sign, light.relative_phase)]
     # per beam, on a trailing axis: complex amplitude, 1j * direction * beta, direction
     amplitude, wavevector, direction = map(np.array, zip(*[
-        (m.normalization * np.sqrt(p) * m._phase_fix * np.exp(1j * ph), 1j * d * m.beta, d)
+        (m.normalization * np.sqrt(p) * -1j * np.exp(1j * ph), 1j * d * m.beta, d)
         for p, d, ph in beams[: 1 + (light.configuration == "standing")]]))
     e_r, e_phi, e_z = _profiles(m, r)
     phi = phi[..., None]

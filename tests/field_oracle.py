@@ -113,7 +113,7 @@ def per_beam_field(light, r, phi, z):
     for power, direction, extra_phase in beams:
         if power == 0.0:
             continue
-        amp = np.array([mode.normalization * np.sqrt(power) * mode._phase_fix * np.exp(1j * extra_phase)])
+        amp = np.array([mode.normalization * np.sqrt(power) * -1j * np.exp(1j * extra_phase)])
         cosd = np.cos(phi - light.polarization_angle)
         sind = np.sin(phi - light.polarization_angle)
         prop = np.exp(np.array([1j * direction * mode.beta]) * z)

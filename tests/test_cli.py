@@ -213,6 +213,31 @@ class TestConfigDomain:
         assert key in err and "numerical failure" not in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["trap", "mode"])
+    def test_fiber_without_a_guided_root_exits_2_naming_radius_and_wavelength(self, tmp_path, capsys, command):
+        # the solver's bracket ends at n_eff = 1 + 2e-6; this exited 3 as a numerical failure
+        args = [command, "--config", PAPER_CFG, "--out", str(tmp_path), "--set", "fiber.radius=20 nm"]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert "config error: fiber.radius, blue.wavelength: " in err and "no HE11 root" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["1 m", "200 um"])
+    def test_fieldmap_beyond_the_bessel_range_exits_2_naming_the_largest_radius(self, tmp_path, capsys, value):
+        # K(q r) holds for q r <= 700: 171.0 um for the 852.347 nm probe on a 250 nm fiber;
+        # this exited 3 naming the Bessel range
+        args = ["fieldmap", "--config", PAPER_CFG, "--out", str(tmp_path), "--set", f"grid.r_max={value}"]
+        assert run(args) == 2
+        assert "config error: grid.r_max: the probe field maps out to 171.0 um\n" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_fieldmap_within_the_bessel_range_writes_its_map(self, tmp_path):
+        args = ["fieldmap", "--config", PAPER_CFG, "--out", str(tmp_path), "--set", "grid.r_max=100 um",
+                "--set", "grid.n_r=3", "--set", "grid.n_phi=2"]
+        assert run(args) == 0
+        rows = (tmp_path / "fieldmap.csv").read_text().splitlines()
+        assert rows[-1].startswith(f"{cli._parse_value('grid.r_max', '100 um')!r},")
+
     @pytest.mark.parametrize("command, key, value", [
         *[(command, key, value) for command in (["trap"], ["bfict", "--scheme", "tilt"], ["pump"],
                                                 ["bfict", "--scheme", "tuneout"])

@@ -386,11 +386,15 @@ class TestPiPulseFwhm:
         assert pi_pulse_fwhm(80e-6) == pytest.approx(pi_pulse_fwhm(40e-6) / 2.0, rel=1e-9)
 
     def test_equals_the_distance_between_both_half_crossings(self):
+        # the line is 1/2 at both ends of the width (a 1e-9 / tau bisection of the detuning
+        # was up to 7.2e-10 off), and the constant is the root of the tau-free equation
         for tau in np.geomspace(1e-8, 0.1, 61):
+            width = pi_pulse_fwhm(tau)
+            for detuning in (-width / 2, width / 2):
+                assert abs(rabi_transfer(PulseSpec.pi_pulse(tau, detuning)) - 0.5) <= 1e-15
 
-            def half_crossing(detuning_hz):
-                return rabi_transfer(PulseSpec.pi_pulse(tau, detuning_hz)) - 0.5
+        def half_crossing(y):
+            return np.sin(0.5 * np.pi * np.sqrt(1 + y * y)) ** 2 / (1 + y * y) - 0.5
 
-            upper = find_root(half_crossing, 0.0, 1.0 / tau, 1e-9 / tau)
-            lower = find_root(half_crossing, -1.0 / tau, 0.0, 1e-9 / tau)
-            assert pi_pulse_fwhm(tau) == upper - lower
+        root = find_root(half_crossing, 0.0, 2.0, 5e-324)  # stops at one ulp
+        assert abs(pi_pulse_fwhm(1.0) - root) <= 2 * np.spacing(root)

@@ -200,8 +200,8 @@ class TestSolveHe11:
     @pytest.mark.parametrize("radius_nm", [200, 250, 300])
     @pytest.mark.parametrize("nm", [783, 852.347, 880.2524, 1064])
     def test_closed_form_power_matches_quadrature(self, radius_nm, nm):
-        """Closed-form flux of the unit-amplitude circular mode against quad."""
-        from nanotrap.fiber_mode import _guided_power_unit_amplitude, _profiles
+        """Closed-form flux of the unit-amplitude circular mode, normalization^-2, against quad."""
+        from nanotrap.fiber_mode import _profiles
 
         m = solve_he11(FiberSpec(radius=radius_nm * 1e-9), nm * 1e-9)
         a = m.fiber.radius
@@ -217,8 +217,29 @@ class TestSolveHe11:
             s_z_times_r, a, a + 70 / m.exterior_parameter, limit=200, epsabs=0, epsrel=1e-13
         )
         oracle = 2 * np.pi * (inner + outer)
-        assert _guided_power_unit_amplitude(m) == pytest.approx(oracle, rel=1e-10)
-        assert m.normalization == pytest.approx(1 / np.sqrt(oracle), rel=1e-10)
+        assert m.normalization**-2 == pytest.approx(oracle, rel=1e-10)
+
+
+@pytest.mark.simd_baseline
+def test_he11_phase_is_minus_i_for_every_solvable_mode():
+    # -1 < s < 0 makes e_r just outside the surface +i times a positive number, so the
+    # global phase factor -i makes the dominant transverse component real and positive
+    solved = 0
+    for radius_nm in range(80, 2001, 40):
+        fiber = FiberSpec(radius=radius_nm * 1e-9)
+        for nm in range(410, 1501, 20):
+            try:
+                mode = solve_he11(fiber, nm * 1e-9)
+            except NoModeError:
+                continue
+            solved += 1
+            assert -1 < mode.s_parameter < 0
+            for angle in (0.0, np.pi / 2):
+                e = field_at(LightField(mode=mode, power=1e-3, polarization_angle=angle),
+                             fiber.radius * (1 + 1e-9), angle, 0.0)
+                dominant = e[int(angle > 0)]
+                assert dominant.real > 0 and dominant.imag == 0.0
+    assert solved == 2645
 
 
 class TestFieldStructure:
