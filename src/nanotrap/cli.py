@@ -126,9 +126,7 @@ def _parse_value(key: str, raw: str) -> float | str:
         raise ConfigError(f"{key}: expected 'number [unit]', got {raw!r}")
     table = UNIT_FACTORS[dimension]
     if unit not in table:
-        raise ConfigError(
-            f"{key}: unit {unit!r} invalid for {dimension} (allowed: {sorted(table)})"
-        )
+        raise ConfigError(f"{key}: unit {unit!r} invalid for {dimension} (allowed: {sorted(table)})")
     try:
         value = float(number) * table[unit]
     except ValueError as exc:
@@ -207,10 +205,15 @@ class RunConfig:
         return self._modes[key]
 
     def field(self, name: str) -> LightField:
-        """Beam ``name`` of ``BEAMS``; blue and red as ``trap_config()`` sets them."""
-        if name in ("blue", "red"):
-            return getattr(self.trap_config(), name)
-        return self._beam(name, polarization_angle=self[f"{name}.polarization_angle"])
+        """Beam ``name`` of ``BEAMS``, its mode alone solved; blue and red with ``scheme.*`` applied."""
+        if name not in ("blue", "red"):
+            return self._beam(name, polarization_angle=self[f"{name}.polarization_angle"])
+        from . import light_matter
+        red = {"configuration": "standing", "backward_power": self["red.backward_power"],
+               "relative_phase": self["red.relative_phase"]}
+        nominal = self._beam(name, **(red if name == "red" else {}))
+        scheme = self["scheme.phi_b"], self["scheme.red_imbalance"]
+        return light_matter.beam_with_scheme(name, nominal, *scheme)
 
     def _beam(self, name: str, **options) -> LightField:
         mode = self.mode(name)
@@ -225,20 +228,10 @@ class RunConfig:
                 raise ConfigError(f"{name}.wavelength: {exc}") from exc
 
     def trap_config(self):
-        """The trap under ``light_matter.with_scheme`` with ``scheme.*`` applied."""
+        """The trap of ``field("blue")`` and ``field("red")``, as ``light_matter.with_scheme`` sets it."""
         from . import light_matter
-        nominal = light_matter.TrapConfig(
-            fiber=self.fiber(),
-            blue=self._beam("blue"),
-            red=self._beam(
-                "red",
-                configuration="standing",
-                backward_power=self["red.backward_power"],
-                relative_phase=self["red.relative_phase"],
-            ),
-            c3=self["surface.c3"] if self["surface.c3"] != 0.0 else None,
-        )
-        return light_matter.with_scheme(nominal, self["scheme.phi_b"], self["scheme.red_imbalance"])
+        blue, red, c3 = self.field("blue"), self.field("red"), self["surface.c3"]
+        return light_matter.TrapConfig(fiber=self.fiber(), blue=blue, red=red, c3=c3 or None)  # 0 disables
 
 
 def _write_json(path: Path, cfg: RunConfig, payload: dict):

@@ -35,6 +35,7 @@ __all__ = [
     "TrapConfig",
     "ClockSplitting",
     "with_scheme",
+    "beam_with_scheme",
     "trap_potential",
     "find_trap_minimum",
     "trap_frequencies",
@@ -69,24 +70,22 @@ class TrapConfig:
             raise DomainError("every field's mode must be solved for the trap's fiber radius")
 
     def fields(self):
-        out = [self.blue, self.red]
-        if self.manipulation is not None:
-            out.append(self.manipulation)
-        return out
+        return [self.blue, self.red] + ([] if self.manipulation is None else [self.manipulation])
 
 
 def with_scheme(config: TrapConfig, phi_b: float, red_imbalance: float) -> TrapConfig:
-    """``config`` with the site-selective schemes applied to its nominal beams.
+    """``config`` with ``beam_with_scheme`` applied to its nominal blue and red beams."""
+    return replace(config, blue=beam_with_scheme("blue", config.blue, phi_b, red_imbalance),
+                   red=beam_with_scheme("red", config.red, phi_b, red_imbalance))
 
-    The blue polarization is set to pi/2 + ``phi_b``, i.e. tilted by ``phi_b``
-    from the axis orthogonal to plane P, and the red backward power is
-    multiplied by ``red_imbalance``.
-    """
-    return replace(
-        config,
-        blue=replace(config.blue, polarization_angle=np.pi / 2 + phi_b),
-        red=replace(config.red, backward_power=config.red.backward_power * red_imbalance),
-    )
+
+def beam_with_scheme(name: str, beam: LightField, phi_b: float, red_imbalance: float) -> LightField:
+    """Nominal beam ``name`` ("blue" or "red") with its site-selective scheme applied: the blue
+    polarization set to pi/2 + ``phi_b``, i.e. tilted by ``phi_b`` from the axis orthogonal to
+    plane P, or the red backward power multiplied by ``red_imbalance``."""
+    if name == "blue":
+        return replace(beam, polarization_angle=np.pi / 2 + phi_b)
+    return replace(beam, backward_power=beam.backward_power * red_imbalance)
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,8 @@ def _potential(config: TrapConfig, state: HyperfineState | None, boff, data: Ato
     alphas = [atom_cs.scalar_polarizability(fld.mode.wavelength, data) for fld in fields]
     shifts = -0.25 * np.array(alphas) / H_PLANCK
     if state is not None:
-        betas = np.array(_vector_coefficients(fields, state.f, data))
+        betas = np.array([atom_cs.vector_shift_coefficient_g_per_v2m2(f.mode.wavelength, state.f, data)
+                          for f in fields])
         boff_vec = _offset_vector(boff)
         zero_field = breit_rabi_energy(state, 0.0, data)
 
@@ -167,11 +167,6 @@ def _potential(config: TrapConfig, state: HyperfineState | None, boff, data: Ato
         return float(total) if total.ndim == 0 else total
 
     return u
-
-
-def _vector_coefficients(fields, f: int, data: AtomicData) -> list:
-    """beta_v of ground manifold ``f`` for each field (G per (V/m)^2)."""
-    return [atom_cs.vector_shift_coefficient_g_per_v2m2(fld.mode.wavelength, f, data) for fld in fields]
 
 
 # the stencil's offsets along each of r, r phi and z: the centre, then +-1 nm
@@ -204,19 +199,19 @@ def find_trap_minimum(
 ):
     """Locate the trap minimum near the upper site, to 0.1 nm.
 
-    One scan call at z = 0 on 3 rows of 64 radii h = 18.7 nm apart (K from each mode's
-    ``scan_bessel``), at phi_start and +-h of arc length, picks the first row's lowest interior
-    minimum.  Newton starts at the vertex of the parabola through it and its radial neighbours, moved
-    along the arc to that of the side rows' parabola where convex (at most 2h; under 0.1 nm not at
-    all).  In local (dr, r dphi, dz) on ``_stencil_derivatives``, along each eigenvector of H
-    the step is -g/lambda, or downhill to the edge of the box |dr| <= 50 nm,
-    |dphi| <= 0.5 rad, |dz| <= a quarter guided red wavelength where
-    lambda <= 0.  The step is scaled into that box, keeps r at least 0.1 nm
-    above the radial clamp 1 nm above the surface, and is halved until the
-    potential does not rise; the search stops once a step is below 0.1 nm.
-    Each trial is one stencil call, whose g and H start the next step once it is accepted.
-    Raises NoTrapError when no field is a standing wave with both beams on (nothing
-    confines along z), no bound radial minimum brackets, or the search ends at the clamp.
+    One scan call at z = 0 on 5 rows of 64 radii h = 18.7 nm apart (K from each mode's
+    ``scan_bessel``), at phi_start + k h/(a + 230 nm) for k = -2..2, picks the middle row's lowest
+    interior minimum.  Newton starts at the phi vertex of the quartic through each row's radial
+    quartic vertex (5 nodes), at the radius their quartic gives there: on phi_start if that is
+    under 0.1 nm of arc or a fit fails (``_quartic_vertex``), at the node if a radial one does.
+    In local (dr, r dphi, dz) on ``_stencil_derivatives``, along each eigenvector of H the step
+    is -g/lambda, or downhill to the edge of the box |dr| <= 50 nm, |dphi| <= 0.5 rad, |dz| <= a
+    quarter guided red wavelength where lambda <= 0.  The step is scaled into that box, keeps r
+    at least 0.1 nm above the radial clamp 1 nm above the surface, and is halved until the
+    potential does not rise; the search stops once a step is below 0.1 nm.  Each trial is one
+    stencil call, whose g and H start the next step once it is accepted.  Raises NoTrapError
+    when no field is a standing wave with both beams on (nothing confines along z), no bound
+    radial minimum brackets, or the search ends at the clamp.
     """
     fields = config.fields()
     standing = [f for f in fields if f.configuration == "standing"]
@@ -227,10 +222,11 @@ def find_trap_minimum(
     u_of = _potential(config, state, boff, data)
 
     r_scan, h = a + SCAN_OFFSETS, float(SCAN_OFFSETS[1] - SCAN_OFFSETS[0])  # h: 18.7 nm
-    u_scan, u_plus, u_minus = u_of(r_scan, phi_start + np.array([[0.0], [h], [-h]]) / r_scan, 0.0,
-                                   np.stack([f.mode.scan_bessel for f in fields], axis=-1))
-    interior = (u_scan[1:-1] < u_scan[:-2]) & (u_scan[1:-1] < u_scan[2:])
-    candidates = np.nonzero(interior)[0] + 1
+    d_phi = h / (a + 230e-9)  # the rows' spacing: about h of arc near a site
+    u_rows = u_of(r_scan, phi_start + d_phi * np.arange(-2.0, 3.0)[:, None], 0.0,
+                  np.stack([f.mode.scan_bessel for f in fields], axis=-1))
+    u_scan = u_rows[2]
+    candidates = np.nonzero((u_scan[1:-1] < u_scan[:-2]) & (u_scan[1:-1] < u_scan[2:]))[0] + 1
     if candidates.size == 0:
         raise NoTrapError("no bound radial minimum for this configuration")
     idx = int(candidates[np.argmin(u_scan[candidates])])
@@ -238,11 +234,15 @@ def find_trap_minimum(
     tol_r = 0.1e-9
     r_low = a + 1e-9 + tol_r  # 0.1 nm above the clamp: the 1 nm stencil stays outside the fiber
     z_half = 0.25 * float(config.red.mode.guided_wavelength)
-    (u_in, u_0, u_out), u_p, u_m = u_scan[idx - 1:idx + 2].tolist(), float(u_plus[idx]), float(u_minus[idx])
-    r_start = float(r_scan[idx]) + 0.5 * h * (u_in - u_out) / (u_in - 2.0 * u_0 + u_out)  # within h/2
-    s = 0.5 * h * (u_m - u_p) / (u_p - 2.0 * u_0 + u_m) if u_p - 2.0 * u_0 + u_m > 0 else 0.0
-    s = min(max(s, -2.0 * h), 2.0 * h) if abs(s) >= tol_r else 0.0  # smaller: SIMD-dependent rounding
-    point = (r_start, float(phi_start) + s / float(r_scan[idx]), 0.0)
+    r_start, t = float(r_scan[idx]), 0.0  # the scan node, unless every radial fit is convex
+    fits = list(map(_quartic_vertex, u_rows[:, idx - 2:idx + 3].tolist())) if 1 < idx < 62 else [None]
+    if None not in fits:
+        xs, us = zip(*fits)
+        vertex, x_r = _quartic_vertex(us, xs), xs[2]
+        if vertex and abs(vertex[0]) * d_phi * r_start >= tol_r:  # smaller: SIMD-dependent rounding
+            t, _, x_r = vertex
+        r_start += h * x_r
+    point = (r_start, float(phi_start) + t * d_phi, 0.0)
     u_point, grad, hess = _stencil_derivatives(u_of, point)
     for _ in range(40):
         r0, phi0, z0 = point
@@ -258,10 +258,32 @@ def find_trap_minimum(
             break
         point, u_point, grad, hess = trial, u_trial, g_trial, h_trial
     if point[0] <= r_low:
-        raise NoTrapError(
-            f"radial search ended at the surface clamp ({(point[0] - a) * 1e9:.3f} nm above the fiber)"
-        )
+        raise NoTrapError(f"radial search ended at the surface clamp ({(point[0] - a) * 1e9:.3f} nm "
+                          "above the fiber)")
     return point
+
+
+def _quartic_vertex(f, *others):
+    """(x, p(x), q(x) per q): the vertex x, in node steps from the middle one, of the quartic p through
+    5 equally spaced values ``f``, and there the quartics q through ``others``; None if p is not convex
+    on Newton's way from 0 or x is over 3 steps out.  Exact weights: neither LAPACK nor SIMD."""
+    def quartic(v):  # its coefficients of x**0 .. x**4
+        m2, m1, c, p1, p2 = v
+        return (c, (m2 - p2 + 8.0 * (p1 - m1)) / 12.0, (16.0 * (m1 + p1) - 30.0 * c - m2 - p2) / 24.0,
+                (p2 - m2 + 2.0 * (m1 - p1)) / 12.0, (m2 + p2 - 4.0 * (m1 + p1) + 6.0 * c) / 24.0)
+
+    (_, c1, c2, c3, c4), x = quartic(f), 0.0
+    for _ in range(20):
+        curvature = 2.0 * c2 + x * (6.0 * c3 + 12.0 * x * c4)
+        if curvature <= 0.0:
+            return None
+        dx = (c1 + x * (2.0 * c2 + x * (3.0 * c3 + 4.0 * x * c4))) / curvature
+        x -= dx
+        if abs(dx) < 1e-13:
+            break
+    if abs(dx) >= 1e-13 or abs(x) > 3.0:
+        return None
+    return (x, *(a + x * (b + x * (c + x * (d + x * e))) for a, b, c, d, e in map(quartic, (f, *others))))
 
 
 def _newton_step(grad, hess, r0, z_half, r_low):
@@ -343,7 +365,8 @@ def site_environment(
     r0, phi0, z0 = upper
     lower = (r0, phi0 + np.pi, z0)
     fields = config.fields()
-    betas = np.array(_vector_coefficients(fields, 4, data))
+    betas = np.array([atom_cs.vector_shift_coefficient_g_per_v2m2(f.mode.wavelength, 4, data)
+                      for f in fields])
     # both sites in one kernel call at their one radius; + 0.0 makes an all-zero sum +0.0
     spin = _intensity_and_spin(fields)(r0, np.array([phi0, lower[1]]), z0)[1]
     total = np.sum(betas[:, None] * spin, axis=-2) + 0.0

@@ -222,6 +222,18 @@ class TestConfigDomain:
         assert "config error: fiber.radius, blue.wavelength: " in err and "no HE11 root" in err
         assert not any(tmp_path.iterdir())
 
+    def test_beam_map_solves_only_its_own_mode(self, tmp_path, capsys):
+        # at 90 nm the 783 nm mode is guided and the 1064 nm one is not; a blue map solved both
+        # trap modes and exited 2 naming red.wavelength
+        args = ["fieldmap", "--config", PAPER_CFG, "--set", "fiber.radius=90 nm", "--field"]
+        assert run([*args, "blue", "--out", str(tmp_path / "blue")]) == 0
+        assert (tmp_path / "blue" / "fieldmap.csv").read_text().count("\n") > 50 * 64
+        capsys.readouterr()
+        assert run([*args, "red", "--out", str(tmp_path / "red")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: fiber.radius, red.wavelength: " in err and "no HE11 root" in err
+        assert not any((tmp_path / "red").iterdir())
+
     @pytest.mark.parametrize("value", ["1 m", "200 um"])
     def test_fieldmap_beyond_the_bessel_range_exits_2_naming_the_largest_radius(self, tmp_path, capsys, value):
         # K(q r) holds for q r <= 700: 171.0 um for the 852.347 nm probe on a 250 nm fiber;

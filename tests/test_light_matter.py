@@ -368,26 +368,33 @@ def reference_minimum(config, state, boff, data, start, tol):
 @pytest.fixture(scope="module")
 def sweep_searches():
     """Every trap search of the first 48 geometry-sweep jobs (perfbench/workloads.py) of seeds 1
-    and 2, as ((config, state, boff, data), stencil calls, site): 3 searches per job."""
+    and 2, as ((config, state, boff, data), stencil calls, site, last Newton step before any
+    halving): 3 searches per job."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     searches, stencils, stencil_of, search_of = [], [], lm._stencil_derivatives, lm.find_trap_minimum
+    steps, step_of = [], lm._newton_step
 
     def stencil(u, point):
         stencils.append(point)
         return stencil_of(u, point)
 
+    def newton_step(*args):
+        steps.append(step_of(*args))
+        return steps[-1]
+
     def search(config, state=None, boff=0.0, data=None, phi_start=0.0):
         before = len(stencils)  # trap_frequencies' stencil between searches is not counted
         site = search_of(config, state, boff, data, phi_start)
-        searches.append(((config, state, boff, data), len(stencils) - before, site))
+        searches.append(((config, state, boff, data), len(stencils) - before, site, steps[-1]))
         return site
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(sys.modules, spec.name, workloads)  # its dataclasses look the module up by name
         spec.loader.exec_module(workloads)
         mp.setattr(lm, "_stencil_derivatives", stencil)
+        mp.setattr(lm, "_newton_step", newton_step)
         mp.setattr(lm, "find_trap_minimum", search)
         sweep = workloads.IN_PROCESS["geometry-sweep"]
         state = sweep.setup()
@@ -430,16 +437,42 @@ class TestTrapSearch:
     def test_minimum_is_a_stationary_point_over_the_sweep(self, sweep_searches):
         # the same bound over the benchmark's sweep: phi_B tilts, red imbalance, manipulation
         # beams and offset fields move each site off the scan's row
-        for (cfg, state, boff, data), _, found in sweep_searches:
+        for (cfg, state, boff, data), _, found, _ in sweep_searches:
             _, grad, hess = lm._stencil_derivatives(lm._potential(cfg, state, boff, data), found)
             assert np.max(np.abs(np.linalg.solve(hess, grad))) < 0.001e-9
 
     def test_sweep_search_makes_at_most_3_stencil_calls(self, sweep_searches):
-        # Newton starts at the scan's parabola vertices in r and in arc length, so one or two
-        # accepted steps reach the site (the scan node itself made 3.42 calls on average)
-        calls = [n for _, n, _ in sweep_searches]
+        # Newton starts at the scan's quartic vertices in r and phi, mostly within the 0.1 nm stop,
+        # so most searches end on their first stencil (1.21 calls on average; the parabola start
+        # of the 3-row scan made 2.43, the scan node itself 3.42)
+        calls = [n for _, n, _, _ in sweep_searches]
         assert len(calls) == 288
-        assert np.mean(calls) <= 2.5 and max(calls) <= 3
+        assert np.mean(calls) <= 1.3 and max(calls) <= 3
+        assert np.mean(np.array(calls) == 1) >= 0.75
+
+    def test_no_sweep_search_ends_by_halving(self, sweep_searches):
+        # a search whose step is halved below 0.1 nm takes that step unevaluated and ends wherever
+        # the gradient points; over the sweep every search ends on an unhalved Newton step instead
+        assert all(max(abs(s) for s in step) < 0.1e-9 for *_, step in sweep_searches)
+
+    @pytest.mark.simd_baseline
+    def test_quartic_vertex(self):
+        # the minimum of an exact quartic to 1e-12 of a step, with the values there of it and of a
+        # second quartic through the same nodes; None (the search then starts at the scan node or
+        # on phi_start) where the quartic is concave or its vertex lies over 3 steps out; and a
+        # mirror-symmetric row's vertex exactly on its middle node
+        nodes = np.arange(-2.0, 3.0)
+        other = 1.0 - 0.3 * nodes + 0.05 * nodes**4
+        for x0 in (0.0, 0.37, -1.3, 2.9):
+            d = nodes - x0
+            x, value, at_x = lm._quartic_vertex((7.0 + 3.0 * d**2 - 0.4 * d**3 + 0.2 * d**4).tolist(),
+                                                other.tolist())
+            assert abs(x - x0) < 1e-12
+            assert value == pytest.approx(7.0, rel=1e-14)
+            assert at_x == pytest.approx(1.0 - 0.3 * x + 0.05 * x**4, rel=1e-14, abs=1e-14)
+        assert lm._quartic_vertex((-(nodes**2)).tolist()) is None
+        assert lm._quartic_vertex(((nodes - 3.5) ** 2).tolist()) is None
+        assert lm._quartic_vertex([5.0, 2.0, 1.0, 2.0, 5.0]) == (0.0, 1.0)
 
     def test_leaves_a_zero_gradient_saddle(self, trap_config, data):
         # at relative phase pi the red standing wave puts a maximum along z at z = 0,
@@ -484,7 +517,8 @@ class TestTrapSearch:
     ):
         # the 3x3x3 grid (K at its 3 radii) and the differences on Python floats, against the
         # construction they replaced (K at each of 19 nodes, array differences), bit for bit: at
-        # the points of test_stencil_centre_is_the_point and at every stencil of a search
+        # the points of test_stencil_centre_is_the_point and at every stencil of two searches, from
+        # phi_start = 0 (one stencil) and from 0.3 rad off the site (several)
         cfg = replace(trap_config, manipulation=manipulation_field if manipulated else None)
         u = lm._potential(cfg, state, 28.0, data)
         r0, phi0, z0 = trap_minimum
@@ -492,7 +526,8 @@ class TestTrapSearch:
         stencil_of = lm._stencil_derivatives
         monkeypatch.setattr(lm, "_stencil_derivatives",
                             lambda u, point: points.append(point) or stencil_of(u, point))
-        find_trap_minimum(cfg, state, 28.0, data=data)
+        for phi_start in (0.0, 0.3):
+            find_trap_minimum(cfg, state, 28.0, data=data, phi_start=phi_start)
         assert len(points) >= 5
         for point in points:
             value, grad, hess = stencil_of(u, point)
@@ -546,15 +581,17 @@ class TestTrapSearch:
             assert sizes == [3 * len(cfg.fields())]
 
     def test_step_halving_on_a_rising_trial(self, trap_config, data, monkeypatch):
-        # a first step stretched 256-fold (about 124 nm in r) overshoots the site and makes the
-        # trial rise: the step is halved until it does not, and the search still ends on the site
+        # from the scan node (no quartic start: its first step is 6.6 nm in r), a first step
+        # stretched 19-fold (about 124 nm in r) overshoots the site and makes the trial rise: the
+        # step is halved until it does not, and the search still ends on the site
         unpatched = find_trap_minimum(trap_config, data=data)
         step_of, stencil_of, events = lm._newton_step, lm._stencil_derivatives, []
 
         def overshoot(*args):
             events.append("step")
-            return tuple(s * (256.0 if events.count("step") == 1 else 1.0) for s in step_of(*args))
+            return tuple(s * (19.0 if events.count("step") == 1 else 1.0) for s in step_of(*args))
 
+        monkeypatch.setattr(lm, "_quartic_vertex", lambda *values: None)
         monkeypatch.setattr(lm, "_newton_step", overshoot)
         monkeypatch.setattr(lm, "_stencil_derivatives",
                             lambda u, point: events.append(point) or stencil_of(u, point))
@@ -567,9 +604,9 @@ class TestTrapSearch:
                    abs(found[2] - unpatched[2])) < 0.1e-9
 
     def test_each_search_step_is_one_stencil_call(self, trap_config, data, monkeypatch):
-        # after the 3x64-point scan (the radial row and its two side rows) every potential call
+        # after the 5x64-point scan (the radial row and its four side rows) every potential call
         # is a 3x3x3-point stencil: each trial point's centre value decides the step, and its
-        # g and H start the next
+        # g and H start the next; from 0.3 rad off the site too, where the search takes several
         sizes = []
         potential = lm._potential
 
@@ -584,11 +621,14 @@ class TestTrapSearch:
 
         monkeypatch.setattr(lm, "_potential", counted)
         find_trap_minimum(trap_config, data=data)
-        assert sizes[0] == 192 and set(sizes[1:]) == {27} and len(sizes) <= 4
+        assert sizes[0] == 320 and set(sizes[1:]) == {27} and len(sizes) <= 4
+        sizes.clear()
+        find_trap_minimum(trap_config, data=data, phi_start=0.3)
+        assert sizes[0] == 320 and set(sizes[1:]) == {27} and len(sizes) > 4
         sizes.clear()
         saddle = replace(trap_config, red=replace(trap_config.red, relative_phase=np.pi))
         find_trap_minimum(saddle, None, 28.0, data=data)
-        assert sizes[0] == 192 and set(sizes[1:]) == {27}
+        assert sizes[0] == 320 and set(sizes[1:]) == {27}
 
     @pytest.mark.parametrize(
         "red_change", [{"backward_power": 0.0}, {"power": 0.0}, {"configuration": "running"}]
@@ -623,8 +663,8 @@ class TestTrapSearch:
         for module, name in ((lm, "field_at"), (fm, "field_at"), (fm, "_profiles")):
             monkeypatch.setattr(module, name, cartesian)
         minimum = find_trap_minimum(trap_config, data=data)
-        # one kernel call per potential evaluation: the 3x64-point scan, then 3x3x3-point stencils
-        assert calls[0] == (2, 192) and set(calls[1:]) == {(2, 27)} and len(calls) <= 4
+        # one kernel call per potential evaluation: the 5x64-point scan, then 3x3x3-point stencils
+        assert calls[0] == (2, 320) and set(calls[1:]) == {(2, 27)} and len(calls) <= 4
         for cfg in (trap_config, replace(trap_config, manipulation=manipulation_field)):
             n_fields = len(cfg.fields())
             calls.clear()
@@ -654,7 +694,8 @@ class TestTrapSearch:
             counts[kind] += 1
             counts["r_low"] += want[0] == r_low - r0 != oracle_newton_step(grad, hess, r0, z_half, -np.inf)[0]
         assert min(counts.values()) >= 20, counts
-        # and every step of real searches, recorded where find_trap_minimum takes it
+        # and every step of real searches, recorded where find_trap_minimum takes it: from
+        # phi_start = 0 (one step each) and from 0.3 rad off the site (several)
         steps = []
         step_of = lm._newton_step
 
@@ -665,7 +706,8 @@ class TestTrapSearch:
         monkeypatch.setattr(lm, "_newton_step", recorded)
         for state, cfg in ((None, trap_config), (ground_state(4, 4), trap_config),
                            (ground_state(4, 4), replace(trap_config, manipulation=manipulation_field))):
-            find_trap_minimum(cfg, state, 28.0, data=data)
+            for phi_start in (0.0, 0.3):
+                find_trap_minimum(cfg, state, 28.0, data=data, phi_start=phi_start)
         assert len(steps) >= 6
         for args in steps:
             assert np.array_equal(step_of(*args), oracle_newton_step(*args))
@@ -938,9 +980,9 @@ SYMMETRIC_CASES = ["phase 0.3", "phase 1", "phase 2", "phase 3", "phase pi", "st
 @pytest.mark.simd_baseline
 @pytest.mark.parametrize("radius_nm", [245, 250, 255])
 def test_symmetric_trap_starts_on_phi_start(radius_nm, data, monkeypatch):
-    # the scan's two side rows of a phi-symmetric trap differ by rounding only (at 245 and 255 nm
-    # in several of these searches), and that rounding depends on numpy's SIMD level: the
-    # sub-0.1 nm vertex of their parabola is dropped, so Newton starts on phi_start at every level
+    # the scan's mirrored side rows of a phi-symmetric trap differ by rounding only (at 245 and
+    # 255 nm in several of these searches), and that rounding depends on numpy's SIMD level: the
+    # sub-0.1 nm vertex of the rows' quartic is dropped, so Newton starts on phi_start at every level
     base, modes = basin_base(radius_nm, data)
     points, stencil_of = [], lm._stencil_derivatives
     monkeypatch.setattr(lm, "_stencil_derivatives",
