@@ -271,14 +271,10 @@ def scattering_rate(
 
 
 def rabi_transfer(pulse: PulseSpec) -> float | np.ndarray:
-    """Transfer probability of a square pulse, an array for an array of detunings."""
-    return _transfer(pulse.rabi_rad_s, pulse.duration_s, pulse.detuning_hz)
-
-
-def _transfer(rabi_rad_s, duration_s, detuning_hz):
-    """P = (Omega / W)^2 sin^2(W tau / 2) with W = sqrt(Omega^2 + (2 pi detuning)^2)."""
-    omega_eff = np.hypot(rabi_rad_s, 2 * np.pi * detuning_hz)
-    return (rabi_rad_s / omega_eff) ** 2 * np.sin(0.5 * omega_eff * duration_s) ** 2
+    """Transfer probability P = (Omega / W)^2 sin^2(W tau / 2), W = sqrt(Omega^2 + (2 pi detuning)^2),
+    of a square pulse; an array for an array of detunings.  ``spectra``'s MW line repeats its bits."""
+    omega_eff = np.hypot(pulse.rabi_rad_s, 2 * np.pi * pulse.detuning_hz)
+    return (pulse.rabi_rad_s / omega_eff) ** 2 * np.sin(0.5 * omega_eff * pulse.duration_s) ** 2
 
 
 def pi_pulse_fwhm(tau_s: float) -> float:

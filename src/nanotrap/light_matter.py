@@ -208,11 +208,11 @@ def find_trap_minimum(
     is -g/lambda, or downhill to the edge of the box |dr| <= 50 nm, |dphi| <= 0.5 rad, |dz| <= a
     quarter guided red wavelength where lambda <= 0.  The step is scaled into that box, keeps r
     at least 0.1 nm above the radial clamp 1 nm above the surface, and is halved until the
-    potential does not rise; the search stops once a step is below 0.1 nm.  Each trial is one
-    stencil call, whose g and H start the next step once it is accepted.  Raises NoTrapError
-    when no field is a standing wave with both beams on (nothing confines along z), no bound
-    radial minimum brackets, or the search ends at the clamp.
-    """
+    potential does not rise; the search stops once a Newton step is below 0.1 nm.  Each trial is
+    one stencil call, whose g and H start the next step once accepted.  Raises NoTrapError when no
+    field is a standing wave with both beams on (nothing confines along z), no bound radial minimum
+    brackets, the search stalls (halving takes a step below 0.1 nm, or 40 steps pass without it),
+    or it ends at the clamp."""
     fields = config.fields()
     standing = [f for f in fields if f.configuration == "standing"]
     if not any(min(f.power, f.backward_power) > 0 for f in standing):
@@ -247,16 +247,19 @@ def find_trap_minimum(
     for _ in range(40):
         r0, phi0, z0 = point
         s_r, s_phi, s_z = _newton_step(grad, hess, r0, z_half, r_low)
-        while max(abs(s_r), abs(s_phi), abs(s_z)) >= tol_r:
+        newton = step = max(abs(s_r), abs(s_phi), abs(s_z))  # halving keeps step the max exactly
+        while step >= tol_r:
             trial = (r0 + s_r, phi0 + s_phi / r0, z0 + s_z)
             u_trial, g_trial, h_trial = _stencil_derivatives(u_of, trial)
             if u_trial <= u_point:
                 break
-            s_r, s_phi, s_z = 0.5 * s_r, 0.5 * s_phi, 0.5 * s_z
+            s_r, s_phi, s_z, step = 0.5 * s_r, 0.5 * s_phi, 0.5 * s_z, 0.5 * step
         else:  # a step below 0.1 nm is the last one
             point = (r0 + s_r, phi0 + s_phi / r0, z0 + s_z)
             break
         point, u_point, grad, hess = trial, u_trial, g_trial, h_trial
+    if newton >= tol_r:  # halved into the stop, or still above it after 40 steps: a stall, not a site
+        raise NoTrapError(f"trap search stalled: last Newton step {newton * 1e9:.3g} nm, not below 0.1 nm")
     if point[0] <= r_low:
         raise NoTrapError(f"radial search ended at the surface clamp ({(point[0] - a) * 1e9:.3f} nm "
                           "above the fiber)")

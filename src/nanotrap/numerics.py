@@ -172,13 +172,13 @@ class FitResult:
         return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
 
 
-def least_squares(model: Callable, initial: Sequence[float], data: Sequence[tuple]) -> FitResult:
-    """Minimise the weighted squared residuals of model(params, x) against data.
+def least_squares(model: Callable, initial: Sequence[float], x, y, weights) -> FitResult:
+    """Minimise the weighted squared residuals of model(params, x) against y.
 
-    ``data`` is a sequence of (abscissa, value, weight) triples with positive
-    weights; the model must accept the stacked abscissa array of m points and
-    return the pair (prediction, Jacobian), of shapes (m,) and (m, n) for n
-    parameters; EvaluationError is raised when either is not finite.  Damped
+    ``x``, ``y`` and ``weights`` are 1-d arrays of the same m points, the
+    weights positive (DomainError otherwise); the model is called with the
+    array x and returns (prediction, Jacobian), of shapes (m,) and (m, n) for
+    n parameters; EvaluationError is raised when either is not finite.  Damped
     Gauss-Newton: damping starts at 1e-3 and moves by factors of 10, and
     convergence requires a relative residual decrease below 1e-10 or a
     relative parameter step below 1e-10 within ``MAX_ITERATIONS`` steps.
@@ -188,9 +188,9 @@ def least_squares(model: Callable, initial: Sequence[float], data: Sequence[tupl
     scaled to one, has a 1-norm condition number above ``MAX_NORMAL_CONDITION``.
     """
     p = np.array(initial, dtype=float)
-    x = np.asarray([d[0] for d in data])
-    y = np.asarray([d[1] for d in data], dtype=float)
-    w = np.asarray([d[2] for d in data], dtype=float)
+    x, y, w = (np.asarray(v, dtype=float) for v in (x, y, weights))
+    if not x.shape == y.shape == w.shape == (y.size,):
+        raise DomainError(f"x, y and weights must be 1-d of equal length: {x.shape}, {y.shape}, {w.shape}")
     if y.size < p.size:
         raise DomainError(f"{y.size} data points cannot constrain {p.size} parameters")
     if np.any(w <= 0) or not np.all(np.isfinite(w)):

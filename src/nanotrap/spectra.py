@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import _transfer, pi_pulse_fwhm
+from .dynamics import pi_pulse_fwhm
 from .errors import DegenerateFitError, DomainError
 from .numerics import FitResult, least_squares
 
@@ -134,8 +134,7 @@ def fit_transmission(data: SpectrumData, initial: SpectrumModel) -> FitResult:
     n_r = np.where(data.reference > 0, data.reference, 0.5)
     y = -np.log(n_t / n_r)
     weights = 1.0 / (1.0 / n_t + 1.0 / n_r)
-    triples = list(zip(data.detunings_hz, y, weights))
-    result = least_squares(_log_absorbance, initial.as_parameters(), triples)
+    result = least_squares(_log_absorbance, initial.as_parameters(), data.detunings_hz, y, weights)
 
     p = result.parameters
     if p[2] < p[3]:  # order the centers: delta_plus is the larger one
@@ -172,10 +171,10 @@ def _mw_lineshape(tau_s: float):
         x = np.asarray(detuning, dtype=float)
         value, columns = 0, []
         for center, amp in zip(params[0::2], params[1::2]):
-            transfer = _transfer(omega, tau_s, x - center)
             delta = 2 * np.pi * (x - center)
             w = np.hypot(omega, delta)
             s, c = np.sin(0.5 * w * tau_s), np.cos(0.5 * w * tau_s)
+            transfer = (omega / w) ** 2 * s**2  # dynamics.rabi_transfer's operations, so its bits
             slope = -amp * (omega / w) ** 2 * s * (tau_s * c - 2 * s / w) * 2 * np.pi * delta / w
             value = value + amp * transfer
             columns += [slope, transfer]
@@ -239,8 +238,7 @@ def fit_mw_spectrum(data, tau_s: float, components: int = 1) -> MwFitResult:
             second = peak + 0.5 * fwhm
         c_lo, c_hi = min(peak, second), max(peak, second)
         initial = np.array([c_lo, max(y.max(), 1e-3), c_hi, max(y.max(), 1e-3)])
-    triples = [(xi, yi, 1.0) for xi, yi in zip(x, y)]
-    result = least_squares(_mw_lineshape(tau_s), initial, triples)
+    result = least_squares(_mw_lineshape(tau_s), initial, x, y, np.ones_like(y))
 
     p = result.parameters
     centers = p[0::2].copy()

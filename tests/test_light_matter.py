@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import sys
 from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -603,6 +604,29 @@ class TestTrapSearch:
         assert max(abs(found[0] - unpatched[0]), found[0] * abs(found[1] - unpatched[1]),
                    abs(found[2] - unpatched[2])) < 0.1e-9
 
+    def test_uphill_steps_stall_the_search(self, trap_config, data, monkeypatch):
+        # from the scan node (a first step of 6.6 nm in r), every Newton step turned uphill rises
+        # until halving takes it below 0.1 nm: a stall, which must not return as a site
+        step_of = lm._newton_step
+        monkeypatch.setattr(lm, "_quartic_vertex", lambda *values: None)
+        monkeypatch.setattr(lm, "_newton_step", lambda *args: tuple(-s for s in step_of(*args)))
+        with pytest.raises(NoTrapError, match=r"stalled: last Newton step 6\.\d+ nm"):
+            find_trap_minimum(trap_config, data=data)
+
+    def test_forty_accepted_steps_stall_the_search(self, trap_config, data, monkeypatch):
+        # a potential that falls at every trial with 1 nm steps along z never reaches the stop
+        stencil_of, values = lm._stencil_derivatives, []
+
+        def falling(u, point):
+            values.append(-float(len(values)))
+            return (values[-1], *stencil_of(u, point)[1:])
+
+        monkeypatch.setattr(lm, "_newton_step", lambda *args: (0.0, 0.0, 1e-9))
+        monkeypatch.setattr(lm, "_stencil_derivatives", falling)
+        with pytest.raises(NoTrapError, match=r"stalled: last Newton step 1 nm"):
+            find_trap_minimum(trap_config, data=data)
+        assert len(values) == 41  # the start's stencil and one per accepted step
+
     def test_each_search_step_is_one_stencil_call(self, trap_config, data, monkeypatch):
         # after the 5x64-point scan (the radial row and its four side rows) every potential call
         # is a 3x3x3-point stencil: each trial point's centre value decides the step, and its
@@ -1029,6 +1053,24 @@ class TestTrapFrequencies:
         assert nu_r == pytest.approx(120e3, rel=0.25)
         assert nu_phi == pytest.approx(87e3, rel=0.25)
         assert nu_z == pytest.approx(186e3, rel=0.25)
+
+    def test_stencil_hessian_against_richardson(self, monkeypatch):
+        # on paper.cfg the 1 nm stencil's Hessian diagonal against Richardson extrapolation
+        # from 1 nm and 0.5 nm steps: 1.18e-5 (r), 1.43e-6 (phi), 1.33e-5 (z) relative, so
+        # the trap frequencies carry half that (README, "Model scope and known limitations")
+        from nanotrap.cli import RunConfig
+
+        cfg = RunConfig.load(str(resources.files("nanotrap").joinpath("data/paper.cfg")), [])
+        trap = cfg.trap_config()
+        site, u = find_trap_minimum(trap, data=cfg.data), lm._potential(trap, None, 0.0, cfg.data)
+
+        def diagonal(step):
+            monkeypatch.setattr(lm, "_STEP", step)
+            monkeypatch.setattr(lm, "_OFFSETS", step * np.array([0.0, 1.0, -1.0]))
+            return np.diag(lm._stencil_derivatives(u, site)[2])
+
+        coarse, fine = diagonal(1e-9), diagonal(0.5e-9)
+        assert np.all(np.abs(coarse / ((4.0 * fine - coarse) / 3.0) - 1.0) < 2e-5)
 
     @pytest.mark.parametrize("state", [None, ground_state(4, 4)], ids=["mF-averaged", "4,4"])
     @pytest.mark.parametrize("manipulated", [False, True], ids=["trap", "manipulated"])

@@ -255,8 +255,7 @@ def lorentzian_dip(params, x):
 class TestLeastSquares:
     def test_exact_line_recovery(self):
         x = np.linspace(-3, 5, 30)
-        data = [(xi, 2.0 * xi + 1.0, 1.0) for xi in x]
-        res = least_squares(line, [0.0, 0.0], data)
+        res = least_squares(line, [0.0, 0.0], x, 2.0 * x + 1.0, np.ones_like(x))
         assert res.converged
         assert np.allclose(res.parameters, [2.0, 1.0], atol=1e-8)
         assert res.residual_norm < 1e-10
@@ -265,8 +264,7 @@ class TestLeastSquares:
         truth = np.array([0.6, 1.2e6, 5e6])
         x = np.linspace(-20e6, 20e6, 60)
         y, _ = lorentzian_dip(truth, x)
-        data = list(zip(x, y, np.ones_like(x)))
-        res = least_squares(lorentzian_dip, truth * 1.15, data)
+        res = least_squares(lorentzian_dip, truth * 1.15, x, y, np.ones_like(x))
         assert np.max(np.abs(res.parameters - truth) / truth) < 1e-6
 
     @settings(max_examples=25, deadline=None)
@@ -279,16 +277,15 @@ class TestLeastSquares:
         truth = np.array([0.6, 1.2e6, 5e6])
         x = np.linspace(-20e6, 20e6, 60)
         y, _ = lorentzian_dip(truth, x)
-        data = list(zip(x, y, np.ones_like(x)))
         start = truth * (1.0 + np.array(rel_offsets))
-        res = least_squares(lorentzian_dip, start, data)
+        res = least_squares(lorentzian_dip, start, x, y, np.ones_like(x))
         assert np.max(np.abs(res.parameters - truth) / truth) < 1e-6
 
     def test_covariance_symmetric_psd(self):
         rng = np.random.Generator(np.random.Philox(key=5))
         x = np.linspace(0, 10, 40)
         y = 2.0 * x + 1.0 + rng.normal(0, 0.1, x.size)
-        res = least_squares(line, [1.5, 0.5], list(zip(x, y, np.full_like(x, 100.0))))
+        res = least_squares(line, [1.5, 0.5], x, y, np.full_like(x, 100.0))
         cov = res.covariance
         assert np.allclose(cov, cov.T)
         assert np.all(np.linalg.eigvalsh(cov) >= -1e-18)
@@ -299,7 +296,7 @@ class TestLeastSquares:
         x = np.linspace(0, 10, 40)
         w = np.full_like(x, 100.0)
         y = 2.0 * x + 1.0 + rng.normal(0, 0.1, x.size)
-        res = least_squares(line, [1.5, 0.5], list(zip(x, y, w)))
+        res = least_squares(line, [1.5, 0.5], x, y, w)
         design = np.sqrt(w)[:, None] * np.column_stack([x, np.ones_like(x)])
         variance = res.residual_norm**2 / (x.size - 2)
         expected = np.linalg.inv(design.T @ design) * variance
@@ -310,7 +307,7 @@ class TestLeastSquares:
         x = np.linspace(-20e6, 20e6, 60)
         rng = np.random.Generator(np.random.Philox(key=3))
         y = lorentzian_dip(truth, x)[0] + rng.normal(0, 0.01, x.size)
-        res = least_squares(lorentzian_dip, truth * 1.1, list(zip(x, y, np.ones_like(x))))
+        res = least_squares(lorentzian_dip, truth * 1.1, x, y, np.ones_like(x))
         _, jac = lorentzian_dip(res.parameters, x)  # the model's exact Jacobian at the fit
         expected = np.linalg.inv(jac.T @ jac) * res.residual_norm**2 / (x.size - 3)
         assert np.allclose(res.covariance, expected, rtol=1e-6, atol=0.0)
@@ -320,9 +317,8 @@ class TestLeastSquares:
             ones = np.ones((np.size(x), 2))
             return (params[0] + params[1]) * ones[:, 0], ones
 
-        data = [(0.0, 1.0, 1.0), (1.0, 1.1, 1.0), (2.0, 0.9, 1.0)]
         with pytest.raises(DegenerateFitError, match="condition number|singular"):
-            least_squares(degenerate, [1.0, -1.0], data)
+            least_squares(degenerate, [1.0, -1.0], [0.0, 1.0, 2.0], [1.0, 1.1, 0.9], np.ones(3))
 
     @pytest.mark.parametrize("rate_gap, condition", [(1e-3, 1.74e7), (1e-5, 1.74e11)])
     def test_condition_limit(self, rate_gap, condition):
@@ -333,27 +329,33 @@ class TestLeastSquares:
             return params[0] * decays[:, 0] + params[1] * decays[:, 1], decays
 
         x = np.linspace(0.0, 3.0, 30)
-        data = list(zip(x, 2.0 * np.exp(-x) + 0.01 * np.sin(7.0 * x), np.ones_like(x)))
+        data = (x, 2.0 * np.exp(-x) + 0.01 * np.sin(7.0 * x), np.ones_like(x))
         if condition < MAX_NORMAL_CONDITION:
-            assert np.all(np.isfinite(least_squares(two_decays, [1.0, 1.0], data).sigmas))
+            assert np.all(np.isfinite(least_squares(two_decays, [1.0, 1.0], *data).sigmas))
         else:
             with pytest.raises(DegenerateFitError, match="condition number"):
-                least_squares(two_decays, [1.0, 1.0], data)
+                least_squares(two_decays, [1.0, 1.0], *data)
 
     def test_weights_must_be_positive(self):
         with pytest.raises(DomainError):
-            least_squares(line, [0, 0], [(0.0, 1.0, 0.0), (1.0, 2.0, 1.0)])
+            least_squares(line, [0, 0], [0.0, 1.0], [1.0, 2.0], [0.0, 1.0])
+
+    @pytest.mark.parametrize("lengths", [(3, 2, 2), (2, 3, 2), (2, 2, 3)])
+    def test_unequal_lengths_rejected(self, lengths):
+        x, y, w = (np.arange(n, dtype=float) + 1.0 for n in lengths)
+        with pytest.raises(DomainError, match="equal length"):
+            least_squares(line, [0, 0], x, y, w)
 
     def test_underdetermined_rejected(self):
         with pytest.raises(DomainError):
-            least_squares(line, [0, 0], [(0.0, 1.0, 1.0)])
+            least_squares(line, [0, 0], [0.0], [1.0], [1.0])
 
     def test_non_finite_model(self):
         def bad(params, x):
             return np.full(np.asarray(x).shape, np.nan), np.ones((np.size(x), 1))
 
         with pytest.raises(EvaluationError):
-            least_squares(bad, [1.0], [(0.0, 1.0, 1.0), (1.0, 2.0, 1.0)])
+            least_squares(bad, [1.0], [0.0, 1.0], [1.0, 2.0], [1.0, 1.0])
 
     @pytest.mark.parametrize("slope", [np.nan, np.inf])
     def test_non_finite_jacobian(self, slope):
@@ -362,21 +364,20 @@ class TestLeastSquares:
             return params[0] * np.asarray(x), np.full((np.size(x), 1), slope)
 
         with pytest.raises(EvaluationError, match="Jacobian"):
-            least_squares(bad, [1.0], [(0.0, 1.0, 1.0), (1.0, 2.0, 1.0)])
+            least_squares(bad, [1.0], [0.0, 1.0], [1.0, 2.0], [1.0, 1.0])
 
     def test_singular_problem_raises(self):
         def degenerate(params, x):
             ones = np.ones((np.size(x), 2))
             return (params[0] + params[1]) * ones[:, 0], ones
 
-        data = [(0.0, np.nan, 1.0), (1.0, np.nan, 1.0), (2.0, np.nan, 1.0)]
         with pytest.raises((DegenerateFitError, EvaluationError)):
-            least_squares(degenerate, [1.0, -1.0], data)
+            least_squares(degenerate, [1.0, -1.0], [0.0, 1.0, 2.0], np.full(3, np.nan), np.ones(3))
 
     def test_residual_norm_nonincreasing_reported(self):
         x = np.linspace(0, 1, 20)
         rng = np.random.Generator(np.random.Philox(key=9))
         y = 3.0 * x - 0.5 + rng.normal(0, 0.02, x.size)
-        res = least_squares(line, [0.0, 0.0], list(zip(x, y, np.ones_like(x))))
+        res = least_squares(line, [0.0, 0.0], x, y, np.ones_like(x))
         start_norm = np.linalg.norm(y - line([0.0, 0.0], x)[0])
         assert res.residual_norm <= start_norm

@@ -220,6 +220,16 @@ class TestFitTransmission:
 
 
 class TestMwSpectra:
+    @pytest.mark.simd_baseline
+    @pytest.mark.parametrize("tau", [30e-6, 40e-6, 103e-6])
+    def test_line_is_rabi_transfer_bit_for_bit(self, tau):
+        # one line of amplitude 1: the fit model's transfer is dynamics.rabi_transfer's
+        from nanotrap.dynamics import PulseSpec, rabi_transfer
+
+        x, center = np.linspace(-60e3, 60e3, 121), 1.7e3
+        value, _ = sp._mw_lineshape(tau)(np.array([center, 1.0]), x)
+        assert value.tobytes() == rabi_transfer(PulseSpec.pi_pulse(tau, x - center)).tobytes()
+
     def test_two_line_recovery_60_7_khz(self):
         grid = np.linspace(-60e3, 60e3, 121)
         hits = 0
@@ -266,8 +276,7 @@ class TestMwSpectra:
         grid = np.linspace(-60e3, 60e3, 121)
         model = sp._mw_lineshape(40e-6)
         y, _ = model(truth, grid)
-        data = list(zip(grid, y, np.ones_like(grid)))
-        res = least_squares(model, truth * 1.15, data)
+        res = least_squares(model, truth * 1.15, grid, y, np.ones_like(grid))
         assert np.max(np.abs(res.parameters - truth) / np.abs(truth)) < 1e-6
 
     def test_simulation_deterministic(self):
