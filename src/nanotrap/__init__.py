@@ -6,8 +6,8 @@ Subpackages:
 * ``fiber_mode``   -- exact HE11 eigenmode and vector field evaluation
 * ``atom_cs``      -- cesium hyperfine/Zeeman structure and polarizabilities
 * ``light_matter`` -- light shifts, fictitious fields, assembled trap
-* ``dynamics``     -- rate-equation optical pumping and MW lineshapes
-* ``spectra``      -- transmission/MW spectrum models, generators, fitters
+* ``dynamics``     -- rate-equation optical pumping and push-out selectivity
+* ``spectra``      -- transmission/MW spectrum models (the pi-pulse line), generators, fitters
 * ``cli``          -- the ``nanotrap`` command-line entry point
 """
 

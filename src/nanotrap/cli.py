@@ -92,7 +92,7 @@ SCHEMA = {
     "spectrum.min": ("frequency", -80e6, "(-inf, inf)"),
     "spectrum.max": ("frequency", 80e6, "(-inf, inf)"),
     "spectrum.points": ("count", 81, "[1, inf)"),
-    "spectrum.reference_counts": ("count", 1e4, "[1, inf)"),
+    "spectrum.reference_counts": ("count", 1e4, "[1, 1e18]"),  # below numpy's Poisson limit
     "grid.r_max": ("length", 1.5e-6, "(0, inf)"),
     "grid.n_r": ("count", 50, "[1, inf)"),
     "grid.n_phi": ("count", 64, "[1, inf)"),
@@ -430,9 +430,10 @@ def cmd_spectrum(cfg: RunConfig, args, out: Path) -> None:
         gamma=cfg["spectrum.gamma"],
     )
     if args.action == "simulate":
-        grid = np.linspace(
-            cfg["spectrum.min"], cfg["spectrum.max"], int(cfg["spectrum.points"])
-        )
+        low, high, points = cfg["spectrum.min"], cfg["spectrum.max"], int(cfg["spectrum.points"])
+        if points > 1 and not low < high:
+            raise ConfigError("spectrum.min, spectrum.max: the detunings must increase (min < max)")
+        grid = np.linspace(low, high, points)
         data = spectra.simulate_spectrum(
             model, grid, cfg["spectrum.reference_counts"], seed=int(cfg["run.seed"])
         )

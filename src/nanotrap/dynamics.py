@@ -1,5 +1,5 @@
 """Zeeman-sublevel rate-equation optical pumping on the closed F=4 -> F'=5
-transition, push-out selectivity, and Fourier-limited microwave lineshapes.
+transition, and push-out selectivity.
 
 Level ordering: ground sublevels are indexed mF = -4..+4 (9 states), excited
 sublevels mF' = -5..+5 (11 states); the full generator acts on the stacked
@@ -20,14 +20,11 @@ from .numerics import find_root  # noqa: F401  unused; perfbench/tracer.py patch
 
 __all__ = [
     "PopulationVector",
-    "PulseSpec",
     "pump_rates",
     "pump_steady_state",
     "pump_evolution",
     "evolve_rates",
     "scattering_rate",
-    "rabi_transfer",
-    "pi_pulse_fwhm",
     "pumping_time_constant",
 ]
 
@@ -77,26 +74,6 @@ class PopulationVector:
 
     def population(self, mf: int) -> float:
         return float(self.populations[mf + self.f])
-
-
-@dataclass(frozen=True)
-class PulseSpec:
-    """Square microwave pulse: Rabi frequency (rad/s), duration, detuning."""
-
-    rabi_rad_s: float
-    duration_s: float
-    detuning_hz: float | np.ndarray = 0.0
-
-    @classmethod
-    def pi_pulse(cls, duration_s: float, detuning_hz: float | np.ndarray = 0.0) -> "PulseSpec":
-        """Resonant pulse area pi: Omega = pi / tau."""
-        if duration_s <= 0:
-            raise DomainError("pulse duration must be positive")
-        return cls(rabi_rad_s=np.pi / duration_s, duration_s=duration_s, detuning_hz=detuning_hz)
-
-    def __post_init__(self):
-        if self.rabi_rad_s <= 0 or self.duration_s <= 0:
-            raise DomainError("Rabi frequency and duration must be positive")
 
 
 def pump_rates(fractions, saturation: float, data: AtomicData | None = None) -> np.ndarray:
@@ -268,18 +245,3 @@ def scattering_rate(
     gamma_rad = 2 * np.pi * data.d2_linewidth_hz
     lorentz = 1.0 + saturation + 4.0 * (detuning_hz / data.d2_linewidth_hz) ** 2
     return 0.5 * gamma_rad * saturation * strength / lorentz
-
-
-def rabi_transfer(pulse: PulseSpec) -> float | np.ndarray:
-    """Transfer probability P = (Omega / W)^2 sin^2(W tau / 2), W = sqrt(Omega^2 + (2 pi detuning)^2),
-    of a square pulse; an array for an array of detunings.  ``spectra``'s MW line repeats its bits."""
-    omega_eff = np.hypot(pulse.rabi_rad_s, 2 * np.pi * pulse.detuning_hz)
-    return (pulse.rabi_rad_s / omega_eff) ** 2 * np.sin(0.5 * omega_eff * pulse.duration_s) ** 2
-
-
-def pi_pulse_fwhm(tau_s: float) -> float:
-    """FWHM (Hz) of the pi-pulse line, y / tau: at detuning y / (2 tau), P = sin^2((pi/2) sqrt(1 + y^2))
-    / (1 + y^2) = 1/2, whose root is 0.79868535528470095..., here correctly rounded."""
-    if tau_s <= 0:
-        raise DomainError("pulse duration must be positive")
-    return 0.798685355284701 / tau_s

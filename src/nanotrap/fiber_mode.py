@@ -31,7 +31,7 @@ from . import constants as cst
 from .atom_cs import default_atomic_data
 from .constants import load_constants  # noqa: F401  unused; perfbench/tracer.py patches this name
 from .errors import DomainError, ModeStateError, NoModeError
-from .numerics import bessel_j, bessel_k, bessel_k_scalar, find_root
+from .numerics import K_MIN_ARG, bessel_j, bessel_k, bessel_k_scalar, find_root
 
 __all__ = [
     "FiberSpec",
@@ -178,9 +178,11 @@ def solve_he11(fiber: FiberSpec, wavelength_m: float) -> GuidedMode:
     def f(x):
         return _characteristic(x, k, a, n1)
 
-    lo = max(1.0 + 2e-6, np.sqrt(max(n1**2 - (J1_FIRST_ZERO / (a * k)) ** 2, 0.0)))
+    # below V = j_{1,1} all of (1, n1), with 1/(a k) unsquared (a 1e-300 m fiber overflows it);
+    # a fiber too thin for K(w) at lo has its root, if any, below n_eff = 1 + 2e-6
+    lo = max(1.0 + 2e-6, np.sqrt(0.0 if v < J1_FIRST_ZERO else n1**2 - (J1_FIRST_ZERO / (a * k)) ** 2))
     hi = n1 - 2e-6
-    if lo >= hi or f(lo) * f(hi) >= 0:
+    if lo >= hi or a * k * np.sqrt(lo**2 - 1.0) < K_MIN_ARG or f(lo) * f(hi) >= 0:
         raise NoModeError(
             f"no HE11 root for a={a * 1e9:.1f} nm at {wavelength_m * 1e9:.2f} nm (V={v:.3f})"
         )

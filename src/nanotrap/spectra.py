@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import pi_pulse_fwhm
 from .errors import DegenerateFitError, DomainError
 from .numerics import FitResult, least_squares
 
@@ -24,6 +23,7 @@ __all__ = [
     "SpectrumModel",
     "SpectrumData",
     "MwFitResult",
+    "pi_pulse_fwhm",
     "transmission",
     "simulate_spectrum",
     "fit_transmission",
@@ -160,11 +160,21 @@ class MwFitResult:
     fourier_fwhm_hz: float  # pi_pulse_fwhm(tau), the fit's start and degeneracy scale
 
 
+def pi_pulse_fwhm(tau_s: float) -> float:
+    """FWHM (Hz) of the pi-pulse line, y / tau: at detuning y / (2 tau), P = sin^2((pi/2) sqrt(1 + y^2))
+    / (1 + y^2) = 1/2, whose root is 0.79868535528470095..., here correctly rounded."""
+    if not 0 < tau_s < np.inf:  # NaN fails it too
+        raise DomainError("pulse duration must be positive and finite")
+    return 0.798685355284701 / tau_s
+
+
 def _mw_lineshape(tau_s: float):
     """Model of Fourier-limited lines (Omega = pi / tau) with (center, amplitude) pairs: the
     transfer and its Jacobian.  A line P = amp (Omega / W)^2 s^2, with W = hypot(Omega, delta),
-    delta = 2 pi (x - center) and s, c = sin, cos(W tau / 2), has dP/dW = amp (Omega / W)^2 s
-    (tau c - 2 s / W) and dW/d(center) = -2 pi delta / W."""
+    delta = 2 pi (x - center) and s, c = sin, cos(W tau / 2), is a square pi pulse's transfer; it
+    has dP/dW = amp (Omega / W)^2 s (tau c - 2 s / W) and dW/d(center) = -2 pi delta / W."""
+    if not 0 < tau_s < np.inf:  # NaN fails it too
+        raise DomainError("pulse duration must be positive and finite")
     omega = np.pi / tau_s
 
     def shape(params, detuning):
@@ -174,7 +184,7 @@ def _mw_lineshape(tau_s: float):
             delta = 2 * np.pi * (x - center)
             w = np.hypot(omega, delta)
             s, c = np.sin(0.5 * w * tau_s), np.cos(0.5 * w * tau_s)
-            transfer = (omega / w) ** 2 * s**2  # dynamics.rabi_transfer's operations, so its bits
+            transfer = (omega / w) ** 2 * s**2
             slope = -amp * (omega / w) ** 2 * s * (tau_s * c - 2 * s / w) * 2 * np.pi * delta / w
             value = value + amp * transfer
             columns += [slope, transfer]

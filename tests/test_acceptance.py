@@ -263,8 +263,8 @@ def test_criterion_6_trap_anchors(data):
 
 
 def test_criterion_7_lineshape_anchors(data):
-    fwhm_103 = dynamics.pi_pulse_fwhm(103e-6)
-    fwhm_40 = dynamics.pi_pulse_fwhm(40e-6)
+    fwhm_103 = spectra.pi_pulse_fwhm(103e-6)
+    fwhm_40 = spectra.pi_pulse_fwhm(40e-6)
     grid = np.linspace(-60e3, 60e3, 121)
     d, y = spectra.simulate_mw_spectrum(
         [-30.35e3, 30.35e3], [0.45, 0.5], 40e-6, grid, 0.02, seed=2016

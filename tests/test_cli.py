@@ -137,6 +137,7 @@ INVALID_VALUES = [
     ("grid.n_phi", "-3"),
     ("mw.points", "1.5"),
     ("spectrum.reference_counts", "1e400"),
+    ("spectrum.reference_counts", "1e20"),  # `spectrum simulate` exited 1: numpy's Poisson limit is ~9.2e18
     ("run.seed", "-1"),
     ("run.seed", "0.5"),
     ("fiber.radius", "nan nm"),
@@ -215,12 +216,29 @@ class TestConfigDomain:
 
     @pytest.mark.parametrize("command", ["trap", "mode"])
     def test_fiber_without_a_guided_root_exits_2_naming_radius_and_wavelength(self, tmp_path, capsys, command):
-        # the solver's bracket ends at n_eff = 1 + 2e-6; this exited 3 as a numerical failure
-        args = [command, "--config", PAPER_CFG, "--out", str(tmp_path), "--set", "fiber.radius=20 nm"]
-        assert run(args) == 2
-        err = capsys.readouterr().err
-        assert "config error: fiber.radius, blue.wavelength: " in err and "no HE11 root" in err
+        # the solver's bracket ends at n_eff = 1 + 2e-6; this exited 3 as a numerical failure, at 5 nm
+        # because K(w) there was below its range, and at 1e-300 m squaring 1 / (a k) overflowed (exit 1)
+        for radius in ("20 nm", "5 nm", "1e-300 m"):
+            args = [command, "--config", PAPER_CFG, "--out", str(tmp_path), "--set", f"fiber.radius={radius}"]
+            assert run(args) == 2
+            err = capsys.readouterr().err
+            assert "config error: fiber.radius, blue.wavelength: " in err and "no HE11 root" in err
+            assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("low, high", [("80 MHz", "-80 MHz"), ("10 MHz", "10 MHz")])
+    def test_spectrum_range_not_increasing_exits_2_naming_both_keys(self, tmp_path, capsys, low, high):
+        # it exited 3 as a numerical failure: "detunings must be strictly increasing"
+        args = ["spectrum", "simulate", "--config", PAPER_CFG, "--out", str(tmp_path)]
+        assert run([*args, "--set", f"spectrum.min={low}", "--set", f"spectrum.max={high}"]) == 2
+        assert capsys.readouterr().err.startswith("config error: spectrum.min, spectrum.max: ")
         assert not any(tmp_path.iterdir())
+
+    def test_spectrum_of_one_point_may_have_min_equal_to_max(self, tmp_path):
+        args = ["spectrum", "simulate", "--config", PAPER_CFG, "--out", str(tmp_path), "--set",
+                "spectrum.points=1", "--set", "spectrum.min=10 MHz", "--set", "spectrum.max=10 MHz"]
+        assert run(args) == 0
+        rows = [ln for ln in (tmp_path / "spectrum.csv").read_text().splitlines() if not ln.startswith("#")]
+        assert len(rows) == 2 and float(rows[1].split(",")[0]) == 10e6
 
     def test_beam_map_solves_only_its_own_mode(self, tmp_path, capsys):
         # at 90 nm the 783 nm mode is guided and the 1064 nm one is not; a blue map solved both
@@ -560,10 +578,9 @@ class TestOutputs:
 
     def test_mw_fit_bisects_the_pi_pulse_width_once(self, outdir, monkeypatch):
         # the fit's start and degeneracy scale is the width mw_fit.json reports as fourier_fwhm_hz
-        from nanotrap import dynamics, spectra
-        calls, width_of = [], dynamics.pi_pulse_fwhm
-        for module in (dynamics, spectra):
-            monkeypatch.setattr(module, "pi_pulse_fwhm", lambda tau: calls.append(tau) or width_of(tau))
+        from nanotrap import spectra
+        calls, width_of = [], spectra.pi_pulse_fwhm
+        monkeypatch.setattr(spectra, "pi_pulse_fwhm", lambda tau: calls.append(tau) or width_of(tau))
         assert run(["mw", "simulate", "--config", PAPER_CFG, "--out", str(outdir)]) == 0
         fit = ["mw", "fit", "--config", PAPER_CFG, "--data", str(outdir / "mw.csv"), "--out", str(outdir)]
         calls.clear()
@@ -734,8 +751,8 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         [("nanotrap", []), ("nanotrap.cli", []), (["mode"], []), (["fieldmap"], []),
          (["fieldmap", "--field", "manipulation", "--kind", "intensity"], []), (["tuneout"], []),
          (["trap"], ["light_matter"]), (["bfict", "--scheme", "tilt"], ["light_matter"])],
-        [(["spectrum", "simulate"], ["dynamics", "spectra"]), (["mw", "simulate"], ["dynamics", "spectra"]),
-         (["pump"], ["dynamics", "light_matter", "spectra"])],
+        [("nanotrap.spectra", ["spectra"]), (["spectrum", "simulate"], ["spectra"]),
+         (["mw", "simulate"], ["spectra"]), (["pump"], ["dynamics", "light_matter", "spectra"])],
     ],
     ids=["mode-fieldmap-tuneout-trap-bfict", "spectrum-mw-pump"],
 )

@@ -1,24 +1,22 @@
-"""Rate-equation pumping, push-out selectivity, and microwave lineshapes."""
+"""Rate-equation pumping, push-out selectivity, and the pi-pulse line of ``spectra``."""
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nanotrap import atom_cs, dynamics as dy
+from nanotrap import atom_cs, dynamics as dy, spectra
 from nanotrap.dynamics import (
     PopulationVector,
-    PulseSpec,
     evolve_rates,
-    pi_pulse_fwhm,
     pump_evolution,
     pump_rates,
     pump_steady_state,
-    rabi_transfer,
     scattering_rate,
 )
 from nanotrap.errors import DomainError, SelectionRuleError
 from nanotrap.numerics import find_root
+from nanotrap.spectra import pi_pulse_fwhm
 
 # (sigma+, pi, sigma-) drive fractions: mixed, pure, and the probe's
 DRIVES = [(0.7, 0.1, 0.2), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.92, 0.0, 0.08)]
@@ -41,10 +39,6 @@ class TestPopulationVector:
         # NaN compares false against both the sign and the sum checks
         with pytest.raises(DomainError, match="finite"):
             PopulationVector(4, np.full(9, np.nan))
-
-    def test_pi_pulse_constructor(self):
-        p = PulseSpec.pi_pulse(103e-6)
-        assert p.rabi_rad_s * p.duration_s == pytest.approx(np.pi, rel=1e-12)
 
 
 def reference_generator(fractions, saturation, data):
@@ -346,33 +340,42 @@ class TestScatteringRate:
             scattering_rate((3, 0), 0, 0.0, 1.0, data)
 
 
+def test_the_mw_line_lives_in_spectra_alone():
+    # spectra owns the pi-pulse transfer and its width, and does not import dynamics
+    assert not {"PulseSpec", "rabi_transfer", "pi_pulse_fwhm"} & set(vars(dy))
+
+
+def pi_pulse_transfer(tau, detuning):
+    """Transfer of a square pi pulse of duration tau: the spectra model's line of amplitude 1 at 0 Hz."""
+    return spectra._mw_lineshape(tau)(np.array([0.0, 1.0]), detuning)[0]
+
+
 class TestRabi:
     def test_resonant_pi_pulse_full_transfer(self):
-        assert rabi_transfer(PulseSpec.pi_pulse(103e-6)) == pytest.approx(1.0, abs=1e-12)
+        assert pi_pulse_transfer(103e-6, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_far_detuned_no_transfer(self):
-        p = PulseSpec.pi_pulse(103e-6, detuning_hz=1e9)
-        assert rabi_transfer(p) < 1e-8
+        assert pi_pulse_transfer(103e-6, 1e9) < 1e-8
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(-5e4, 5e4))
     def test_even_in_detuning_and_bounded(self, detuning):
-        plus = rabi_transfer(PulseSpec.pi_pulse(40e-6, detuning))
-        minus = rabi_transfer(PulseSpec.pi_pulse(40e-6, -detuning))
+        plus = pi_pulse_transfer(40e-6, detuning)
+        minus = pi_pulse_transfer(40e-6, -detuning)
         assert plus == pytest.approx(minus, rel=1e-12, abs=1e-15)
         assert 0.0 <= plus <= 1.0
 
     def test_global_maximum_on_resonance(self):
-        on = rabi_transfer(PulseSpec.pi_pulse(40e-6, 0.0))
+        on = pi_pulse_transfer(40e-6, 0.0)
         for d in np.linspace(1e2, 1e5, 57):
-            assert rabi_transfer(PulseSpec.pi_pulse(40e-6, d)) < on
+            assert pi_pulse_transfer(40e-6, d) < on
 
     def test_array_detuning_matches_scalar_calls_exactly(self):
         detunings = np.linspace(-6e4, 6e4, 121)
-        swept = rabi_transfer(PulseSpec.pi_pulse(40e-6, detunings))
+        swept = pi_pulse_transfer(40e-6, detunings)
         assert swept.shape == detunings.shape
         for d, p in zip(detunings, swept):
-            assert p == rabi_transfer(PulseSpec.pi_pulse(40e-6, float(d)))
+            assert p == pi_pulse_transfer(40e-6, float(d))
 
 
 class TestPiPulseFwhm:
@@ -391,7 +394,7 @@ class TestPiPulseFwhm:
         for tau in np.geomspace(1e-8, 0.1, 61):
             width = pi_pulse_fwhm(tau)
             for detuning in (-width / 2, width / 2):
-                assert abs(rabi_transfer(PulseSpec.pi_pulse(tau, detuning)) - 0.5) <= 1e-15
+                assert abs(pi_pulse_transfer(tau, detuning) - 0.5) <= 1e-15
 
         def half_crossing(y):
             return np.sin(0.5 * np.pi * np.sqrt(1 + y * y)) ** 2 / (1 + y * y) - 0.5

@@ -9,6 +9,7 @@ from nanotrap.spectra import (
     SpectrumModel,
     fit_mw_spectrum,
     fit_transmission,
+    pi_pulse_fwhm,
     simulate_mw_spectrum,
     simulate_spectrum,
     transmission,
@@ -223,12 +224,34 @@ class TestMwSpectra:
     @pytest.mark.simd_baseline
     @pytest.mark.parametrize("tau", [30e-6, 40e-6, 103e-6])
     def test_line_is_rabi_transfer_bit_for_bit(self, tau):
-        # one line of amplitude 1: the fit model's transfer is dynamics.rabi_transfer's
-        from nanotrap.dynamics import PulseSpec, rabi_transfer
-
+        # one line of amplitude 1 is the square pi pulse's (Omega / W)^2 sin^2(W tau / 2), with
+        # Omega = pi / tau and W = hypot(Omega, 2 pi detuning), in these operations
         x, center = np.linspace(-60e3, 60e3, 121), 1.7e3
         value, _ = sp._mw_lineshape(tau)(np.array([center, 1.0]), x)
-        assert value.tobytes() == rabi_transfer(PulseSpec.pi_pulse(tau, x - center)).tobytes()
+        omega = np.pi / tau
+        w = np.hypot(omega, 2 * np.pi * (x - center))
+        assert value.tobytes() == ((omega / w) ** 2 * np.sin(0.5 * w * tau) ** 2).tobytes()
+
+    @pytest.mark.simd_baseline
+    @pytest.mark.parametrize("tau", [30e-6, 40e-6, 103e-6])
+    def test_noise_free_simulation_is_the_line_bit_for_bit(self, tau):
+        # the public path to one pi-pulse line: a noise-free spectrum of amplitude 1
+        x, center = np.linspace(-60e3, 60e3, 121), 1.7e3
+        d, y = simulate_mw_spectrum([center], [1.0], tau, x, 0.0, seed=3)
+        assert d.tobytes() == x.tobytes()
+        assert y.tobytes() == sp._mw_lineshape(tau)(np.array([center, 1.0]), x)[0].tobytes()
+
+    @pytest.mark.parametrize("tau", [0.0, -40e-6, np.nan, np.inf])
+    def test_pulse_duration_outside_zero_to_inf_rejected(self, tau):
+        x = np.linspace(-60e3, 60e3, 121)
+        for call in (
+            lambda: pi_pulse_fwhm(tau),
+            lambda: sp._mw_lineshape(tau),
+            lambda: simulate_mw_spectrum([0.0], [1.0], tau, x, 0.0, seed=3),
+            lambda: fit_mw_spectrum((x, np.exp(-((x / 1e4) ** 2))), tau, components=1),
+        ):
+            with pytest.raises(DomainError, match="pulse duration"):
+                call()
 
     def test_two_line_recovery_60_7_khz(self):
         grid = np.linspace(-60e3, 60e3, 121)
@@ -243,7 +266,6 @@ class TestMwSpectra:
         assert hits == n
 
     def test_single_line_fitted_width_matches_fourier_limit(self):
-        from nanotrap.dynamics import pi_pulse_fwhm
         from nanotrap.numerics import find_root
 
         grid = np.linspace(-25e3, 25e3, 101)
