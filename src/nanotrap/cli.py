@@ -420,6 +420,14 @@ def cmd_pump(cfg: RunConfig, args, out: Path) -> None:
     )
 
 
+def _detunings(cfg: RunConfig, section: str) -> np.ndarray:
+    """The ``section``.points detunings from ``section``.min to .max; ConfigError unless they increase."""
+    low, high, points = cfg[f"{section}.min"], cfg[f"{section}.max"], int(cfg[f"{section}.points"])
+    if points > 1 and not low < high:
+        raise ConfigError(f"{section}.min, {section}.max: the detunings must increase (min < max)")
+    return np.linspace(low, high, points)
+
+
 def cmd_spectrum(cfg: RunConfig, args, out: Path) -> None:
     from . import spectra
     model = spectra.SpectrumModel(
@@ -430,10 +438,7 @@ def cmd_spectrum(cfg: RunConfig, args, out: Path) -> None:
         gamma=cfg["spectrum.gamma"],
     )
     if args.action == "simulate":
-        low, high, points = cfg["spectrum.min"], cfg["spectrum.max"], int(cfg["spectrum.points"])
-        if points > 1 and not low < high:
-            raise ConfigError("spectrum.min, spectrum.max: the detunings must increase (min < max)")
-        grid = np.linspace(low, high, points)
+        grid = _detunings(cfg, "spectrum")
         data = spectra.simulate_spectrum(
             model, grid, cfg["spectrum.reference_counts"], seed=int(cfg["run.seed"])
         )
@@ -468,7 +473,7 @@ def cmd_mw(cfg: RunConfig, args, out: Path) -> None:
     from . import spectra
     tau = cfg["mw.pulse_duration"]
     if args.action == "simulate":
-        grid = np.linspace(cfg["mw.min"], cfg["mw.max"], int(cfg["mw.points"]))
+        grid = _detunings(cfg, "mw")
         d, y = spectra.simulate_mw_spectrum(
             [cfg["mw.center_1"], cfg["mw.center_2"]],
             [cfg["mw.amplitude_1"], cfg["mw.amplitude_2"]],

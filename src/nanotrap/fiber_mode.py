@@ -184,7 +184,7 @@ def solve_he11(fiber: FiberSpec, wavelength_m: float) -> GuidedMode:
     hi = n1 - 2e-6
     if lo >= hi or a * k * np.sqrt(lo**2 - 1.0) < K_MIN_ARG or f(lo) * f(hi) >= 0:
         raise NoModeError(
-            f"no HE11 root for a={a * 1e9:.1f} nm at {wavelength_m * 1e9:.2f} nm (V={v:.3f})"
+            f"no HE11 root for a={a * 1e9:.4g} nm at {wavelength_m * 1e9:.2f} nm (V={v:.4g})"
         )
     neff = find_root(f, lo, hi, 1e-12)
 
@@ -336,9 +336,9 @@ def _intensity_and_spin(lights, with_spin=True):
     times each beam's direction d.  So (Le Kien, Balykin & Hakuta, Phys. Rev. A 70, 063403
     (2004)) |E|^2 = 2 [(g_x^2 + g_y^2) |W|^2 + g_z^2 |V|^2] with |W|^2, |V|^2 = n^2 (P_fwd
     + P_bwd +- 2 sqrt(P_fwd P_bwd) cos(2 d beta z - phase)), and i(E x E*) = 4 n^2 d (P_fwd
-    - P_bwd) g_z (-g_y, g_x, 0), 0 along z.  Shapes: broadcast(r, phi, z) + (n,), + (n, 3).
-    With ``with_spin`` false (an mF-averaged potential) the kernel computes |E|^2 only and
-    returns None for the spin.
+    - P_bwd) g_z (-g_y, g_x, 0), 0 along z.  So the kernel returns |E|^2, shape broadcast(r, phi,
+    z) + (n,), and the spin as its transverse components (s_x, s_y), each of that shape.  With
+    ``with_spin`` false (an mF-averaged potential) it computes |E|^2 only and returns None for the spin.
 
     Only the radial part, K_0, K_1, K_2 of q r, is costly.  The kernel computes it at ``r`` as
     given, so a separable grid (r varying along its own axis) pays once per radius; or ``k`` passes
@@ -356,17 +356,15 @@ def _intensity_and_spin(lights, with_spin=True):
             k = bessel_k((0, 1, 2), r * q)
         k0, k1, k2 = k
         phi, z = (np.asarray(v, dtype=float)[..., None] for v in (phi, z))
-        t0, t2, cosd, sind = c0 * k0, c2 * k2, np.cos(phi - angle), np.sin(phi - angle)
+        t0, t2, rel = c0 * k0, c2 * k2, phi - angle  # rel: azimuth from the polarization axis
+        cosd, sind = np.cos(rel), np.sin(rel)
         g_r, g_phi, g_z = (t0 + t2) * cosd, (t2 - t0) * sind, scale * k1 * cosd  # sqrt2 n g, local
         osc = cross * np.cos(wave * z - phase)
         intensity = (g_r * g_r + g_phi * g_phi) * (total + osc) + g_z * g_z * (total - osc)
         if not with_spin:
             return intensity, None
         w, cos, sin = spin * g_z, np.cos(phi), np.sin(phi)
-        out = np.zeros(w.shape + (3,))
-        np.multiply(w, -(g_r * sin + g_phi * cos), out=out[..., 0])  # -g_y
-        np.multiply(w, g_r * cos - g_phi * sin, out=out[..., 1])  # g_x
-        return intensity, out
+        return intensity, (w * -(g_r * sin + g_phi * cos), w * (g_r * cos - g_phi * sin))  # -g_y, g_x
 
     return kernel
 

@@ -151,15 +151,15 @@ def _potential(config: TrapConfig, state: HyperfineState | None, boff, data: Ato
     if state is not None:
         betas = np.array([atom_cs.vector_shift_coefficient_g_per_v2m2(f.mode.wavelength, state.f, data)
                           for f in fields])
-        boff_vec = _offset_vector(boff)
+        off_x, off_y, off_z = _offset_vector(boff).tolist()  # the spin has no z component
         zero_field = breit_rabi_energy(state, 0.0, data)
 
     def u(r, phi, z, k=None):
         intensity, spin = kernel(r, phi, z, k)
-        total = np.add.reduce(shifts * intensity, axis=-1)
+        total = _field_sum(shifts * intensity)
         if state is not None:
-            b = boff_vec + np.add.reduce(betas[:, None] * spin, axis=-2)
-            b_total = np.sqrt(np.add.reduce(b * b, axis=-1))
+            b_x, b_y = off_x + _field_sum(betas * spin[0]), off_y + _field_sum(betas * spin[1])
+            b_total = np.sqrt(b_x * b_x + b_y * b_y + off_z * off_z)
             total = total + (breit_rabi_energy(state, b_total, data) - zero_field)
         if config.c3 is not None:  # the cube as products: a 0-d ** rounds unlike an array's
             gap = np.asarray(r, dtype=float) - a
@@ -167,6 +167,14 @@ def _potential(config: TrapConfig, state: HyperfineState | None, boff, data: Ato
         return float(total) if total.ndim == 0 else total
 
     return u
+
+
+def _field_sum(x):
+    """``x`` summed over its trailing field axis left to right, the order of ``np.add.reduce``."""
+    total = x[..., 0]
+    for i in range(1, x.shape[-1]):
+        total = total + x[..., i]
+    return total
 
 
 # the stencil's offsets along each of r, r phi and z: the centre, then +-1 nm
@@ -224,7 +232,7 @@ def find_trap_minimum(
     r_scan, h = a + SCAN_OFFSETS, float(SCAN_OFFSETS[1] - SCAN_OFFSETS[0])  # h: 18.7 nm
     d_phi = h / (a + 230e-9)  # the rows' spacing: about h of arc near a site
     u_rows = u_of(r_scan, phi_start + d_phi * np.arange(-2.0, 3.0)[:, None], 0.0,
-                  np.stack([f.mode.scan_bessel for f in fields], axis=-1))
+                  np.array([f.mode.scan_bessel for f in fields]).transpose(1, 2, 0))
     u_scan = u_rows[2]
     candidates = np.nonzero((u_scan[1:-1] < u_scan[:-2]) & (u_scan[1:-1] < u_scan[2:]))[0] + 1
     if candidates.size == 0:
@@ -372,7 +380,7 @@ def site_environment(
                       for f in fields])
     # both sites in one kernel call at their one radius; + 0.0 makes an all-zero sum +0.0
     spin = _intensity_and_spin(fields)(r0, np.array([phi0, lower[1]]), z0)[1]
-    total = np.sum(betas[:, None] * spin, axis=-2) + 0.0
+    total = np.stack([_field_sum(betas * s) + 0.0 for s in spin] + [np.zeros(2)], axis=-1)
 
     return MagneticEnvironment(
         offset_field=_offset_vector(boff),

@@ -48,8 +48,8 @@ def _tables(orders: tuple):
 
 
 def _checked(order, x, lo: float, hi: float):
-    """(weight tables of the orders, whether one order was given, x as floats in [lo, hi], max x)."""
-    single = np.ndim(order) == 0
+    """(weight tables of the orders, whether one order was given, x as floats in [lo, hi], min x, max x)."""
+    single = not isinstance(order, tuple) and np.ndim(order) == 0
     tables = _tables((order,) if single else tuple(order))
     x = np.asarray(x, dtype=float)
     # 0-d without a numpy reduction; an empty x spans (inf, -inf), and a NaN fails both bounds
@@ -57,12 +57,12 @@ def _checked(order, x, lo: float, hi: float):
         np.minimum.reduce(x, axis=None, initial=np.inf), np.maximum.reduce(x, axis=None, initial=-np.inf))
     if not (lo <= low and top <= hi):
         raise DomainError(f"Bessel argument outside its validated range [{lo}, {hi}]")
-    return tables, single, x, top
+    return tables, single, x, low, top
 
 
 def bessel_j(order, x):
     """J_n(x) for |x| <= 30 and integer n in 0..5; a sequence of orders adds a leading axis."""
-    (weights, _, _), single, x, _ = _checked(order, x, -J_MAX_ARG, J_MAX_ARG)
+    (weights, _, _), single, x, _, _ = _checked(order, x, -J_MAX_ARG, J_MAX_ARG)
     arg = x[..., None] * _J_SIN
     out = np.einsum("...k,nk->n...", np.concatenate((np.cos(arg), np.sin(arg)), axis=-1), weights)
     return out[0] if single else out
@@ -70,20 +70,19 @@ def bessel_j(order, x):
 
 def bessel_k(order, x):
     """K_n(x) for 1e-4 <= x <= 700 and integer n in 0..5; a sequence of orders adds a leading axis."""
-    (_, weights, hankel), single, x, top = _checked(order, x, K_MIN_ARG, K_MAX_ARG)
+    (_, weights, hankel), single, x, low, top = _checked(order, x, K_MIN_ARG, K_MAX_ARG)
     if top <= 40.0:
-        # in blocks of _K_BLOCK arguments, computed in place, so that no temporary reaches
+        # in blocks of _K_BLOCK arguments (a smaller call is one), so that no temporary reaches
         # glibc's 128 KiB mmap threshold (above it, glibc maps each temporary or trims the
-        # heap after it, and every call faults in fresh pages); terms clamped at -700 keep exp
-        # in numpy's vector loop (< 1e-240 relative), and nodes clamped block-wide are dropped
+        # heap after it, and every call faults in fresh pages)
         flat = x.reshape(-1, 1)
-        out = np.empty((len(weights), flat.shape[0]))
-        for start in range(0, flat.shape[0], _K_BLOCK):
-            block = flat[start : start + _K_BLOCK]
-            kept = np.count_nonzero(block.min() * _K_NEG_COSH > -700.0)
-            terms = np.multiply(block, _K_NEG_COSH[:kept])
-            np.exp(np.maximum(terms, -700.0, out=terms), out=terms)
-            np.einsum("bk,nk->nb", terms, weights[:, :kept], out=out[:, start : start + _K_BLOCK])
+        if flat.shape[0] <= _K_BLOCK:
+            out = _k_block(flat, low, weights)
+        else:
+            out = np.empty((len(weights), flat.shape[0]))
+            for start in range(0, flat.shape[0], _K_BLOCK):
+                block = flat[start : start + _K_BLOCK]
+                _k_block(block, block.min(), weights, out[:, start : start + _K_BLOCK])
         out = out.reshape(len(weights), *x.shape)
     else:
         out = np.empty((len(weights), *x.shape))
@@ -94,6 +93,15 @@ def bessel_k(order, x):
             series = coefficient[:, None] + series / xf
         out[:, far] = np.sqrt(0.5 * np.pi / xf) * np.exp(-xf.astype(np.longdouble)) * series
     return out[0] if single else out
+
+
+def _k_block(block, block_min, weights, out=None):
+    """K values of a column of arguments, in place; terms clamped at -700 keep exp in numpy's
+    vector loop (< 1e-240 relative), and nodes clamped for ``block_min`` are dropped."""
+    kept = np.count_nonzero(block_min * _K_NEG_COSH > -700.0)
+    terms = np.multiply(block, _K_NEG_COSH[:kept])
+    np.exp(np.maximum(terms, -700.0, out=terms), out=terms)
+    return np.einsum("bk,nk->nb", terms, weights[:, :kept], out=out)
 
 
 def bessel_k_scalar(order, x):

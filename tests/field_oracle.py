@@ -8,6 +8,9 @@ profiles and per-beam field are the references ``field_at``'s evaluation
 of its beams on a trailing axis is held to, bit for bit.  The package takes
 every light shift from the closed-form |E|^2 and i(E x E*) kernel; the tests
 hold it to the shifts of the complex Cartesian field ``field_at`` returns.
+The kernel returns the spin's two transverse components and the package sums
+them over the fields left to right; the tests hold those sums to
+``np.add.reduce`` over the Cartesian (..., n, 3) spin with a zero z column.
 ``pump`` writes the (sigma+, pi, sigma-) intensities about +y in closed form;
 the tests hold them to the spherical decomposition about any axis.
 """
@@ -18,8 +21,8 @@ from scipy import special
 from nanotrap import atom_cs
 from nanotrap.atom_cs import AtomicData, HyperfineState, default_atomic_data
 from nanotrap.errors import DomainError
-from nanotrap.fiber_mode import GuidedMode, _spin_density
-from nanotrap.light_matter import H_PLANCK
+from nanotrap.fiber_mode import GuidedMode, _kernel_constants, _spin_density
+from nanotrap.light_matter import H_PLANCK, _offset_vector
 from nanotrap.numerics import bessel_j, bessel_k
 
 
@@ -193,6 +196,70 @@ def vector_shift(
     _, _, e3 = _orthonormal_triad(axis)
     projection = _spin_density(e) @ e3
     return -0.25 * alpha_v * projection * state.mf / (2.0 * state.f) / H_PLANCK
+
+
+def cartesian_spin_kernel(lights):
+    """``fiber_mode._intensity_and_spin``'s kernel with the spin as one zero-filled Cartesian
+    array, shape broadcast(r, phi, z) + (n, 3), its z column 0."""
+    a, q, scale, c0, c2, angle, phase, total, cross, spin, wave = np.array(
+        [_kernel_constants(f) for f in lights]).T
+
+    def kernel(r, phi, z, k=None):
+        if k is None:
+            k = bessel_k((0, 1, 2), np.asarray(r, dtype=float)[..., None] * q)
+        k0, k1, k2 = k
+        phi, z = (np.asarray(v, dtype=float)[..., None] for v in (phi, z))
+        t0, t2, cosd, sind = c0 * k0, c2 * k2, np.cos(phi - angle), np.sin(phi - angle)
+        g_r, g_phi, g_z = (t0 + t2) * cosd, (t2 - t0) * sind, scale * k1 * cosd
+        osc = cross * np.cos(wave * z - phase)
+        intensity = (g_r * g_r + g_phi * g_phi) * (total + osc) + g_z * g_z * (total - osc)
+        w, cos, sin = spin * g_z, np.cos(phi), np.sin(phi)
+        out = np.zeros(w.shape + (3,))
+        np.multiply(w, -(g_r * sin + g_phi * cos), out=out[..., 0])
+        np.multiply(w, g_r * cos - g_phi * sin, out=out[..., 1])
+        return intensity, out
+
+    return kernel
+
+
+def reduced_potential(config, state, boff, data: AtomicData):
+    """``light_matter._potential``'s ``u`` with each sum over the fields an ``np.add.reduce``:
+    of the scalar shifts, of beta_v times ``cartesian_spin_kernel``'s spin, and of b * b."""
+    fields = config.fields()
+    kernel = cartesian_spin_kernel(fields)
+    alphas = np.array([atom_cs.scalar_polarizability(f.mode.wavelength, data) for f in fields])
+    shifts = -0.25 * alphas / H_PLANCK
+    if state is not None:
+        betas = np.array([atom_cs.vector_shift_coefficient_g_per_v2m2(f.mode.wavelength, state.f, data)
+                          for f in fields])
+        boff_vec = _offset_vector(boff)
+        zero_field = atom_cs.breit_rabi_energy(state, 0.0, data)
+
+    def u(r, phi, z, k=None):
+        intensity, spin = kernel(r, phi, z, k)
+        total = np.add.reduce(shifts * intensity, axis=-1)
+        if state is not None:
+            b = boff_vec + np.add.reduce(betas[:, None] * spin, axis=-2)
+            b_total = np.sqrt(np.add.reduce(b * b, axis=-1))
+            total = total + (atom_cs.breit_rabi_energy(state, b_total, data) - zero_field)
+        if config.c3 is not None:
+            gap = np.asarray(r, dtype=float) - config.fiber.radius
+            total = total - config.c3 / (gap * gap * gap * H_PLANCK)
+        return float(total) if total.ndim == 0 else total
+
+    return u
+
+
+def reduced_site_fields(config, upper, data: AtomicData):
+    """``light_matter.site_environment``'s (upper, lower) fictitious fields, by ``np.sum`` of beta_v
+    (F = 4) times ``cartesian_spin_kernel``'s spin over the fields at ``upper`` and its image."""
+    fields = config.fields()
+    betas = np.array([atom_cs.vector_shift_coefficient_g_per_v2m2(f.mode.wavelength, 4, data)
+                      for f in fields])
+    r0, phi0, z0 = upper
+    spin = cartesian_spin_kernel(fields)(r0, np.array([phi0, phi0 + np.pi]), z0)[1]
+    total = np.sum(betas[:, None] * spin, axis=-2) + 0.0
+    return total[0], total[1]
 
 
 def assert_bitwise_equal(actual, expected):

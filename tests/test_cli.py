@@ -218,12 +218,15 @@ class TestConfigDomain:
     def test_fiber_without_a_guided_root_exits_2_naming_radius_and_wavelength(self, tmp_path, capsys, command):
         # the solver's bracket ends at n_eff = 1 + 2e-6; this exited 3 as a numerical failure, at 5 nm
         # because K(w) there was below its range, and at 1e-300 m squaring 1 / (a k) overflowed (exit 1)
-        for radius in ("20 nm", "5 nm", "1e-300 m"):
+        # the message names the rejected radius and V to 4 significant digits: 1e-300 m read "a=0.0 nm"
+        for radius, named in (("20 nm", "a=20 nm"), ("5 nm", "a=5 nm"), ("1e-300 m", "a=1e-291 nm")):
             args = [command, "--config", PAPER_CFG, "--out", str(tmp_path), "--set", f"fiber.radius={radius}"]
             assert run(args) == 2
             err = capsys.readouterr().err
             assert "config error: fiber.radius, blue.wavelength: " in err and "no HE11 root" in err
+            assert f"{named} at 783.00 nm (V=" in err and "(V=0.000)" not in err
             assert not any(tmp_path.iterdir())
+        assert re.search(r"\(V=8\.\d{3}e-294\)", err)
 
     @pytest.mark.parametrize("low, high", [("80 MHz", "-80 MHz"), ("10 MHz", "10 MHz")])
     def test_spectrum_range_not_increasing_exits_2_naming_both_keys(self, tmp_path, capsys, low, high):
@@ -233,12 +236,27 @@ class TestConfigDomain:
         assert capsys.readouterr().err.startswith("config error: spectrum.min, spectrum.max: ")
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("low, high", [("60 kHz", "-60 kHz"), ("10 kHz", "10 kHz")])
+    def test_mw_range_not_increasing_exits_2_naming_both_keys(self, tmp_path, capsys, low, high):
+        # it wrote 121 equal detunings (or a reversed range), and mw fit on the equal ones exited 3
+        args = ["mw", "simulate", "--config", PAPER_CFG, "--out", str(tmp_path)]
+        assert run([*args, "--set", f"mw.min={low}", "--set", f"mw.max={high}"]) == 2
+        assert capsys.readouterr().err.startswith("config error: mw.min, mw.max: ")
+        assert not any(tmp_path.iterdir())
+
     def test_spectrum_of_one_point_may_have_min_equal_to_max(self, tmp_path):
         args = ["spectrum", "simulate", "--config", PAPER_CFG, "--out", str(tmp_path), "--set",
                 "spectrum.points=1", "--set", "spectrum.min=10 MHz", "--set", "spectrum.max=10 MHz"]
         assert run(args) == 0
         rows = [ln for ln in (tmp_path / "spectrum.csv").read_text().splitlines() if not ln.startswith("#")]
         assert len(rows) == 2 and float(rows[1].split(",")[0]) == 10e6
+
+    def test_mw_of_one_point_may_have_min_equal_to_max(self, tmp_path):
+        args = ["mw", "simulate", "--config", PAPER_CFG, "--out", str(tmp_path), "--set",
+                "mw.points=1", "--set", "mw.min=10 kHz", "--set", "mw.max=10 kHz"]
+        assert run(args) == 0
+        rows = [ln for ln in (tmp_path / "mw.csv").read_text().splitlines() if not ln.startswith("#")]
+        assert len(rows) == 2 and float(rows[1].split(",")[0]) == 10e3
 
     def test_beam_map_solves_only_its_own_mode(self, tmp_path, capsys):
         # at 90 nm the 783 nm mode is guided and the 1064 nm one is not; a blue map solved both

@@ -533,20 +533,23 @@ class TestClosedFormKernel:
         gap, phi, z = self.POINTS[point]
         r = fiber.radius + gap
         lights = self.lights(modes)
-        intensity, spin = fm._intensity_and_spin(lights)(r, phi, z)
+        intensity, (s_x, s_y) = fm._intensity_and_spin(lights)(r, phi, z)
+        assert s_x.shape == s_y.shape == intensity.shape == np.broadcast(r, phi, z).shape + (len(lights),)
         for k, light in enumerate(lights):
             e = field_at(light, r, phi, z)
             want = np.sum(np.abs(e) ** 2, axis=-1)
             assert np.all(np.abs(intensity[..., k] - want) <= 1e-13 * want)  # 1.4e-15 measured
-            s = fm._spin_density(e)
-            assert np.max(np.abs(spin[..., k, :] - s)) <= 1e-14 * np.max(np.abs(s))  # 1.6e-15
-            assert np.all(spin[..., k, 2] == 0.0)
+            s = fm._spin_density(e)  # the Cartesian spin: the kernel keeps its x and y components
+            spin = np.stack([s_x[..., k], s_y[..., k], np.zeros_like(s_x[..., k])], axis=-1)
+            assert np.max(np.abs(spin - s)) <= 1e-14 * np.max(np.abs(s))  # 1.6e-15
+            assert np.max(np.abs(s[..., 2])) <= 1e-14 * np.max(np.abs(s))  # z is 0 to 5.5e-16
 
     def test_balanced_standing_wave_has_no_spin_and_reversal_negates_it(self, modes, fiber):
         lights, (gap, phi, z) = self.balanced_lights(modes)
-        _, spin = fm._intensity_and_spin(lights)(fiber.radius + gap, phi, z)
-        assert np.all(spin[:, 0] == 0.0) and np.any(spin[:, 1] != 0.0)
-        assert np.array_equal(spin[:, 2], -spin[:, 1])
+        _, (s_x, s_y) = fm._intensity_and_spin(lights)(fiber.radius + gap, phi, z)
+        for s in (s_x, s_y):
+            assert np.all(s[:, 0] == 0.0) and np.any(s[:, 1] != 0.0)
+            assert np.array_equal(s[:, 2], -s[:, 1])
 
     def test_rejects_points_not_outside_the_fiber(self, modes, fiber):
         for with_spin in (True, False):

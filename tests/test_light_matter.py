@@ -6,6 +6,7 @@ import sys
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from field_oracle import (
     assert_bitwise_equal,
     fictitious_field,
     per_beam_field,
+    reduced_potential,
+    reduced_site_fields,
     scalar_shift,
     spherical_components,
     vector_shift,
@@ -1234,6 +1237,67 @@ class TestSiteFields:
         r_dn = find_trap_minimum(cfg, ground_state(4, -4), 28.0, data=data)[0]
         assert (r_up - r_avg) * (r_dn - r_avg) < 0
         assert abs(r_up - r_avg) > 0.5e-9  # displacement is resolved
+
+
+@pytest.mark.simd_baseline
+class TestFieldSumOrder:
+    """The potential and the site fields sum over the fields left to right, on the kernel's
+    (s_x, s_y): the bits of ``np.add.reduce`` over the Cartesian spin with its zero z column."""
+
+    @staticmethod
+    def config(modes, data, n_fields):
+        # a tilted blue beam, an imbalanced phased red standing wave and a reversed, rotated
+        # manipulation beam, so every field has a spin; one field is a stand-in configuration
+        blue = LightField(mode=modes[783], power=8.5e-3, polarization_angle=np.pi / 2 + 0.1)
+        red = LightField(mode=modes[1064], power=0.77e-3, configuration="standing",
+                         backward_power=0.6e-3, relative_phase=0.4)
+        manipulation = LightField(mode=modes[880.2524], power=100e-6, polarization_angle=0.3, direction=-1)
+        fiber, c3 = modes[783].fiber, data.c3_ground_jm3
+        if n_fields == 1:
+            return SimpleNamespace(fiber=fiber, c3=c3, fields=lambda: [blue])
+        return lm.TrapConfig(fiber=fiber, blue=blue, red=red, c3=c3,
+                             manipulation=manipulation if n_fields == 3 else None)
+
+    @pytest.mark.parametrize("n_fields", [1, 2, 3])
+    @pytest.mark.parametrize("state", [None, ground_state(4, 4), ground_state(3, -2)],
+                             ids=["mF-averaged", "4,4", "3,-2"])
+    @pytest.mark.parametrize("boff", [28.0, np.array([17.3, 21.1, -9.7])], ids=["scalar", "vector"])
+    def test_potential_equals_reduce_over_cartesian_spin(self, modes, data, trap_minimum, n_fields,
+                                                         state, boff, monkeypatch):
+        # the search's 5x64 scan with K passed in, a 3x3x3 stencil grid and one point; the total
+        # fields |b| that reach Breit-Rabi too, as the potential can round a last bit of |b| away
+        cfg, breit_rabi, fields_seen = self.config(modes, data, n_fields), atom_cs.breit_rabi_energy, ([], [])
+        for seen, module in zip(fields_seen, (lm, atom_cs)):
+            monkeypatch.setattr(module, "breit_rabi_energy", lambda st, b, d, seen=seen:
+                                seen.append(np.asarray(b)) or breit_rabi(st, b, d))
+        u, want = lm._potential(cfg, state, boff, data), reduced_potential(cfg, state, boff, data)
+        fields, r_scan = cfg.fields(), cfg.fiber.radius + fm.SCAN_OFFSETS
+        phi_rows = 0.02 + 0.05 * np.arange(-2.0, 3.0)[:, None]
+        k_view = np.array([f.mode.scan_bessel for f in fields]).transpose(1, 2, 0)
+        k_stack = np.stack([f.mode.scan_bessel for f in fields], axis=-1)
+        assert_bitwise_equal(k_view, k_stack)
+        assert_bitwise_equal(u(r_scan, phi_rows, 0.0, k_view), want(r_scan, phi_rows, 0.0, k_stack))
+        r0, phi0, z0 = trap_minimum
+        grid = ((r0 + lm._OFFSETS)[:, None, None], (phi0 + lm._OFFSETS / r0)[:, None], z0 + lm._OFFSETS)
+        assert_bitwise_equal(u(*grid), want(*grid))
+        point = (r0 + 13.7e-9, 0.37, -1.234e-7)
+        value = u(*point)
+        assert isinstance(value, float) and value == want(*point)
+        package, oracle = fields_seen
+        assert len(package) == len(oracle) == (0 if state is None else 4)  # zero field, then 3 calls
+        for got, expected in zip(package, oracle):
+            assert_bitwise_equal(got, expected)
+
+    @pytest.mark.parametrize("n_fields", [1, 2, 3])
+    @pytest.mark.parametrize("boff", [28.0, np.array([17.3, 21.1, -9.7])], ids=["scalar", "vector"])
+    def test_site_environment_equals_sum_over_cartesian_spin(self, modes, data, trap_minimum, n_fields, boff):
+        cfg = self.config(modes, data, n_fields)
+        for upper in (trap_minimum, (trap_minimum[0] - 37.1e-9, 0.37, -1.234e-7)):
+            env = lm.site_environment(cfg, boff, upper, data)
+            want_upper, want_lower = reduced_site_fields(cfg, upper, data)
+            assert_bitwise_equal(env.fictitious_field_upper, want_upper)
+            assert_bitwise_equal(env.fictitious_field_lower, want_lower)
+            assert_bitwise_equal(env.offset_field, lm._offset_vector(boff))
 
 
 def manual_env(boff, bfict_y):

@@ -154,6 +154,33 @@ class TestBesselAgainstScipy:
             single = np.array([fn((0, 1, 2, 3), v) for v in x.tolist()]).T
             assert np.array_equal(batch, single)
 
+    def test_accepted_order_types(self):
+        # one order as an int, an np.int64 or an integral float, and several as a tuple, a list or
+        # an array: the same bits; a non-integral, negative or too high order is refused
+        x = np.array([[0.3, 2.0], [7.5, 29.0]])
+        for fn in (bessel_j, bessel_k):
+            one, several = fn(2, x), fn((0, 2), x)
+            assert one.shape == (2, 2) and several.shape == (2, 2, 2)
+            for order in (np.int64(2), 2.0):
+                assert_bitwise_equal(fn(order, x), one)
+            for orders in ([0, 2], np.array([0, 2]), (0.0, 2.0)):
+                assert_bitwise_equal(fn(orders, x), several)
+            for bad in (2.5, 6, -1, (0, 2.5), [0, 6]):
+                with pytest.raises(DomainError, match="orders must be integers"):
+                    fn(bad, x)
+
+    @pytest.mark.simd_baseline
+    def test_small_calls_equal_their_values_in_a_batch(self):
+        # a call of at most 64 arguments is one block without a loop; every size from 1 to 65, at
+        # the start of a 129-argument batch and across its first block boundary, gives the batch's bits
+        rng = np.random.default_rng(34)
+        x = np.exp(rng.uniform(np.log(1e-4), np.log(700.0), 129))
+        batch = bessel_k((0, 1, 2), x)
+        for size in range(1, 66):
+            for start in (0, 64 - size // 2):
+                alone = bessel_k((0, 1, 2), x[start : start + size])
+                assert_bitwise_equal(alone, batch[:, start : start + size])
+
     def test_k_equals_the_full_201_node_rule(self):
         # nodes whose terms are clamped for every argument of a 64-argument block are
         # dropped; the values equal the full rule's bit for bit, whatever the block mix
